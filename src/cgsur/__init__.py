@@ -4,12 +4,13 @@ Library layout:
 
 - field: lognormal conductivity fields and randomized boundary data
 - fem: P1 finite elements, adjoints, fluxes, potential energy
-- approximators: differentiable parametric maps with reverse-mode gradients
+- approximators: differentiable parametric maps with reverse-mode gradients,
+  and the checkpoint format shared by networks, models and training states
 - genmodel: the latent-variable generative model with a coarse solver inside
 - vobs: virtual observables (weighted residuals, flux balance, energy)
 - inference: stochastic variational training and closed-form updates
 - predict: predictive posteriors, metrics, uncertainty propagation
-- cli: dataset generation / training / evaluation / UQ driver
+- errors, gaussians, seeding: typed errors, Gaussian identities, derived seeds
 """
 
 __version__ = "0.1.0"

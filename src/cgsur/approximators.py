@@ -9,8 +9,11 @@ parameters and the input.
 Supported layers (descriptor dicts):
     {"kind": "dense", "units": n}
     {"kind": "tanh"} | {"kind": "relu"}
-    {"kind": "reshape", "shape": [c, h, w]} | {"kind": "flatten"}
-    {"kind": "conv2d", "channels": c, "kernel": k}   # stride 1, same padding
+
+Checkpoints of networks, generative models and training states share one
+on-disk format, written by save_arrays and read by load_arrays: <stem>.json
+holds a versioned header with the layout of the arrays, and <stem>.bin holds
+the arrays as one little-endian float64 blob.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveInput, TapeConsumed
 
-CHECKPOINT_VERSION = 1
+# Version 1 files have a separate layout per checkpoint kind, which
+# load_arrays cannot read.
+CHECKPOINT_VERSION = 2
 
 
 def positivity_transform(raw: np.ndarray) -> np.ndarray:
@@ -40,9 +45,8 @@ def positivity_inverse(positive: np.ndarray) -> np.ndarray:
 class Tape:
     """Per-layer caches from one forward pass; usable for one reverse pass."""
 
-    def __init__(self, caches, shapes):
+    def __init__(self, caches):
         self.caches = caches
-        self.shapes = shapes
         self.consumed = False
 
 
@@ -97,88 +101,6 @@ class _Relu:
         return np.empty(0), cot * cache
 
 
-class _Conv2d:
-    """Stride-1 same-padding convolution on (channels, h, w) inputs."""
-
-    def __init__(self, in_shape, channels, kernel):
-        if kernel % 2 != 1:
-            raise ValueError(f"conv kernel must be odd, got {kernel}")
-        self.in_shape = in_shape  # (c_in, h, w)
-        self.channels = channels
-        self.kernel = kernel
-        c_in = in_shape[0]
-        self.n_params = channels * c_in * kernel * kernel + channels
-
-    def init(self, rng):
-        c_in, k = self.in_shape[0], self.kernel
-        fan_in = c_in * k * k
-        fan_out = self.channels * k * k
-        w = _glorot(rng, fan_in, fan_out, (self.channels, c_in * k * k))
-        return np.concatenate([w.ravel(), np.zeros(self.channels)])
-
-    def split(self, p):
-        c_in, k = self.in_shape[0], self.kernel
-        nw = self.channels * c_in * k * k
-        return p[:nw].reshape(self.channels, c_in * k * k), p[nw:]
-
-    def _im2col(self, img):
-        c, h, w = self.in_shape
-        k = self.kernel
-        pad = k // 2
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        padded[:, pad : pad + h, pad : pad + w] = img
-        cols = np.empty((c * k * k, h * w))
-        idx = 0
-        for ci in range(c):
-            for di in range(k):
-                for dj in range(k):
-                    cols[idx] = padded[ci, di : di + h, dj : dj + w].ravel()
-                    idx += 1
-        return cols
-
-    def _col2im(self, cols):
-        c, h, w = self.in_shape
-        k = self.kernel
-        pad = k // 2
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        idx = 0
-        for ci in range(c):
-            for di in range(k):
-                for dj in range(k):
-                    padded[ci, di : di + h, dj : dj + w] += cols[idx].reshape(h, w)
-                    idx += 1
-        return padded[:, pad : pad + h, pad : pad + w]
-
-    def forward(self, p, x):
-        c, h, w = self.in_shape
-        wmat, b = self.split(p)
-        cols = self._im2col(x.reshape(c, h, w))
-        out = wmat @ cols + b[:, None]
-        return out.ravel(), cols
-
-    def backward(self, p, cache, cot):
-        c, h, w = self.in_shape
-        wmat, _ = self.split(p)
-        cols = cache
-        cot_mat = cot.reshape(self.channels, h * w)
-        gw = cot_mat @ cols.T
-        gb = cot_mat.sum(axis=1)
-        gx = self._col2im(wmat.T @ cot_mat)
-        return np.concatenate([gw.ravel(), gb]), gx.ravel()
-
-
-class _Shape:
-    """Reshape/flatten bookkeeping; vectors stay flat, only shape metadata moves."""
-
-    n_params = 0
-
-    def forward(self, p, x):
-        return x, None
-
-    def backward(self, p, cache, cot):
-        return np.empty(0), cot
-
-
 class Approximator:
     """A sequential differentiable map with one flat float64 parameter vector."""
 
@@ -186,36 +108,20 @@ class Approximator:
         self.input_dim = int(input_dim)
         self.layer_specs = [dict(spec) for spec in layers]
         self._layers = []
-        shape = (self.input_dim,)  # flat, or (c, h, w) after a reshape
+        width = self.input_dim
         for spec in self.layer_specs:
             kind = spec["kind"]
             if kind == "dense":
-                if len(shape) != 1:
-                    raise ValueError("dense layer requires a flat input")
-                layer = _Dense(shape[0], int(spec["units"]))
-                shape = (layer.units,)
+                layer = _Dense(width, int(spec["units"]))
+                width = layer.units
             elif kind == "tanh":
                 layer = _Tanh()
             elif kind == "relu":
                 layer = _Relu()
-            elif kind == "reshape":
-                new = tuple(int(v) for v in spec["shape"])
-                if int(np.prod(new)) != int(np.prod(shape)):
-                    raise ValueError(f"cannot reshape {shape} to {new}")
-                layer = _Shape()
-                shape = new
-            elif kind == "flatten":
-                layer = _Shape()
-                shape = (int(np.prod(shape)),)
-            elif kind == "conv2d":
-                if len(shape) != 3:
-                    raise ValueError("conv2d requires a (c, h, w) input; add a reshape")
-                layer = _Conv2d(shape, int(spec["channels"]), int(spec["kernel"]))
-                shape = (layer.channels, shape[1], shape[2])
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
             self._layers.append(layer)
-        self.output_dim = int(np.prod(shape))
+        self.output_dim = width
 
         rng = np.random.default_rng(seed)
         chunks = []
@@ -244,7 +150,7 @@ class Approximator:
         for layer, sl in zip(self._layers, self._slices):
             x, cache = layer.forward(self.params[sl], x)
             caches.append(cache)
-        return x, Tape(caches, None)
+        return x, Tape(caches)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
@@ -303,18 +209,38 @@ def mlp(
     return Approximator(input_dim, layers, seed=seed)
 
 
-def save_checkpoint(net: Approximator, stem) -> None:
-    """Write <stem>.json (versioned descriptor) and <stem>.bin (raw float64)."""
+def save_arrays(stem, header: dict, arrays: dict) -> None:
+    """Write <stem>.json (header, version and array layout) and <stem>.bin."""
     stem = Path(stem)
-    header = {"version": CHECKPOINT_VERSION, "descriptor": net.descriptor()}
-    stem.with_suffix(".json").write_text(json.dumps(header, indent=2))
-    stem.with_suffix(".bin").write_bytes(net.params.astype("<f8").tobytes())
+    layout, pos = {}, 0
+    for key, arr in arrays.items():
+        layout[key] = {"offset": pos, "shape": list(np.shape(arr))}
+        pos += int(np.size(arr))
+    full = {"version": CHECKPOINT_VERSION, **header, "arrays": layout}
+    stem.with_suffix(".json").write_text(json.dumps(full, indent=2))
+    blob = np.concatenate([np.asarray(a, dtype="<f8").ravel() for a in arrays.values()])
+    stem.with_suffix(".bin").write_bytes(blob.tobytes())
 
 
-def load_checkpoint(stem) -> Approximator:
+def load_arrays(stem) -> tuple[dict, dict]:
+    """Inverse of save_arrays; returns (header, arrays) as owned float64 copies."""
     stem = Path(stem)
     header = json.loads(stem.with_suffix(".json").read_text())
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    params = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
-    return Approximator.from_descriptor(header["descriptor"], params)
+    blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
+    arrays = {}
+    for key, info in header["arrays"].items():
+        size = int(np.prod(info["shape"]))
+        chunk = blob[info["offset"] : info["offset"] + size]
+        arrays[key] = chunk.astype(np.float64).reshape(info["shape"])
+    return header, arrays
+
+
+def save_checkpoint(net: Approximator, stem) -> None:
+    save_arrays(stem, {"descriptor": net.descriptor()}, {"params": net.params})
+
+
+def load_checkpoint(stem) -> Approximator:
+    header, arrays = load_arrays(stem)
+    return Approximator.from_descriptor(header["descriptor"], arrays["params"])

@@ -16,14 +16,12 @@ autodiff graph; the coarse solve is differentiated through its adjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import fem
-from .approximators import Approximator, mlp
+from .approximators import Approximator, load_arrays, mlp, save_arrays
 from .errors import DimensionMismatch
 from .field import BoundaryCoeffs
 from .gaussians import (
@@ -36,8 +34,6 @@ from .gaussians import (
 # Clamp bounds for every diagonal variance in the model.
 VAR_MIN = 1e-8
 VAR_MAX = 1e4
-
-MODEL_CHECKPOINT_VERSION = 1
 
 _BLOB_KEYS = ("W_g", "b_g", "log_S_X", "w_h", "b_h", "log_S_y")
 
@@ -298,46 +294,30 @@ class GenerativeModel:
         }
 
 
-def save_model(model: GenerativeModel, stem) -> None:
-    """Composite checkpoint: JSON header plus one concatenated float64 blob."""
-    stem = Path(stem)
-    arrays = model.params.arrays()
-    order = ["decoder"] + list(_BLOB_KEYS)
-    offsets = {}
-    pos = 0
-    chunks = []
-    for key in order:
-        arr = arrays[key]
-        offsets[key] = {"offset": pos, "size": int(arr.size), "shape": list(arr.shape)}
-        pos += arr.size
-        chunks.append(np.asarray(arr, dtype=np.float64).ravel())
+def model_checkpoint(model: GenerativeModel) -> tuple[dict, dict]:
+    """The header entries and named arrays that describe a model on disk."""
     header = {
-        "version": MODEL_CHECKPOINT_VERSION,
-        "metadata": model.metadata(),
+        "model": model.metadata(),
         "decoder_descriptor": model.params.decoder.descriptor(),
-        "blobs": offsets,
     }
-    stem.with_suffix(".json").write_text(json.dumps(header, indent=2))
-    stem.with_suffix(".bin").write_bytes(
-        np.concatenate(chunks).astype("<f8").tobytes()
+    return header, model.params.arrays()
+
+
+def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
+    """Inverse of model_checkpoint."""
+    meta = header["model"]
+    model = GenerativeModel(meta["d_f"], meta["d_c"], dim_z=meta["dim_z"])
+    model.params.decoder = Approximator.from_descriptor(
+        header["decoder_descriptor"], arrays["decoder"]
     )
+    for key in _BLOB_KEYS:
+        setattr(model.params, key, arrays[key])
+    return model
+
+
+def save_model(model: GenerativeModel, stem) -> None:
+    save_arrays(stem, *model_checkpoint(model))
 
 
 def load_model(stem) -> GenerativeModel:
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
-    if header.get("version") != MODEL_CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported model checkpoint version {header.get('version')}")
-    blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
-    meta = header["metadata"]
-    model = GenerativeModel(meta["d_f"], meta["d_c"], dim_z=meta["dim_z"])
-    model.params.decoder = Approximator.from_descriptor(header["decoder_descriptor"])
-    for key, info in header["blobs"].items():
-        arr = blob[info["offset"] : info["offset"] + info["size"]].reshape(
-            info["shape"]
-        )
-        if key == "decoder":
-            model.params.decoder.params = arr.copy().ravel()
-        else:
-            setattr(model.params, key, arr.copy())
-    return model
+    return model_from_checkpoint(*load_arrays(stem))

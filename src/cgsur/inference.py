@@ -11,23 +11,24 @@ Monte Carlo ELBO with Adam.
 
 Gradients of the Monte Carlo objective are chained by hand through the
 model's *_grads methods; the coarse solve contributes through its adjoint.
-ELBO term functions accept an explicit noise bundle so common-random-number
-finite differencing stays exact in tests.
+The labeled and virtual blocks are the same model term log p(y | X) and run
+one conditional-ELBO body; they differ only in where y comes from (an
+observation or a q(y) draw) and in the virtual block's likelihood and q(y)
+entropy terms. ELBO term functions accept an explicit noise bundle so
+common-random-number finite differencing stays exact in tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from . import fem, vobs
-from .approximators import Approximator, mlp
+from .approximators import Approximator, load_arrays, mlp, save_arrays
 from .errors import Divergence, IllConditioned, NonFiniteLoss
 from .field import BoundaryCoeffs
 from .gaussians import (
@@ -35,7 +36,7 @@ from .gaussians import (
     entropy_diag,
     standard_logpdf_expectation,
 )
-from .genmodel import GenerativeModel
+from .genmodel import GenerativeModel, model_checkpoint, model_from_checkpoint
 from .seeding import derive_rng
 from .vobs import EnergyObservable, GammaPosterior, LinearConstraintSet
 
@@ -88,11 +89,11 @@ class LowRankGaussian:
             b = self._a / np.sqrt(self.sbar)[None, :]
             _, s, vt = np.linalg.svd(b, full_matrices=False)
             scale = np.sqrt(np.clip(1.0 - s**2, 0.0, None)) - 1.0
-            self._sqrt_parts = (vt, scale)
+            self._sqrt_parts = (vt, scale, s)
         return self._sqrt_parts
 
     def sample(self, rng):
-        vt, scale = self._sqrt()
+        vt, scale, _ = self._sqrt()
         eps = rng.standard_normal(self.mean.size)
         w = eps + vt.T @ (scale * (vt @ eps))
         return self.mean + np.sqrt(self.sbar) * w
@@ -107,8 +108,7 @@ class LowRankGaussian:
     def entropy(self):
         if self.exact:
             return float("-inf")
-        b = self._a / np.sqrt(self.sbar)[None, :]
-        _, s, _ = np.linalg.svd(b, full_matrices=False)
+        _, _, s = self._sqrt()
         logdet = float(np.sum(np.log(self.sbar))) + float(
             np.sum(np.log(np.clip(1.0 - s**2, 1e-300, None)))
         )
@@ -322,6 +322,10 @@ class VariationalState:
         self.qy: list = []
         self.gamma_posteriors: dict[str, GammaPosterior] = {}
         self.iteration = 0
+        # energy tempering: the iteration at which the current train() call
+        # started, and the tau of the latest q(y) refresh
+        self.run_start = 0
+        self.tau = config.tau_start
 
     def theta_arrays(self) -> dict:
         out = self.model.params.arrays()
@@ -432,17 +436,7 @@ class GradStore(dict):
 
 
 def _q_draw(mu, rho, eps):
-    std = np.exp(0.5 * rho)
-    return mu + std * eps, std
-
-
-def _factor_grads_from_sample(g_latent, mu, rho, eps, std):
-    """Gradients of (MC conditional terms + closed-form prior/entropy) for a
-    diagonal Gaussian factor sampled as mu + exp(rho/2) eps."""
-    var = std * std
-    dmu = g_latent - mu  # -mu from E[log p(z)]
-    drho = g_latent * (0.5 * std * eps) - 0.5 * var + 0.5
-    return dmu, drho
+    return mu + np.exp(0.5 * rho) * eps
 
 
 def elbo_unlabeled(
@@ -487,7 +481,7 @@ def elbo_unlabeled(
         )
         for k in range(cfg.mc_samples):
             eps = eps_block[k]
-            z, std = _q_draw(mu, rho, eps)
+            z = _q_draw(mu, rho, eps)
             lp, gz, gdec = model.logp_x_given_z_grads(x, z)
             lik += lp / cfg.mc_samples
             acc_gz += gz / cfg.mc_samples
@@ -511,14 +505,72 @@ def elbo_unlabeled(
     return scale * value, theta, factors
 
 
-def _latent_pair_terms(model, x, z, X, theta, scale, mc):
-    """Shared x|z and X|z contributions; returns (value, gz, gX)."""
-    lp_x, gz_x, gdec = model.logp_x_given_z_grads(x, z)
-    lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-    theta.add("decoder", scale * gdec["decoder"] / mc)
-    for key, val in gcm.items():
-        theta.add(key, scale * val / mc)
-    return lp_x + lp_X, gz_x + gz_X, gX_X
+def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise, scale):
+    """Per-datum body shared by the labeled and virtual blocks.
+
+    Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
+    solve inside log p(y|X), plus the closed-form z prior cross term and the
+    (z, X) entropies. They differ only in where y comes from: y_draw(i, k)
+    returns an observation or a q(y) draw, and is called after the k-th
+    (z, X) draw so the generator stream matches the block's own order.
+    Factor keys end in `suffix`. Returns (per-datum values without scale,
+    theta_grads, factor_grads).
+    """
+    model = state.model
+    mc = state.config.mc_samples
+    n = lambdas.shape[0]
+    idx = np.arange(n) if indices is None else np.asarray(indices)
+    theta = GradStore()
+    factors = GradStore()
+    names = ("mu_z", "rho_z", "mu_X", "rho_X")
+    rows = [state.factors[f"{name}_{suffix}"][idx] for name in names]
+    g = {name: np.zeros_like(r) for name, r in zip(names, rows)}
+    values = []
+    for i in range(n):
+        x = lambdas[i]
+        bc = BoundaryCoeffs.from_array(bcs[i])
+        mu_z, rho_z, mu_X, rho_X = (r[i] for r in rows)
+        if noise is not None:
+            eps_z_blk, eps_X_blk = noise["z"][i], noise["X"][i]
+        else:
+            eps_z_blk = rng.standard_normal((mc, model.dim_z))
+            eps_X_blk = rng.standard_normal((mc, model.dim_X))
+        acc_gz = np.zeros(model.dim_z)
+        acc_gX = np.zeros(model.dim_X)
+        acc_gz_eps = np.zeros(model.dim_z)
+        acc_gX_eps = np.zeros(model.dim_X)
+        lik = 0.0
+        for k in range(mc):
+            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
+            z = _q_draw(mu_z, rho_z, eps_z)
+            X = _q_draw(mu_X, rho_X, eps_X)
+            lp_y, gX_y, gy_theta = model.logp_y_given_X_grads(y_draw(i, k), X, bc)
+            lp_x, gz_x, gdec = model.logp_x_given_z_grads(x, z)
+            lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
+            for key, val in (*gy_theta.items(), *gdec.items(), *gcm.items()):
+                theta.add(key, scale * val / mc)
+            gz = gz_x + gz_X
+            gX = gX_y + gX_X
+            lik += (lp_y + (lp_x + lp_X)) / mc
+            acc_gz += gz / mc
+            acc_gX += gX / mc
+            acc_gz_eps += gz * eps_z / mc
+            acc_gX_eps += gX * eps_X / mc
+        var_z, var_X = np.exp(rho_z), np.exp(rho_X)
+        values.append(
+            lik
+            + standard_logpdf_expectation(mu_z, var_z)
+            + entropy_diag(var_z)
+            + entropy_diag(var_X)
+        )
+        std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
+        g["mu_z"][i] = acc_gz - mu_z
+        g["rho_z"][i] = 0.5 * std_z * acc_gz_eps - 0.5 * var_z + 0.5
+        g["mu_X"][i] = acc_gX
+        g["rho_X"][i] = 0.5 * std_X * acc_gX_eps + 0.5
+    for name, arr in g.items():
+        factors.add(f"{name}_{suffix}", scale * arr)
+    return values, theta, factors
 
 
 def elbo_labeled(
@@ -532,71 +584,12 @@ def elbo_labeled(
     scale: float = 1.0,
 ):
     """Labeled ELBO block: the coarse solve sits inside log p(y | X)."""
-    model = state.model
-    cfg = state.config
-    n = lambdas.shape[0]
-    idx = np.arange(n) if indices is None else np.asarray(indices)
-    theta = GradStore()
-    factors = GradStore()
-    g = {
-        "mu_z_l": np.zeros((n, model.dim_z)),
-        "rho_z_l": np.zeros((n, model.dim_z)),
-        "mu_X_l": np.zeros((n, model.dim_X)),
-        "rho_X_l": np.zeros((n, model.dim_X)),
-    }
+    values, theta, factors = _conditional_elbo(
+        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices, noise, scale
+    )
     value = 0.0
-    for i in range(n):
-        x, y = lambdas[i], ys[i]
-        bc = BoundaryCoeffs.from_array(bcs[i])
-        mu_z = state.factors["mu_z_l"][idx[i]]
-        rho_z = state.factors["rho_z_l"][idx[i]]
-        mu_X = state.factors["mu_X_l"][idx[i]]
-        rho_X = state.factors["rho_X_l"][idx[i]]
-        eps_z_blk = (
-            noise["z"][i]
-            if noise is not None
-            else rng.standard_normal((cfg.mc_samples, model.dim_z))
-        )
-        eps_X_blk = (
-            noise["X"][i]
-            if noise is not None
-            else rng.standard_normal((cfg.mc_samples, model.dim_X))
-        )
-        acc_gz = np.zeros(model.dim_z)
-        acc_gX = np.zeros(model.dim_X)
-        acc_gz_eps = np.zeros(model.dim_z)
-        acc_gX_eps = np.zeros(model.dim_X)
-        lik = 0.0
-        for k in range(cfg.mc_samples):
-            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
-            z, std_z = _q_draw(mu_z, rho_z, eps_z)
-            X, std_X = _q_draw(mu_X, rho_X, eps_X)
-            lp_y, gX_y, gy_theta = model.logp_y_given_X_grads(y, X, bc)
-            for key, val in gy_theta.items():
-                theta.add(key, scale * val / cfg.mc_samples)
-            pair_val, gz_pair, gX_pair = _latent_pair_terms(
-                model, x, z, X, theta, scale, cfg.mc_samples
-            )
-            gX_tot = gX_y + gX_pair
-            lik += (lp_y + pair_val) / cfg.mc_samples
-            acc_gz += gz_pair / cfg.mc_samples
-            acc_gX += gX_tot / cfg.mc_samples
-            acc_gz_eps += gz_pair * eps_z / cfg.mc_samples
-            acc_gX_eps += gX_tot * eps_X / cfg.mc_samples
-        var_z, var_X = np.exp(rho_z), np.exp(rho_X)
-        value += (
-            lik
-            + standard_logpdf_expectation(mu_z, var_z)
-            + entropy_diag(var_z)
-            + entropy_diag(var_X)
-        )
-        std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
-        g["mu_z_l"][i] = acc_gz - mu_z
-        g["rho_z_l"][i] = 0.5 * std_z * acc_gz_eps - 0.5 * var_z + 0.5
-        g["mu_X_l"][i] = acc_gX
-        g["rho_X_l"][i] = 0.5 * std_X * acc_gX_eps + 0.5
-    for key, arr in g.items():
-        factors.add(key, scale * arr)
+    for v in values:  # left to right; sum() compensates from Python 3.12 on
+        value += v
     return scale * value, theta, factors
 
 
@@ -647,12 +640,12 @@ def _constraint_likelihood_value(sets, qy, gamma_posteriors):
     return value
 
 
-def _energy_likelihood_value(obs: EnergyObservable, qy: DiagGaussian):
+def _energy_likelihood_value(system: fem.FemSystem, qy: DiagGaussian, tau: float):
     """E_q[-tau V(y)] for diagonal q plus its entropy; constants dropped."""
-    K = obs.system.K
+    K = system.K
     diag_k = np.diag(K) if isinstance(K, np.ndarray) else K.diagonal()
     quad = float(qy.mean @ (K @ qy.mean)) + float(diag_k @ qy.var)
-    return -obs.tau * (0.5 * quad - float(obs.system.f_vec @ qy.mean)) + qy.entropy()
+    return -tau * (0.5 * quad - float(system.f_vec @ qy.mean)) + qy.entropy()
 
 
 def elbo_virtual(
@@ -669,80 +662,25 @@ def elbo_virtual(
 
     q(y) is sampled, never reparametrized: its parameters are maintained by
     the closed-form / energy updates, so gradients here flow only to theta
-    and the (z, X) factors.
+    and the (z, X) factors. Each datum adds its constraint or energy
+    likelihood and the q(y) entropy to the shared conditional body.
     """
-    model = state.model
-    cfg = state.config
-    n = lambdas.shape[0]
-    idx = np.arange(n) if indices is None else np.asarray(indices)
-    theta = GradStore()
-    factors = GradStore()
-    g = {
-        "mu_z_o": np.zeros((n, model.dim_z)),
-        "rho_z_o": np.zeros((n, model.dim_z)),
-        "mu_X_o": np.zeros((n, model.dim_X)),
-        "rho_X_o": np.zeros((n, model.dim_X)),
-    }
+    idx = np.arange(lambdas.shape[0]) if indices is None else np.asarray(indices)
+    qys = [state.qy[j] for j in idx]
+
+    def y_draw(i, k):
+        return noise["y"][i][k] if noise is not None else qys[i].sample(rng)
+
+    values, theta, factors = _conditional_elbo(
+        state, "o", lambdas, bcs, y_draw, rng, indices, noise, scale
+    )
     value = 0.0
-    for i in range(n):
-        x = lambdas[i]
-        bc = BoundaryCoeffs.from_array(bcs[i])
-        obs = observables[i]
-        qy = state.qy[idx[i]]
-        mu_z = state.factors["mu_z_o"][idx[i]]
-        rho_z = state.factors["rho_z_o"][idx[i]]
-        mu_X = state.factors["mu_X_o"][idx[i]]
-        rho_X = state.factors["rho_X_o"][idx[i]]
-        eps_z_blk = (
-            noise["z"][i]
-            if noise is not None
-            else rng.standard_normal((cfg.mc_samples, model.dim_z))
-        )
-        eps_X_blk = (
-            noise["X"][i]
-            if noise is not None
-            else rng.standard_normal((cfg.mc_samples, model.dim_X))
-        )
-        acc_gz = np.zeros(model.dim_z)
-        acc_gX = np.zeros(model.dim_X)
-        acc_gz_eps = np.zeros(model.dim_z)
-        acc_gX_eps = np.zeros(model.dim_X)
-        lik = 0.0
-        for k in range(cfg.mc_samples):
-            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
-            z, _ = _q_draw(mu_z, rho_z, eps_z)
-            X, _ = _q_draw(mu_X, rho_X, eps_X)
-            y_s = noise["y"][i][k] if noise is not None else qy.sample(rng)
-            lp_y, gX_y, gy_theta = model.logp_y_given_X_grads(y_s, X, bc)
-            for key, val in gy_theta.items():
-                theta.add(key, scale * val / cfg.mc_samples)
-            pair_val, gz_pair, gX_pair = _latent_pair_terms(
-                model, x, z, X, theta, scale, cfg.mc_samples
-            )
-            gX_tot = gX_y + gX_pair
-            lik += (lp_y + pair_val) / cfg.mc_samples
-            acc_gz += gz_pair / cfg.mc_samples
-            acc_gX += gX_tot / cfg.mc_samples
-            acc_gz_eps += gz_pair * eps_z / cfg.mc_samples
-            acc_gX_eps += gX_tot * eps_X / cfg.mc_samples
-        var_z, var_X = np.exp(rho_z), np.exp(rho_X)
-        value += (
-            lik
-            + standard_logpdf_expectation(mu_z, var_z)
-            + entropy_diag(var_z)
-            + entropy_diag(var_X)
-        )
+    for v, obs, qy in zip(values, observables, qys):
+        value += v
         if isinstance(obs, EnergyObservable):
-            value += _energy_likelihood_value(obs, qy)
+            value += _energy_likelihood_value(obs.system, qy, state.tau)
         else:
             value += _constraint_likelihood_value(obs, qy, state.gamma_posteriors)
-        std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
-        g["mu_z_o"][i] = acc_gz - mu_z
-        g["rho_z_o"][i] = 0.5 * std_z * acc_gz_eps - 0.5 * var_z + 0.5
-        g["mu_X_o"][i] = acc_gX
-        g["rho_X_o"][i] = 0.5 * std_X * acc_gX_eps + 0.5
-    for key, arr in g.items():
-        factors.add(key, scale * arr)
     return scale * value, theta, factors
 
 
@@ -812,14 +750,9 @@ class TrainLog:
         j = self.COLUMNS.index(name)
         return np.array([r[j] for r in self.rows])
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{v}" for v in row) + "\n")
-
 
 def _temper_tau(cfg: TrainConfig, iteration: int) -> float:
+    """Geometric schedule from tau_start to tau_end over one train() call."""
     frac = min(iteration / max(cfg.iterations, 1), 1.0)
     return float(cfg.tau_start * (cfg.tau_end / cfg.tau_start) ** frac)
 
@@ -837,18 +770,22 @@ def _estimate_h_mean(state, i, bc, rng):
 
 
 def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
-    """Closed-form / energy updates of every q(y) plus Gamma precisions."""
+    """Closed-form / energy updates of every q(y) plus Gamma precisions.
+
+    Energy observables are tempered with the tau of the current train()
+    call, kept on the state; the caller's observables are not modified.
+    """
     model = state.model
     sy = model.var_y()
+    state.tau = _temper_tau(state.config, state.iteration - state.run_start)
     flux_moments = {}
     for i in range(len(virtual)):
         bc = BoundaryCoeffs.from_array(virtual.bcs[i])
         h_mean = _estimate_h_mean(state, i, bc, rng)
         obs = virtual.observables[i]
         if isinstance(obs, EnergyObservable):
-            obs.tau = _temper_tau(state.config, state.iteration)
             state.qy[i] = update_qy_energy(
-                obs,
+                dataclasses.replace(obs, tau=state.tau),
                 1.0 / sy,
                 h_mean,
                 q_init=state.qy[i],
@@ -892,6 +829,7 @@ def train(
     if state is None:
         state = init_state(model, config, labeled, unlabeled, virtual)
     log = log if log is not None else TrainLog()
+    state.run_start = state.iteration
     rng = derive_rng(config.seed, "train")
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
 
@@ -992,90 +930,49 @@ def train(
 # full-state checkpoints
 # ---------------------------------------------------------------------------
 
-STATE_CHECKPOINT_VERSION = 1
-
-
 def save_state(state: VariationalState, stem, extra: dict | None = None) -> None:
-    """One JSON header plus one float64 blob holding theta, encoder and
-    factors; q(y) is derived data and is rebuilt from the virtual dataset."""
-    stem = Path(stem)
-    model = state.model
-    arrays = dict(model.params.arrays())
+    """The model checkpoint plus encoder, factors, precisions and config;
+    q(y) is derived data and is rebuilt from the virtual dataset."""
+    header, arrays = model_checkpoint(state.model)
     if state.enc_mu is not None:
         arrays["enc_mu"] = state.enc_mu.params
         arrays["enc_logvar"] = state.enc_logvar.params
     arrays.update(state.factors)
-    offsets = {}
-    pos = 0
-    chunks = []
-    for key, arr in arrays.items():
-        offsets[key] = {"offset": pos, "size": int(arr.size), "shape": list(arr.shape)}
-        pos += arr.size
-        chunks.append(np.asarray(arr, dtype=np.float64).ravel())
     cfg = dataclasses.asdict(state.config)
     cfg["encoder_hidden"] = list(cfg["encoder_hidden"])
-    header = {
-        "version": STATE_CHECKPOINT_VERSION,
-        "model": model.metadata(),
-        "decoder_descriptor": model.params.decoder.descriptor(),
-        "encoder_descriptors": (
-            {
-                "mu": state.enc_mu.descriptor(),
-                "logvar": state.enc_logvar.descriptor(),
-            }
+    header.update(
+        encoder_descriptors=(
+            {"mu": state.enc_mu.descriptor(), "logvar": state.enc_logvar.descriptor()}
             if state.enc_mu is not None
             else None
         ),
-        "factor_keys": sorted(state.factors.keys()),
-        "gamma_posteriors": {
+        factor_keys=sorted(state.factors.keys()),
+        gamma_posteriors={
             key: {"alpha": post.alpha, "beta": post.beta}
             for key, post in state.gamma_posteriors.items()
         },
-        "iteration": state.iteration,
-        "config": cfg,
-        "blobs": offsets,
-        "extra": extra or {},
-    }
-    stem.with_suffix(".json").write_text(json.dumps(header, indent=2))
-    blob = np.concatenate(chunks) if chunks else np.empty(0)
-    stem.with_suffix(".bin").write_bytes(blob.astype("<f8").tobytes())
+        iteration=state.iteration,
+        config=cfg,
+        extra=extra or {},
+    )
+    save_arrays(stem, header, arrays)
 
 
 def load_state(stem) -> VariationalState:
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
-    if header.get("version") != STATE_CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported state checkpoint version {header.get('version')}")
-    blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
-
-    def chunk(key):
-        info = header["blobs"][key]
-        return (
-            blob[info["offset"] : info["offset"] + info["size"]]
-            .reshape(info["shape"])
-            .copy()
-        )
-
+    header, arrays = load_arrays(stem)
     cfg_dict = dict(header["config"])
     cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
-    config = TrainConfig(**cfg_dict)
-    meta = header["model"]
-    model = GenerativeModel(meta["d_f"], meta["d_c"], dim_z=meta["dim_z"])
-    model.params.decoder = Approximator.from_descriptor(
-        header["decoder_descriptor"], chunk("decoder")
-    )
-    for key in ("W_g", "b_g", "log_S_X", "w_h", "b_h", "log_S_y"):
-        setattr(model.params, key, chunk(key))
-    state = VariationalState(model, config)
+    model = model_from_checkpoint(header, arrays)
+    state = VariationalState(model, TrainConfig(**cfg_dict))
     if header["encoder_descriptors"] is not None:
         state.enc_mu = Approximator.from_descriptor(
-            header["encoder_descriptors"]["mu"], chunk("enc_mu")
+            header["encoder_descriptors"]["mu"], arrays["enc_mu"]
         )
         state.enc_logvar = Approximator.from_descriptor(
-            header["encoder_descriptors"]["logvar"], chunk("enc_logvar")
+            header["encoder_descriptors"]["logvar"], arrays["enc_logvar"]
         )
     for key in header["factor_keys"]:
-        state.factors[key] = chunk(key)
+        state.factors[key] = arrays[key]
     state.gamma_posteriors = {
         key: GammaPosterior(alpha=val["alpha"], beta=val["beta"])
         for key, val in header["gamma_posteriors"].items()

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import gaussian_kde
 
 from . import fem
-from .errors import DegenerateValidation, NonPositiveVariance
+from .errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from .field import BoundaryCoeffs
 from .gaussians import diag_logpdf, kl_diag_standard
 from .inference import DiagGaussian, VariationalState
@@ -199,8 +199,11 @@ def propagate_uq(
     The QoI is the solution value at the domain center. Draws one predictive
     sample per input (the correct marginal over inputs and predictive
     noise). When requested, the fine-model Monte Carlo reference is computed
-    for the same inputs and the two-sample KS distance is reported.
+    for the same inputs and the two-sample KS distance is reported. The
+    density estimates need n >= 2 inputs.
     """
+    if n < 2:
+        raise InvalidSize(f"propagate_uq needs n >= 2 inputs, got {n}")
     model = state.model
     node = center_node_index(model.d_f)
     mode = mode if (state.enc_mu is not None or mode != "amortized") else "optimize"

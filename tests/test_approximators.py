@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from cgsur import approximators as ap
+from cgsur import genmodel, inference
 from cgsur.errors import DimensionMismatch, NonPositiveInput, TapeConsumed
 
 
@@ -32,20 +35,6 @@ ARCHITECTURES = [
     ("affine", lambda: ap.Approximator(3, [{"kind": "dense", "units": 2}], seed=0)),
     ("mlp_tanh", lambda: ap.mlp(4, hidden=(8, 6), output_dim=5, seed=1)),
     ("mlp_relu", lambda: ap.mlp(4, hidden=(7,), output_dim=3, activation="relu", seed=2)),
-    (
-        "conv",
-        lambda: ap.Approximator(
-            16,
-            [
-                {"kind": "reshape", "shape": [1, 4, 4]},
-                {"kind": "conv2d", "channels": 3, "kernel": 3},
-                {"kind": "tanh"},
-                {"kind": "flatten"},
-                {"kind": "dense", "units": 6},
-            ],
-            seed=3,
-        ),
-    ),
 ]
 
 
@@ -163,6 +152,34 @@ class TestCheckpoint:
         assert np.array_equal(loaded.params, net.params)
         x = np.linspace(-1, 1, 6)
         assert np.array_equal(loaded(x), net(x))
+
+    @pytest.mark.parametrize(
+        "save,load,make",
+        [
+            (ap.save_checkpoint, ap.load_checkpoint, lambda: ap.mlp(3, hidden=(4,))),
+            (
+                genmodel.save_model,
+                genmodel.load_model,
+                lambda: genmodel.GenerativeModel(4, 2),
+            ),
+            (
+                inference.save_state,
+                inference.load_state,
+                lambda: inference.VariationalState(
+                    genmodel.GenerativeModel(4, 2), inference.TrainConfig()
+                ),
+            ),
+        ],
+        ids=["network", "model", "state"],
+    )
+    def test_other_version_rejected(self, tmp_path, save, load, make):
+        save(make(), tmp_path / "ckpt")
+        path = tmp_path / "ckpt.json"
+        header = json.loads(path.read_text())
+        header["version"] = ap.CHECKPOINT_VERSION + 1
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="version"):
+            load(tmp_path / "ckpt")
 
     def test_blob_size_checked(self):
         desc = ap.mlp(3, hidden=(4,), output_dim=2).descriptor()

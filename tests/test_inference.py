@@ -88,6 +88,28 @@ class TestClosedFormQy:
         assert np.max(np.abs(q.mean - mu)) < 1e-10 * max(np.abs(mu).max(), 1.0)
         assert np.max(np.abs(q.var_diag() - np.diag(sigma))) < 1e-10
 
+    def test_entropy_matches_dense_logdet(self):
+        rng = np.random.default_rng(3)
+        d_y, m = 7, 3
+        sbar = rng.uniform(0.5, 2.0, d_y)
+        gamma = rng.standard_normal((m, d_y))
+        lam = rng.uniform(0.5, 4.0, m)
+        cs = vobs.LinearConstraintSet(
+            gamma=gamma,
+            alpha=rng.standard_normal(m),
+            precision=vobs.Fixed(lam),
+            kind="cgr",
+        )
+        q = update_qy_closedform(cs, sbar, rng.standard_normal(d_y))
+        assert not q.exact
+        # Sigma = diag(sbar) - A^T A, formed densely from its precision
+        sigma = np.linalg.inv(gamma.T @ np.diag(lam) @ gamma + np.diag(1.0 / sbar))
+        sign, logdet = np.linalg.slogdet(2 * np.pi * np.e * sigma)
+        assert sign == 1.0
+        assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
+        q.sample(rng)  # entropy and sampling share one factorization
+        assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
+
     def test_exact_constraint_conditioning(self):
         rng = np.random.default_rng(2)
         d_y = 8
@@ -232,6 +254,43 @@ class TestEnergyUpdate:
         q1 = update_qy_energy(obs, sy_inv, h, steps=300, rng=rng, tol=1e-13)
         q2 = update_qy_energy(obs, sy_inv, h, q_init=q1, steps=5, rng=rng, tol=1e-13)
         assert np.max(np.abs(q2.mean - q1.mean)) < 1e-10
+
+
+class TestEnergyTempering:
+    def test_train_keeps_observables_and_restarts_the_schedule(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=5)
+        sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
+        lams, bcs, observables = [], [], []
+        for _ in range(2):
+            s = sampler.sample(rng)
+            bc = field.sample_bc(rng)
+            lams.append(s.lambda_vec)
+            bcs.append(bc.as_array())
+            obs = vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=2.0)
+            observables.append(obs)
+        virtual = VirtualData(np.array(lams), np.array(bcs), observables)
+        cfg = TrainConfig(
+            iterations=4, cadence=2, tau_start=1.0, tau_end=16.0, plateau_window=10**9
+        )
+        seen = []
+        update = inference.update_qy_energy
+
+        def recording_update(obs, *args, **kwargs):
+            seen.append(obs.tau)
+            return update(obs, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "update_qy_energy", recording_update)
+        # refreshes after 0, 2 and 4 iterations of each call: tau 1, 4, 16 per query
+        expected = [1.0, 1.0, 4.0, 4.0, 16.0, 16.0]
+        state, _ = train(model, cfg, virtual=virtual)
+        assert seen == pytest.approx(expected)
+        assert state.tau == pytest.approx(16.0)
+        seen.clear()
+        state, _ = train(model, cfg, virtual=virtual, state=state)
+        assert state.iteration == 8
+        assert seen == pytest.approx(expected)
+        assert [obs.tau for obs in virtual.observables] == [2.0, 2.0]
 
 
 class TestElboUnlabeled:

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cgsur import fem, field, genmodel, predict
-from cgsur.errors import DegenerateValidation, NonPositiveVariance
+from cgsur.errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.genmodel import GenerativeModel
 from cgsur.inference import TrainConfig, UnlabeledData, VariationalState, init_state, train
@@ -230,6 +230,16 @@ class TestPropagateUq:
         assert out["hist_surrogate"].shape == (64,)
         assert out["bin_edges"].shape == (65,)
         assert out["kde_surrogate"].shape == out["kde_grid"].shape
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_inputs_rejected_before_any_draw(self, n):
+        state = plain_state(d_f=4, d_c=2, seed=8)
+        sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidSize):
+            predict.propagate_uq(sampler, BC_A, state, n=n, rng=rng, mode="optimize")
+        assert rng.bit_generator.state == before
 
     def test_identical_generators_coincide(self):
         # when the two sample sets come from the same distribution the KS
