@@ -26,8 +26,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveInput, TapeConsumed
 
 # Version 1 files have a separate layout per checkpoint kind, which
-# load_arrays cannot read.
-CHECKPOINT_VERSION = 2
+# load_arrays cannot read; version 2 state files carry the removed
+# TrainConfig fields energy_block and energy_sweeps.
+CHECKPOINT_VERSION = 3
 
 
 def positivity_transform(raw: np.ndarray) -> np.ndarray:

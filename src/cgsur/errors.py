@@ -41,10 +41,6 @@ class IllConditioned(CgsurError):
     pass
 
 
-class Divergence(CgsurError):
-    pass
-
-
 class NonFiniteLoss(CgsurError):
     pass
 
@@ -54,8 +50,4 @@ class DegenerateValidation(CgsurError):
 
 
 class NonPositiveVariance(CgsurError):
-    pass
-
-
-class ConfigError(CgsurError):
     pass

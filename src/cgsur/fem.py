@@ -152,41 +152,46 @@ class FemSystem:
     f_vec: np.ndarray
     dirichlet_values: np.ndarray
     kappa: np.ndarray
-    _factor: object = field(default=None, repr=False)
+    _solve: object = field(default=None, repr=False)
     _solution: np.ndarray = field(default=None, repr=False)
 
     @property
     def dense(self) -> bool:
         return isinstance(self.K, np.ndarray)
 
-    def matvec(self, y: np.ndarray) -> np.ndarray:
-        return self.K @ y
-
-    def _factorize(self):
-        if self._factor is not None:
-            return self._factor
-        free = self.mesh.free_nodes
-        try:
-            if self.dense:
-                K_ff = self.K[np.ix_(free, free)]
-                self._factor = ("chol", scipy.linalg.cho_factor(K_ff))
-            else:
-                K_ff = self.K[free][:, free].tocsc()
-                self._factor = ("splu", spla.splu(K_ff))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, RuntimeError) as e:
-            raise SingularSystem(f"stiffness factorization failed: {e}") from None
-        return self._factor
-
     def solve_free(self, rhs_f: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
-        kind, fac = self._factorize()
+        if self._solve is None:
+            free = self.mesh.free_nodes
+            if self.dense:
+                self._solve = factorize(self.K[np.ix_(free, free)])
+            else:
+                self._solve = factorize(self.K[free][:, free])
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
-        if kind == "chol":
-            return scipy.linalg.cho_solve(fac, rhs_f)
-        out = fac.solve(rhs_f)
+        return self._solve(rhs_f)
+
+
+def factorize(A):
+    """Factor a symmetric positive definite matrix; returns its solve function.
+
+    A dense ndarray gets a Cholesky factor, a scipy sparse matrix a sparse LU.
+    A failed factorization or a non-finite sparse solve raises SingularSystem.
+    """
+    try:
+        if isinstance(A, np.ndarray):
+            chol = scipy.linalg.cho_factor(A)
+            return lambda rhs: scipy.linalg.cho_solve(chol, rhs)
+        lu = spla.splu(A.tocsc())
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, RuntimeError) as e:
+        raise SingularSystem(f"factorization failed: {e}") from None
+
+    def solve_sparse(rhs):
+        out = lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise SingularSystem("sparse solve produced non-finite values")
         return out
+
+    return solve_sparse
 
 
 @dataclass(frozen=True)

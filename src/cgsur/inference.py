@@ -4,8 +4,8 @@ The variational family is a structured mean field: a point estimate for the
 model parameters, diagonal Gaussians for every per-datum latent, and for
 query points a Gaussian over the fine solution y that is never updated by
 gradient steps. Linear virtual observables give q(y) in closed form through
-a low-rank (Woodbury) update; energy observables give a quadratic target
-handled by a randomized block-Newton scheme; learned constraint precisions
+a low-rank (Woodbury) update; energy observables give one SPD linear system,
+solved exactly with a direct factorization; learned constraint precisions
 get conjugate Gamma updates. Everything else follows the reparametrized
 Monte Carlo ELBO with Adam.
 
@@ -26,10 +26,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import fem, vobs
 from .approximators import Approximator, load_arrays, mlp, save_arrays
-from .errors import Divergence, IllConditioned, NonFiniteLoss
+from .errors import IllConditioned, NonFiniteLoss
 from .field import BoundaryCoeffs
 from .gaussians import (
     LOG_2PI,
@@ -176,63 +177,24 @@ def update_precision_gamma(
 
 
 def update_qy_energy(
-    obs: EnergyObservable,
-    sy_inv_diag,
-    h_mean,
-    q_init: DiagGaussian | None = None,
-    steps: int = 200,
-    block: int = 64,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-12,
+    obs: EnergyObservable, sy_inv_diag, h_mean, *, steps=None
 ) -> DiagGaussian:
-    """Mean-field q(y) for the energy observable via randomized block Newton.
+    """Mean-field q(y) for the energy observable, solved exactly.
 
-    The exact stationary point solves (diag(sy_inv) + tau K) mu
-    = tau f + diag(sy_inv) h_mean; each sweep visits all coordinates in
-    random blocks, solving every block subsystem exactly, so the quadratic
-    objective cannot increase. Variances are the mean-field fixed point
-    1 / diag(Sigma^{-1}).
+    The tempered potential exp(-tau V(y)) and the Gaussian p(y | X) make the
+    optimal mean the solution of one SPD system,
+    (diag(sy_inv) + tau K) mu = tau f + diag(sy_inv) h_mean, which is factored
+    and solved directly (dense Cholesky or sparse LU, as fem chooses for K).
+    Variances are the mean-field fixed point 1 / diag(Sigma^{-1}).
+
+    `steps` is accepted and ignored; callers from before the exact solve
+    still pass it.
     """
-    rng = rng or np.random.default_rng(0)
     sy_inv = np.asarray(sy_inv_diag, dtype=np.float64)
-    n = sy_inv.size
     K = obs.system.K
-    dense = isinstance(K, np.ndarray)
-    diag_a = sy_inv + obs.tau * (np.diag(K) if dense else K.diagonal())
-    rhs = obs.tau * obs.system.f_vec + sy_inv * h_mean
-
-    def matvec(v):
-        return sy_inv * v + obs.tau * (K @ v)
-
-    mu = (q_init.mean if q_init is not None else h_mean).copy()
-    residual = rhs - matvec(mu)
-    obj = 0.5 * float(mu @ (matvec(mu))) - float(rhs @ mu)
-    rhs_norm = max(float(np.linalg.norm(rhs)), 1e-300)
-    for _ in range(steps):
-        if np.linalg.norm(residual) <= tol * rhs_norm:
-            break
-        order = rng.permutation(n)
-        for start in range(0, n, block):
-            idx = order[start : start + block]
-            if dense:
-                a_bb = obs.tau * K[np.ix_(idx, idx)]
-            else:
-                a_bb = obs.tau * np.asarray(K[idx][:, idx].todense())
-            a_bb[np.diag_indices_from(a_bb)] += sy_inv[idx]
-            delta = np.linalg.solve(a_bb, residual[idx])
-            mu[idx] += delta
-            if dense:
-                residual -= obs.tau * (K[:, idx] @ delta)
-            else:
-                residual -= obs.tau * np.asarray(K[:, idx] @ delta).ravel()
-            residual[idx] -= sy_inv[idx] * delta
-        new_obj = 0.5 * float(mu @ matvec(mu)) - float(rhs @ mu)
-        if new_obj > obj + 1e-10 * (1.0 + abs(obj)):
-            raise Divergence(
-                f"energy update objective increased: {obj:.6e} -> {new_obj:.6e}"
-            )
-        obj = new_obj
-    return DiagGaussian(mean=mu, var=1.0 / diag_a)
+    a_mat = obs.tau * K + scipy.sparse.diags_array(sy_inv)
+    mean = fem.factorize(a_mat)(obs.tau * obs.system.f_vec + sy_inv * h_mean)
+    return DiagGaussian(mean=mean, var=1.0 / (sy_inv + obs.tau * K.diagonal()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +255,6 @@ class TrainConfig:
     plateau_tol: float = 1e-4
     tau_start: float = 1.0
     tau_end: float = 1e4
-    energy_block: int = 64
-    energy_sweeps: int = 50
     qy_mc: int = 8
     amortized: bool = False
     encoder_hidden: tuple = (256, 128)
@@ -643,8 +603,7 @@ def _constraint_likelihood_value(sets, qy, gamma_posteriors):
 def _energy_likelihood_value(system: fem.FemSystem, qy: DiagGaussian, tau: float):
     """E_q[-tau V(y)] for diagonal q plus its entropy; constants dropped."""
     K = system.K
-    diag_k = np.diag(K) if isinstance(K, np.ndarray) else K.diagonal()
-    quad = float(qy.mean @ (K @ qy.mean)) + float(diag_k @ qy.var)
+    quad = float(qy.mean @ (K @ qy.mean)) + float(K.diagonal() @ qy.var)
     return -tau * (0.5 * quad - float(system.f_vec @ qy.mean)) + qy.entropy()
 
 
@@ -785,13 +744,7 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
         obs = virtual.observables[i]
         if isinstance(obs, EnergyObservable):
             state.qy[i] = update_qy_energy(
-                dataclasses.replace(obs, tau=state.tau),
-                1.0 / sy,
-                h_mean,
-                q_init=state.qy[i],
-                steps=state.config.energy_sweeps,
-                block=state.config.energy_block,
-                rng=rng,
+                dataclasses.replace(obs, tau=state.tau), 1.0 / sy, h_mean
             )
         else:
             state.qy[i] = update_qy_closedform(

@@ -19,7 +19,7 @@ from . import fem
 from .errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from .field import BoundaryCoeffs
 from .gaussians import diag_logpdf, kl_diag_standard
-from .inference import DiagGaussian, VariationalState
+from .inference import Adam, DiagGaussian, VariationalState
 from .seeding import derive_rng
 
 
@@ -64,11 +64,10 @@ def infer_z(
     else:
         mu = np.zeros(model.dim_z)
         rho = np.full(model.dim_z, np.log(0.5))
-    m_adam = np.zeros(2 * model.dim_z)
-    v_adam = np.zeros(2 * model.dim_z)
-    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    params = {"mu": mu, "rho": rho}
+    adam = Adam(lr)
     objective = []
-    for t in range(1, steps + 1):
+    for _ in range(steps):
         eps = rng.standard_normal(model.dim_z)
         std = np.exp(0.5 * rho)
         z = mu + std * eps
@@ -78,16 +77,7 @@ def infer_z(
         objective.append(obj)
         g_mu = gz - mu
         g_rho = gz * (0.5 * std * eps) - 0.5 * var + 0.5
-        grad = np.concatenate([g_mu, g_rho])
-        m_adam = beta1 * m_adam + (1 - beta1) * grad
-        v_adam = beta2 * v_adam + (1 - beta2) * grad * grad
-        step_vec = (
-            lr
-            * (m_adam / (1 - beta1**t))
-            / (np.sqrt(v_adam / (1 - beta2**t)) + eps_adam)
-        )
-        mu = mu + step_vec[: model.dim_z]
-        rho = rho + step_vec[model.dim_z :]
+        adam.step(params, {"mu": g_mu, "rho": g_rho})
     tail = max(steps // 10, 2)
     if len(objective) >= 2 * tail:
         early = float(np.mean(objective[-2 * tail : -tail]))

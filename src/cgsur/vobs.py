@@ -130,9 +130,9 @@ def _weighted_residual_rows(sys: fem.FemSystem, weights: np.ndarray):
     return gamma, alpha
 
 
-def _drop_zero_rows(gamma, alpha, weights):
+def _drop_zero_rows(gamma, alpha):
     keep = np.linalg.norm(gamma, axis=1) > 0.0
-    return gamma[keep], alpha[keep], weights[:, keep]
+    return gamma[keep], alpha[keep]
 
 
 def build_cgr(
@@ -154,7 +154,7 @@ def build_cgr(
     W = np.asarray(fem.p1_prolongation(coarse_mesh.d, fine_mesh.d).todense())
     W[fine_mesh.dirichlet_nodes, :] = 0.0
     gamma, alpha = _weighted_residual_rows(sys, W)
-    gamma, alpha, _ = _drop_zero_rows(gamma, alpha, W)
+    gamma, alpha = _drop_zero_rows(gamma, alpha)
     return LinearConstraintSet(gamma=gamma, alpha=alpha, precision=Exact(), kind="cgr")
 
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import re
 import tomllib
 from pathlib import Path
@@ -6,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import cgsur
+from cgsur import errors
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE_DIR = Path(cgsur.__file__).parent
 
 
 def layout_modules():
@@ -37,3 +41,25 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{script} -> {target} is not callable"
+
+
+def raised_names():
+    """Names X of every `raise X` or `raise X(...)` in the package source."""
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_type_is_raised():
+    defined = {
+        name
+        for name, obj in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(obj, errors.CgsurError) and obj is not errors.CgsurError
+    }
+    assert defined, "errors.py defines no error types"
+    assert sorted(defined - raised_names()) == []
