@@ -23,24 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveInput, TapeConsumed
+from .errors import DimensionMismatch, TapeConsumed
 
 # Version 1 files have a separate layout per checkpoint kind, which
-# load_arrays cannot read; version 2 state files carry the removed
-# TrainConfig fields energy_block and energy_sweeps.
-CHECKPOINT_VERSION = 3
-
-
-def positivity_transform(raw: np.ndarray) -> np.ndarray:
-    """Map unconstrained values to positive ones (elementwise exp)."""
-    return np.exp(np.asarray(raw, dtype=np.float64))
-
-
-def positivity_inverse(positive: np.ndarray) -> np.ndarray:
-    positive = np.asarray(positive, dtype=np.float64)
-    if np.any(positive <= 0.0):
-        raise NonPositiveInput("inverse transform requires positive inputs")
-    return np.log(positive)
+# load_arrays cannot read; state files of versions 2 and 3 carry TrainConfig
+# fields that are now constants.
+CHECKPOINT_VERSION = 4
 
 
 class Tape:
@@ -106,6 +94,15 @@ class Approximator:
     """A sequential differentiable map with one flat float64 parameter vector."""
 
     def __init__(self, input_dim: int, layers: list[dict], seed: int = 0):
+        self._build(input_dim, layers)
+        rng = np.random.default_rng(seed)
+        chunks = [layer.init(rng) for layer in self._layers if layer.n_params]
+        self.params = (
+            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+        )
+
+    def _build(self, input_dim, layers):
+        """Layer objects and parameter slices; draws no parameters."""
         self.input_dim = int(input_dim)
         self.layer_specs = [dict(spec) for spec in layers]
         self._layers = []
@@ -123,14 +120,6 @@ class Approximator:
                 raise ValueError(f"unknown layer kind {kind!r}")
             self._layers.append(layer)
         self.output_dim = width
-
-        rng = np.random.default_rng(seed)
-        chunks = []
-        for layer in self._layers:
-            chunks.append(layer.init(rng) if layer.n_params else np.empty(0))
-        self.params = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-        )
         offsets = np.cumsum([0] + [layer.n_params for layer in self._layers])
         self._slices = [
             slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])
@@ -183,15 +172,17 @@ class Approximator:
         }
 
     @classmethod
-    def from_descriptor(cls, desc: dict, params: np.ndarray | None = None):
-        net = cls(desc["input_dim"], desc["layers"])
-        if params is not None:
-            params = np.asarray(params, dtype=np.float64)
-            if params.size != net.n_params:
-                raise DimensionMismatch(
-                    f"parameter blob has {params.size} values, expected {net.n_params}"
-                )
-            net.params = params.copy()
+    def from_descriptor(cls, desc: dict, params: np.ndarray):
+        """The network `desc` describes, holding a copy of `params`."""
+        net = cls.__new__(cls)
+        net._build(desc["input_dim"], desc["layers"])
+        params = np.asarray(params, dtype=np.float64)
+        expected = sum(layer.n_params for layer in net._layers)
+        if params.size != expected:
+            raise DimensionMismatch(
+                f"parameter blob has {params.size} values, expected {expected}"
+            )
+        net.params = params.copy()
         return net
 
 

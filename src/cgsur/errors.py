@@ -29,10 +29,6 @@ class TapeConsumed(CgsurError):
     pass
 
 
-class NonPositiveInput(CgsurError):
-    pass
-
-
 class GridMismatch(CgsurError):
     pass
 

@@ -9,10 +9,8 @@ coefficients (a0..a3) that are either fixed or sampled per scenario.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -180,51 +178,3 @@ def sample_bc(
     if scenario is BcScenario.D:
         return BoundaryCoeffs(0.0, rng.beta(2.0, 5.0), -rng.beta(2.0, 5.0), 0.0)
     raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def write_field_dataset(
-    directory,
-    spec: GrfSpec,
-    seed: int,
-    bc_scenario: BcScenario,
-    lambdas: np.ndarray,
-    bcs: np.ndarray,
-) -> None:
-    """Write a field dataset: JSON manifest plus raw little-endian arrays.
-
-    lambda.f64 holds count x d^2 log-conductivities, bc.f64 holds count x 4
-    boundary coefficients.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    bcs = np.asarray(bcs, dtype=np.float64)
-    if lambdas.ndim != 2 or lambdas.shape[1] != spec.dim:
-        raise ValueError(f"lambdas must be (count, {spec.dim}), got {lambdas.shape}")
-    if bcs.shape != (lambdas.shape[0], 4):
-        raise ValueError(f"bcs must be ({lambdas.shape[0]}, 4), got {bcs.shape}")
-    manifest = {
-        "d_f": spec.grid_size,
-        "mu_lambda": spec.mean,
-        "sigma_lambda": spec.std,
-        "l_lambda": spec.length_scale,
-        "seed": int(seed),
-        "count": int(lambdas.shape[0]),
-        "bc_scenario": bc_scenario.value,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    (directory / "lambda.f64").write_bytes(lambdas.astype("<f8").tobytes())
-    (directory / "bc.f64").write_bytes(bcs.astype("<f8").tobytes())
-
-
-def read_field_dataset(directory):
-    """Inverse of write_field_dataset; returns (manifest, lambdas, bcs)."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    count = manifest["count"]
-    dim = manifest["d_f"] ** 2
-    lambdas = np.frombuffer((directory / "lambda.f64").read_bytes(), dtype="<f8")
-    lambdas = lambdas.reshape(count, dim).astype(np.float64)
-    bcs = np.frombuffer((directory / "bc.f64").read_bytes(), dtype="<f8")
-    bcs = bcs.reshape(count, 4).astype(np.float64)
-    return manifest, lambdas, bcs

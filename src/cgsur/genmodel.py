@@ -47,25 +47,6 @@ def clamp_gate(raw_exp: np.ndarray) -> np.ndarray:
     return ((raw_exp > VAR_MIN) & (raw_exp < VAR_MAX)).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class LatentConfig:
-    """Latent dimension and coarse grid size."""
-
-    dim_z: int
-    cgm_grid: int
-
-    def __post_init__(self):
-        if self.dim_z < 1:
-            raise ValueError(f"dim_z must be >= 1, got {self.dim_z}")
-        if self.cgm_grid < 1:
-            raise ValueError(f"cgm_grid must be >= 1, got {self.cgm_grid}")
-
-    @classmethod
-    def default(cls, cgm_grid: int) -> "LatentConfig":
-        # dim(z) = 0.5 * dim(X), at least 1
-        return cls(dim_z=max(1, round(0.5 * cgm_grid * cgm_grid)), cgm_grid=cgm_grid)
-
-
 @dataclass
 class ModelParams:
     """All trainable generative-model parameters."""
@@ -95,32 +76,15 @@ class GenerativeModel:
         decoder_hidden: tuple = (128, 256),
         seed: int = 0,
     ):
-        if d_f % d_c != 0:
-            raise ValueError(f"d_f = {d_f} must be a multiple of d_c = {d_c}")
-        self.d_f = d_f
-        self.d_c = d_c
-        self.latent = (
-            LatentConfig(dim_z=dim_z, cgm_grid=d_c)
-            if dim_z is not None
-            else LatentConfig.default(d_c)
-        )
-        self.dim_x = d_f * d_f
-        self.dim_X = d_c * d_c
-        self.dim_y = (d_f + 1) ** 2
-        self.dim_Y = (d_c + 1) ** 2
-
-        self.fine_mesh = fem.build_mesh(d_f)
-        self.coarse_mesh = fem.build_mesh(d_c)
-        self.prolongation = fem.bilinear_prolongation(d_c, d_f)
-
+        self._set_sizes(d_f, d_c, dim_z)
         rng = np.random.default_rng(seed)
         decoder = mlp(
-            self.latent.dim_z,
+            self.dim_z,
             hidden=decoder_hidden,
             output_dim=2 * self.dim_x,
             seed=seed,
         )
-        dz = self.latent.dim_z
+        dz = self.dim_z
         limit = np.sqrt(6.0 / (dz + self.dim_X))
         self.params = ModelParams(
             decoder=decoder,
@@ -132,9 +96,24 @@ class GenerativeModel:
             log_S_y=np.full(self.dim_y, np.log(0.01)),
         )
 
-    @property
-    def dim_z(self) -> int:
-        return self.latent.dim_z
+    def _set_sizes(self, d_f, d_c, dim_z):
+        """Dimensions, meshes and prolongation; draws no parameters."""
+        if d_c < 1 or d_f % d_c != 0:
+            raise ValueError(f"d_f = {d_f} must be a multiple of d_c = {d_c} >= 1")
+        # dim(z) = 0.5 * dim(X) unless given, at least 1
+        self.dim_z = max(1, round(0.5 * d_c * d_c)) if dim_z is None else dim_z
+        if self.dim_z < 1:
+            raise ValueError(f"dim_z must be >= 1, got {self.dim_z}")
+        self.d_f = d_f
+        self.d_c = d_c
+        self.dim_x = d_f * d_f
+        self.dim_X = d_c * d_c
+        self.dim_y = (d_f + 1) ** 2
+        self.dim_Y = (d_c + 1) ** 2
+
+        self.fine_mesh = fem.build_mesh(d_f)
+        self.coarse_mesh = fem.build_mesh(d_c)
+        self.prolongation = fem.bilinear_prolongation(d_c, d_f)
 
     # ----- prior -----
 
@@ -304,14 +283,16 @@ def model_checkpoint(model: GenerativeModel) -> tuple[dict, dict]:
 
 
 def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
-    """Inverse of model_checkpoint."""
+    """Inverse of model_checkpoint; draws no random initialization."""
     meta = header["model"]
-    model = GenerativeModel(meta["d_f"], meta["d_c"], dim_z=meta["dim_z"])
-    model.params.decoder = Approximator.from_descriptor(
-        header["decoder_descriptor"], arrays["decoder"]
+    model = GenerativeModel.__new__(GenerativeModel)
+    model._set_sizes(meta["d_f"], meta["d_c"], meta["dim_z"])
+    model.params = ModelParams(
+        decoder=Approximator.from_descriptor(
+            header["decoder_descriptor"], arrays["decoder"]
+        ),
+        **{key: arrays[key] for key in _BLOB_KEYS},
     )
-    for key in _BLOB_KEYS:
-        setattr(model.params, key, arrays[key])
     return model
 
 

@@ -42,6 +42,15 @@ from .seeding import derive_rng
 from .vobs import EnergyObservable, GammaPosterior, LinearConstraintSet
 
 QY_ROW_CAP = 1024  # guard on the number of stacked constraint rows
+# Adam step size of the trainer; infer_z's ascent over one q(z) takes larger steps.
+LEARNING_RATE = 1e-3
+# Std of the isotropic Gaussian prior on theta: weak against the data, but it
+# keeps weights that no datum constrains from drifting.
+THETA_PRIOR_SCALE = 10.0
+# Relative change of the windowed mean objective below which training stops.
+PLATEAU_TOL = 1e-4
+# Draws of X per query for the MC estimate of <h(Y(X))> in each q(y) refresh.
+QY_MC = 8
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +83,9 @@ class LowRankGaussian:
     pinned to the constraint manifold.
     """
 
-    def __init__(self, mean, sbar, gamma, a_mat, exact: bool):
+    def __init__(self, mean, sbar, a_mat, exact: bool):
         self.mean = mean
         self.sbar = sbar
-        self.gamma = gamma
         self._a = a_mat
         self.exact = exact
         self._sqrt_parts = None
@@ -142,19 +150,14 @@ def update_qy_closedform(
     xi = gs @ gamma.T + np.diag(lam_inv)
     try:
         low = scipy.linalg.cholesky(xi, lower=True)
-    except scipy.linalg.LinAlgError:
-        jitter = 1e-10 * float(np.trace(xi)) / xi.shape[0]
-        try:
-            low = scipy.linalg.cholesky(xi + jitter * np.eye(xi.shape[0]), lower=True)
-        except scipy.linalg.LinAlgError as e:
-            raise IllConditioned(f"Xi Cholesky failed: {e}") from None
+    except scipy.linalg.LinAlgError as e:
+        raise IllConditioned(f"Xi is singular (dependent exact rows?): {e}") from None
     a_mat = scipy.linalg.solve_triangular(low, gs, lower=True)
     u = scipy.linalg.solve_triangular(low, alpha - gamma @ h_mean, lower=True)
     mean = h_mean + a_mat.T @ u
     return LowRankGaussian(
         mean=mean,
         sbar=sbar,
-        gamma=gamma,
         a_mat=a_mat,
         exact=bool(np.any(lam_inv == 0.0)),
     )
@@ -236,38 +239,40 @@ class VirtualData:
     def __len__(self):
         return self.lambdas.shape[0]
 
-    def is_energy(self, i: int) -> bool:
-        return isinstance(self.observables[i], EnergyObservable)
-
 
 @dataclass
 class TrainConfig:
+    """Settings of one train() call.
+
+    iterations: iteration budget of the call.
+    mc_samples: reparametrized draws per datum in every ELBO block.
+    unlabeled_batch: unlabeled data per iteration (all of them when fewer).
+    cadence: iterations between q(y) and Gamma-precision refreshes.
+    plateau_window: iterations per window of the plateau stop, which compares
+        the mean objective of the last two windows.
+    tau_start, tau_end: energy tempering, geometric over the call.
+    amortized: unlabeled q(z) comes from an encoder network instead of
+        per-datum factors.
+    encoder_hidden: hidden widths of that encoder.
+    seed: seed of the training generator and of the encoder's init.
+    log_every: iterations between TrainLog rows.
+    """
+
     iterations: int = 20000
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     mc_samples: int = 1
     unlabeled_batch: int = 64
-    theta_prior_scale: float = 10.0
     cadence: int = 50
     plateau_window: int = 500
-    plateau_tol: float = 1e-4
     tau_start: float = 1.0
     tau_end: float = 1e4
-    qy_mc: int = 8
     amortized: bool = False
     encoder_hidden: tuple = (256, 128)
-    equalize_unlabeled: bool = True
-    weight_labeled: float = 1.0
-    weight_unlabeled: float = 1.0
-    weight_virtual: float = 1.0
     seed: int = 0
     log_every: int = 25
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.mc_samples < 1:
-            raise ValueError("learning rate must be positive and mc_samples >= 1")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 class VariationalState:
@@ -287,21 +292,12 @@ class VariationalState:
         self.run_start = 0
         self.tau = config.tau_start
 
-    def theta_arrays(self) -> dict:
+    def adam_arrays(self) -> dict:
         out = self.model.params.arrays()
         if self.enc_mu is not None:
             out["enc_mu"] = self.enc_mu.params
             out["enc_logvar"] = self.enc_logvar.params
-        return out
-
-    def adam_arrays(self) -> dict:
-        return {**self.theta_arrays(), **self.factors}
-
-    def encode(self, x: np.ndarray):
-        """Amortized posterior parameters (mu, log-variance) with tapes."""
-        mu, tape_mu = self.enc_mu.forward(x)
-        rho, tape_rho = self.enc_logvar.forward(x)
-        return mu, rho, tape_mu, tape_rho
+        return {**out, **self.factors}
 
 
 def _block_average(lam: np.ndarray, d_f: int, d_c: int) -> np.ndarray:
@@ -336,23 +332,18 @@ def init_state(
         var_y = labeled.ys.var(axis=0) + 1e-6
         model.params.log_S_y[:] = np.log(var_y)
 
-    if labeled is not None:
-        n = len(labeled)
-        state.factors["mu_z_l"] = np.zeros((n, dz))
-        state.factors["rho_z_l"] = np.full((n, dz), np.log(0.1))
-        state.factors["mu_X_l"] = np.array(
-            [_block_average(lam, model.d_f, model.d_c) for lam in labeled.lambdas]
+    for suffix, data in (("l", labeled), ("o", virtual)):
+        if data is None:
+            continue
+        n = len(data)
+        state.factors[f"mu_z_{suffix}"] = np.zeros((n, dz))
+        state.factors[f"rho_z_{suffix}"] = np.full((n, dz), np.log(0.1))
+        state.factors[f"mu_X_{suffix}"] = np.array(
+            [_block_average(lam, model.d_f, model.d_c) for lam in data.lambdas]
         )
-        state.factors["rho_X_l"] = np.full((n, dX), np.log(0.01))
+        state.factors[f"rho_X_{suffix}"] = np.full((n, dX), np.log(0.01))
     if virtual is not None:
-        n = len(virtual)
-        state.factors["mu_z_o"] = np.zeros((n, dz))
-        state.factors["rho_z_o"] = np.full((n, dz), np.log(0.1))
-        state.factors["mu_X_o"] = np.array(
-            [_block_average(lam, model.d_f, model.d_c) for lam in virtual.lambdas]
-        )
-        state.factors["rho_X_o"] = np.full((n, dX), np.log(0.01))
-        state.qy = [None] * n
+        state.qy = [None] * len(virtual)
         if any(
             isinstance(obs, list)
             and any(isinstance(cs.precision, vobs.Learned) for cs in obs)
@@ -390,7 +381,7 @@ def init_state(
 class GradStore(dict):
     def add(self, key, value):
         if key in self:
-            self[key] = self[key] + value
+            self[key] += value
         else:
             self[key] = np.array(value, dtype=np.float64)
 
@@ -426,7 +417,8 @@ def elbo_unlabeled(
     for i in range(n):
         x = lambdas[i]
         if amortized:
-            mu, rho, tape_mu, tape_rho = state.encode(x)
+            mu, tape_mu = state.enc_mu.forward(x)
+            rho, tape_rho = state.enc_logvar.forward(x)
         else:
             mu = state.factors["mu_z_u"][idx[i]]
             rho = state.factors["rho_z_u"][idx[i]]
@@ -465,7 +457,7 @@ def elbo_unlabeled(
     return scale * value, theta, factors
 
 
-def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise, scale):
+def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise):
     """Per-datum body shared by the labeled and virtual blocks.
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
@@ -473,8 +465,8 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise, 
     (z, X) entropies. They differ only in where y comes from: y_draw(i, k)
     returns an observation or a q(y) draw, and is called after the k-th
     (z, X) draw so the generator stream matches the block's own order.
-    Factor keys end in `suffix`. Returns (per-datum values without scale,
-    theta_grads, factor_grads).
+    Factor keys end in `suffix`. Returns (per-datum values, theta_grads,
+    factor_grads).
     """
     model = state.model
     mc = state.config.mc_samples
@@ -508,7 +500,7 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise, 
             lp_x, gz_x, gdec = model.logp_x_given_z_grads(x, z)
             lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
             for key, val in (*gy_theta.items(), *gdec.items(), *gcm.items()):
-                theta.add(key, scale * val / mc)
+                theta.add(key, val / mc)
             gz = gz_x + gz_X
             gX = gX_y + gX_X
             lik += (lp_y + (lp_x + lp_X)) / mc
@@ -529,7 +521,7 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise, 
         g["mu_X"][i] = acc_gX
         g["rho_X"][i] = 0.5 * std_X * acc_gX_eps + 0.5
     for name, arr in g.items():
-        factors.add(f"{name}_{suffix}", scale * arr)
+        factors.add(f"{name}_{suffix}", arr)
     return values, theta, factors
 
 
@@ -541,16 +533,15 @@ def elbo_labeled(
     rng: np.random.Generator,
     indices=None,
     noise=None,
-    scale: float = 1.0,
 ):
     """Labeled ELBO block: the coarse solve sits inside log p(y | X)."""
     values, theta, factors = _conditional_elbo(
-        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices, noise, scale
+        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices, noise
     )
     value = 0.0
     for v in values:  # left to right; sum() compensates from Python 3.12 on
         value += v
-    return scale * value, theta, factors
+    return value, theta, factors
 
 
 def expected_constraint_loglik(cs: LinearConstraintSet, qy, gamma_posteriors=None):
@@ -590,11 +581,7 @@ def _constraint_likelihood_value(sets, qy, gamma_posteriors):
     For exact rows both the likelihood and the entropy along the constrained
     directions are infinite with opposite signs and cancel; both are dropped
     from the reported value."""
-    value = 0.0
-    if isinstance(qy, LowRankGaussian) and not qy.exact:
-        value += qy.entropy()
-    elif isinstance(qy, DiagGaussian):
-        value += qy.entropy()
+    value = 0.0 if isinstance(qy, LowRankGaussian) and qy.exact else qy.entropy()
     for cs in sets:
         value += expected_constraint_loglik(cs, qy, gamma_posteriors)
     return value
@@ -615,7 +602,6 @@ def elbo_virtual(
     rng: np.random.Generator,
     indices=None,
     noise=None,
-    scale: float = 1.0,
 ):
     """Virtual-observable ELBO block.
 
@@ -631,7 +617,7 @@ def elbo_virtual(
         return noise["y"][i][k] if noise is not None else qys[i].sample(rng)
 
     values, theta, factors = _conditional_elbo(
-        state, "o", lambdas, bcs, y_draw, rng, indices, noise, scale
+        state, "o", lambdas, bcs, y_draw, rng, indices, noise
     )
     value = 0.0
     for v, obs, qy in zip(values, observables, qys):
@@ -640,7 +626,7 @@ def elbo_virtual(
             value += _energy_likelihood_value(obs.system, qy, state.tau)
         else:
             value += _constraint_likelihood_value(obs, qy, state.gamma_posteriors)
-    return scale * value, theta, factors
+    return value, theta, factors
 
 
 def prior_logpdf_theta(arrays: dict, prior_scale: float):
@@ -664,8 +650,11 @@ def prior_logpdf_theta(arrays: dict, prior_scale: float):
 class Adam:
     """Ascent Adam over a dict of named arrays; supports row-subset updates."""
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    # Kingma & Ba's defaults; no caller needs other moment decays.
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -679,21 +668,11 @@ class Adam:
             if key not in self.m:
                 self.m[key] = np.zeros_like(arr)
                 self.v[key] = np.zeros_like(arr)
-            sel = rows.get(key) if rows else None
-            if sel is None:
-                m = self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * gradient
-                v = self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * (
-                    gradient * gradient
-                )
-                arr += self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            else:
-                m = self.m[key][sel] = self.beta1 * self.m[key][sel] + (
-                    1 - self.beta1
-                ) * gradient
-                v = self.v[key][sel] = self.beta2 * self.v[key][sel] + (
-                    1 - self.beta2
-                ) * (gradient * gradient)
-                arr[sel] += self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            sel = (rows or {}).get(key, slice(None))
+            m, v = self.m[key], self.v[key]
+            m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
+            v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
+            arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
 
 
 @dataclass
@@ -722,10 +701,10 @@ def _estimate_h_mean(state, i, bc, rng):
     mu_X = state.factors["mu_X_o"][i]
     std_X = np.exp(0.5 * state.factors["rho_X_o"][i])
     total = np.zeros(model.dim_y)
-    for _ in range(state.config.qy_mc):
+    for _ in range(QY_MC):
         X = mu_X + std_X * rng.standard_normal(model.dim_X)
         total += model.mean_y_given_X(X, bc)
-    return total / state.config.qy_mc
+    return total / QY_MC
 
 
 def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
@@ -784,13 +763,12 @@ def train(
     log = log if log is not None else TrainLog()
     state.run_start = state.iteration
     rng = derive_rng(config.seed, "train")
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = Adam(LEARNING_RATE)
 
     n_l = len(labeled) if labeled is not None else 0
     n_u = len(unlabeled) if unlabeled is not None else 0
-    w_u = config.weight_unlabeled
-    if n_u and config.equalize_unlabeled and n_l:
-        w_u *= n_l / n_u
+    # the unlabeled block weighs as much as the labeled one
+    w_u = n_l / n_u if n_u and n_l else 1.0
 
     if virtual is not None:
         refresh_qy(state, virtual, rng)
@@ -801,8 +779,7 @@ def train(
     while state.iteration < stop_iteration:
         state.iteration += 1
         f_u = f_l = f_o = 0.0
-        theta_grads = GradStore()
-        factor_grads = GradStore()
+        blocks = []
         rows = {}
 
         if n_u:
@@ -814,43 +791,30 @@ def train(
             f_u, th, fa = elbo_unlabeled(
                 state, unlabeled.lambdas[batch], rng, indices=batch, scale=scale_u
             )
-            for key, val in th.items():
-                theta_grads.add(key, val)
-            for key, val in fa.items():
-                factor_grads.add(key, val)
-                rows[key] = batch
+            blocks.append((th, fa))
+            rows = dict.fromkeys(fa, batch)
         if n_l:
             f_l, th, fa = elbo_labeled(
-                state,
-                labeled.lambdas,
-                labeled.ys,
-                labeled.bcs,
-                rng,
-                scale=config.weight_labeled,
+                state, labeled.lambdas, labeled.ys, labeled.bcs, rng
             )
-            for key, val in th.items():
-                theta_grads.add(key, val)
-            for key, val in fa.items():
-                factor_grads.add(key, val)
+            blocks.append((th, fa))
         if virtual is not None:
             f_o, th, fa = elbo_virtual(
-                state,
-                virtual.lambdas,
-                virtual.bcs,
-                virtual.observables,
-                rng,
-                scale=config.weight_virtual,
+                state, virtual.lambdas, virtual.bcs, virtual.observables, rng
             )
+            blocks.append((th, fa))
+        f_prior, prior_grads = prior_logpdf_theta(
+            state.model.params.arrays(), THETA_PRIOR_SCALE
+        )
+        blocks.append((prior_grads, {}))
+
+        theta_grads = GradStore()
+        factor_grads = GradStore()
+        for th, fa in blocks:
             for key, val in th.items():
                 theta_grads.add(key, val)
             for key, val in fa.items():
                 factor_grads.add(key, val)
-
-        f_prior, prior_grads = prior_logpdf_theta(
-            state.model.params.arrays(), config.theta_prior_scale
-        )
-        for key, val in prior_grads.items():
-            theta_grads.add(key, val)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):
             raise NonFiniteLoss(
@@ -874,7 +838,7 @@ def train(
             recent = float(np.mean(history[-w:]))
             before = float(np.mean(history[-2 * w : -w]))
             denom = max(abs(before), 1e-12)
-            if abs(recent - before) / denom < config.plateau_tol:
+            if abs(recent - before) / denom < PLATEAU_TOL:
                 break
     return state, log
 
@@ -886,11 +850,8 @@ def train(
 def save_state(state: VariationalState, stem, extra: dict | None = None) -> None:
     """The model checkpoint plus encoder, factors, precisions and config;
     q(y) is derived data and is rebuilt from the virtual dataset."""
-    header, arrays = model_checkpoint(state.model)
-    if state.enc_mu is not None:
-        arrays["enc_mu"] = state.enc_mu.params
-        arrays["enc_logvar"] = state.enc_logvar.params
-    arrays.update(state.factors)
+    header, _ = model_checkpoint(state.model)
+    arrays = state.adam_arrays()
     cfg = dataclasses.asdict(state.config)
     cfg["encoder_hidden"] = list(cfg["encoder_hidden"])
     header.update(

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.special import digamma
 
 from . import fem
-from .errors import DimensionMismatch, GridMismatch
+from .errors import DimensionMismatch, GridMismatch, SingularSystem
 from .field import BoundaryCoeffs
 
 
@@ -298,14 +299,63 @@ def build_hybrid(
     scale: float = 0.1,
     source=0.0,
 ) -> list[LinearConstraintSet]:
-    """The hybrid bundle: coarse residuals + randomized residuals + flux rows."""
-    return [
-        build_cgr(fine_mesh, coarse_mesh, kappa, bc, source=source),
-        build_randomized(
-            fine_mesh, kappa, bc, count=m2, scale=scale, rng=rng, source=source
-        ),
-        build_flux(fine_mesh, coarse_mesh, kappa, source=source),
-    ]
+    """The hybrid bundle: coarse residuals + randomized residuals + flux rows.
+
+    Exact rows beyond the free nodes' count, or otherwise linearly
+    dependent, are dropped (see _drop_dependent_exact_rows).
+    """
+    return _drop_dependent_exact_rows(
+        [
+            build_cgr(fine_mesh, coarse_mesh, kappa, bc, source=source),
+            build_randomized(
+                fine_mesh, kappa, bc, count=m2, scale=scale, rng=rng, source=source
+            ),
+            build_flux(fine_mesh, coarse_mesh, kappa, source=source),
+        ]
+    )
+
+
+# Relative residual of a dropped exact row at the kept rows' minimum-norm
+# solution above which the rows contradict each other. A row dropped as
+# numerically dependent (pivot below n eps) misses by up to ~sqrt(n eps).
+CONSISTENCY_RTOL = 1e-6
+
+
+def _drop_dependent_exact_rows(sets: list) -> list:
+    """Keep a linearly independent subset of the bundle's exact rows.
+
+    Dependent exact rows make Xi = Gamma S Gamma^T singular, so q(y) could
+    not enforce them exactly. A pivoted Cholesky of Gamma_E Gamma_E^T, with
+    rows scaled to unit norm, gives the rank and the rows to keep; each
+    dropped row must hold at the kept rows' minimum-norm solution, or
+    SingularSystem is raised. A full-rank bundle is returned as it is.
+    """
+    exact = [cs for cs in sets if isinstance(cs.precision, Exact)]
+    gamma, alpha, _ = stack_sets(exact)
+    norms = np.linalg.norm(gamma, axis=1)
+    gamma, alpha = gamma / norms[:, None], alpha / norms
+    low, piv, rank, _ = scipy.linalg.lapack.dpstrf(gamma @ gamma.T, lower=1)
+    if rank == alpha.size:
+        return sets
+    kept = piv[:rank] - 1
+    coef = scipy.linalg.cho_solve((low[:rank, :rank], True), alpha[kept])
+    y0 = gamma[kept].T @ coef
+    scale = np.abs(gamma) @ np.abs(y0) + np.abs(alpha)
+    worst = float(np.max(np.abs(gamma @ y0 - alpha) / scale))
+    if worst > CONSISTENCY_RTOL:
+        raise SingularSystem(f"dependent exact rows are inconsistent ({worst:.1e})")
+    keep = np.isin(np.arange(alpha.size), kept)
+    out = []
+    for cs in sets:
+        if isinstance(cs.precision, Exact):
+            rows, keep = keep[: cs.m], keep[cs.m :]
+            if not rows.any():
+                continue
+            cs = LinearConstraintSet(
+                cs.gamma[rows], cs.alpha[rows], cs.precision, cs.kind
+            )
+        out.append(cs)
+    return out
 
 
 def stack_sets(sets: list[LinearConstraintSet], gamma_posteriors: dict | None = None):

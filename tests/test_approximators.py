@@ -5,7 +5,7 @@ import pytest
 
 from cgsur import approximators as ap
 from cgsur import genmodel, inference
-from cgsur.errors import DimensionMismatch, NonPositiveInput, TapeConsumed
+from cgsur.errors import DimensionMismatch, TapeConsumed
 
 
 def finite_diff_params(net, x, cot, h=1e-6):
@@ -123,26 +123,6 @@ class TestBackward:
         assert np.max(np.abs(gx - gx0)) / scale_x < 1e-5
 
 
-class TestPositivity:
-    def test_zero_maps_to_one(self):
-        assert ap.positivity_transform(np.array([0.0]))[0] == 1.0
-
-    def test_known_value(self):
-        assert ap.positivity_transform(np.log(np.array([0.64])))[0] == pytest.approx(
-            0.64
-        )
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        raw = rng.standard_normal(64)
-        back = ap.positivity_inverse(ap.positivity_transform(raw))
-        assert np.max(np.abs(back - raw)) < 1e-12
-
-    def test_inverse_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveInput):
-            ap.positivity_inverse(np.array([1.0, 0.0]))
-
-
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         net = ap.mlp(6, hidden=(8, 4), output_dim=3, seed=5)
@@ -176,10 +156,35 @@ class TestCheckpoint:
         save(make(), tmp_path / "ckpt")
         path = tmp_path / "ckpt.json"
         header = json.loads(path.read_text())
-        header["version"] = ap.CHECKPOINT_VERSION + 1
-        path.write_text(json.dumps(header))
-        with pytest.raises(ValueError, match="version"):
-            load(tmp_path / "ckpt")
+        # files of the previous version and of a later one
+        for version in (ap.CHECKPOINT_VERSION - 1, ap.CHECKPOINT_VERSION + 1):
+            header["version"] = version
+            path.write_text(json.dumps(header))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load(tmp_path / "ckpt")
+
+    def test_loading_draws_no_init(self, tmp_path, monkeypatch):
+        net = ap.mlp(3, hidden=(4,), output_dim=2, seed=3)
+        model = genmodel.GenerativeModel(4, 2, decoder_hidden=(5,), seed=4)
+        cfg = inference.TrainConfig(amortized=True, encoder_hidden=(3,))
+        unlabeled = inference.UnlabeledData(np.zeros((2, model.dim_x)))
+        state = inference.init_state(model, cfg, None, unlabeled, None)
+        ap.save_checkpoint(net, tmp_path / "net")
+        genmodel.save_model(model, tmp_path / "model")
+        inference.save_state(state, tmp_path / "state")
+
+        def no_draw(*args):
+            raise AssertionError("loading drew a random initialization")
+
+        monkeypatch.setattr(ap, "_glorot", no_draw)
+        assert np.array_equal(ap.load_checkpoint(tmp_path / "net").params, net.params)
+        loaded_state = inference.load_state(tmp_path / "state")
+        for loaded in (genmodel.load_model(tmp_path / "model"), loaded_state.model):
+            arrays = loaded.params.arrays()
+            for key, arr in model.params.arrays().items():
+                assert np.array_equal(arrays[key], arr)
+        assert np.array_equal(loaded_state.enc_mu.params, state.enc_mu.params)
+        assert np.array_equal(loaded_state.enc_logvar.params, state.enc_logvar.params)
 
     def test_blob_size_checked(self):
         desc = ap.mlp(3, hidden=(4,), output_dim=2).descriptor()

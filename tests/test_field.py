@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -120,24 +118,3 @@ def test_bc_scenarios():
 def test_boundary_coeffs_finite():
     with pytest.raises(ValueError):
         BoundaryCoeffs(np.nan, 0, 0, 0)
-
-
-def test_dataset_roundtrip(tmp_path):
-    spec = GrfSpec(grid_size=4)
-    sampler = field.GrfSampler(spec)
-    rng = np.random.default_rng(3)
-    lams = np.array([sampler.sample(rng).lambda_vec for _ in range(5)])
-    bcs = np.array([field.sample_bc(rng).as_array() for _ in range(5)])
-    field.write_field_dataset(tmp_path, spec, 3, BcScenario.UNIFORM, lams, bcs)
-
-    manifest, lams2, bcs2 = field.read_field_dataset(tmp_path)
-    assert manifest["d_f"] == 4
-    assert manifest["count"] == 5
-    assert manifest["bc_scenario"] == "uniform"
-    assert np.array_equal(lams, lams2)
-    assert np.array_equal(bcs, bcs2)
-    # raw little-endian float64 layout
-    raw = np.frombuffer((tmp_path / "lambda.f64").read_bytes(), dtype="<f8")
-    assert raw.shape == (5 * 16,)
-    meta = json.loads((tmp_path / "manifest.json").read_text())
-    assert meta["sigma_lambda"] == spec.std

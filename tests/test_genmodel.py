@@ -4,7 +4,7 @@ from scipy.stats import multivariate_normal
 
 from cgsur import fem, genmodel
 from cgsur.field import BoundaryCoeffs
-from cgsur.genmodel import GenerativeModel, LatentConfig
+from cgsur.genmodel import GenerativeModel
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
@@ -16,17 +16,17 @@ def small_model(seed=0):
 
 class TestLatentConfig:
     def test_default_half_dim_X(self):
-        assert LatentConfig.default(4).dim_z == 8
-        assert LatentConfig.default(2).dim_z == 2
-        assert LatentConfig.default(1).dim_z == 1  # floor at 1
+        for d_c, dim_z in ((4, 8), (2, 2), (1, 1)):  # floor at 1
+            assert GenerativeModel(4, d_c, decoder_hidden=(2,)).dim_z == dim_z
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            LatentConfig(dim_z=0, cgm_grid=2)
+            GenerativeModel(4, 2, dim_z=0)
 
     def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            GenerativeModel(9, 2)
+        for d_f, d_c in ((9, 2), (4, 0)):
+            with pytest.raises(ValueError):
+                GenerativeModel(d_f, d_c)
 
 
 class TestPrior:

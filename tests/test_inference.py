@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgsur import fem, field, inference, vobs
-from cgsur.errors import NonFiniteLoss
+from cgsur.errors import IllConditioned, NonFiniteLoss
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.gaussians import LOG_2PI, diag_logpdf, kl_diag_standard
 from cgsur.genmodel import GenerativeModel
@@ -126,6 +126,40 @@ class TestClosedFormQy:
         assert q.second_moment(g1[None, :], np.array([g1 @ q.mean])) < 1e-9
         draws = np.array([q.sample(rng) for _ in range(50)])
         assert np.max(np.abs(draws @ g1 - a1)) < 1e-7
+
+    def test_dependent_exact_rows_hold(self):
+        # at (8, 4) the 25 coarse-residual and 60 randomized exact rows act on
+        # 63 free nodes; build_hybrid keeps an independent subset of them
+        rng = np.random.default_rng(21)
+        mesh, coarse = fem.build_mesh(8), fem.build_mesh(4)
+        kappa = GrfSampler(GrfSpec(grid_size=8)).sample(rng).kappa_vec
+        bc = field.sample_bc(rng)
+        before = rng.bit_generator.state
+        sets = vobs.build_hybrid(mesh, coarse, kappa, bc, rng, m2=60)
+        rng.bit_generator.state = before
+        original = [
+            vobs.build_cgr(mesh, coarse, kappa, bc),
+            vobs.build_randomized(mesh, kappa, bc, count=60, rng=rng),
+        ]
+        exact = [cs for cs in sets if isinstance(cs.precision, vobs.Exact)]
+        assert sum(cs.m for cs in exact) == mesh.free_nodes.size
+        n = mesh.n_nodes
+        h = 0.1 * rng.standard_normal(n)
+        posts = {"flux": vobs.GammaPosterior(alpha=2.0, beta=1.0)}
+        q = update_qy_closedform(sets, np.full(n, 0.01), h, posts)
+        for cs in original:
+            resid = cs.gamma @ q.mean - cs.alpha
+            scale = np.abs(cs.gamma) @ np.abs(q.mean) + np.abs(cs.alpha)
+            assert np.max(np.abs(resid) / scale) < 1e-12
+
+    def test_duplicated_exact_row_raises(self):
+        gamma = np.zeros((2, 4))
+        gamma[:, 1] = 1.0
+        cs = vobs.LinearConstraintSet(
+            gamma=gamma, alpha=np.array([0.5, 0.5]), precision=vobs.Exact(), kind="cgr"
+        )
+        with pytest.raises(IllConditioned):
+            update_qy_closedform(cs, np.ones(4), np.zeros(4))
 
     def test_sample_statistics(self):
         rng = np.random.default_rng(3)
@@ -614,7 +648,7 @@ class TestTrain:
         v_o1, _, _ = elbo_virtual(
             state, virtual.lambdas, virtual.bcs, virtual.observables, None, noise=noise_o
         )
-        v_p1, _ = prior_logpdf_theta(model.params.arrays(), cfg.theta_prior_scale)
+        v_p1, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         total_once = v_l1 + v_o1 + v_p1
         v_l2, _, _ = elbo_labeled(
             state, labeled.lambdas, labeled.ys, labeled.bcs, None, noise=noise_l
@@ -622,7 +656,7 @@ class TestTrain:
         v_o2, _, _ = elbo_virtual(
             state, virtual.lambdas, virtual.bcs, virtual.observables, None, noise=noise_o
         )
-        v_p2, _ = prior_logpdf_theta(model.params.arrays(), cfg.theta_prior_scale)
+        v_p2, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
 
     def test_labeled_only_objective_improves(self):
@@ -653,7 +687,8 @@ class TestTrain:
         # (y - mean)^2 overflows, so log p(y | X) evaluates to -inf while the
         # gradient stays representable
         model.params.b_h[:] = 1e200
-        with pytest.raises(NonFiniteLoss):
+        overflow = pytest.warns(RuntimeWarning, match="overflow")
+        with pytest.raises(NonFiniteLoss), overflow:
             train(
                 model,
                 TrainConfig(iterations=5, plateau_window=10**9),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgsur import fem, vobs
-from cgsur.errors import DimensionMismatch, GridMismatch
+from cgsur.errors import DimensionMismatch, GridMismatch, SingularSystem
 from cgsur.field import BoundaryCoeffs
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
@@ -254,6 +254,22 @@ class TestHybridAndStack:
         kinds = [cs.kind for cs in sets]
         assert kinds == ["cgr", "randomized", "flux"]
         assert [cs.m for cs in sets] == [25, 60, 16]
+
+    def test_dependent_exact_rows(self):
+        gamma = np.zeros((3, 4))
+        gamma[:, 1] = 1.0
+        gamma[2, 2] = 1.0
+        exact = vobs.Exact()
+        sets = [
+            vobs.LinearConstraintSet(gamma[:2], np.array([0.5, 0.5]), exact, "cgr"),
+            vobs.LinearConstraintSet(gamma[2:], np.array([1.0]), exact, "cgr"),
+        ]
+        kept = vobs._drop_dependent_exact_rows(sets)
+        assert [cs.m for cs in kept] == [1, 1]
+        assert vobs._drop_dependent_exact_rows(kept) is kept  # full rank
+        sets[0].alpha[1] = 0.7  # the duplicate contradicts its twin
+        with pytest.raises(SingularSystem):
+            vobs._drop_dependent_exact_rows(sets)
 
     def test_stacking(self):
         mesh, kappa, bc, _, rng = random_problem(8, 20)
