@@ -4,8 +4,9 @@ Library layout:
 
 - field: lognormal conductivity fields and randomized boundary data
 - fem: P1 finite elements, adjoints, fluxes, potential energy
-- approximators: differentiable parametric maps with reverse-mode gradients,
-  and the checkpoint format shared by networks, models and training states
+- approximators: tanh multilayer perceptrons, described by their layer widths,
+  with reverse-mode gradients, and the checkpoint format of models and
+  training states
 - genmodel: the latent-variable generative model with a coarse solver inside
 - vobs: virtual observables (weighted residuals, flux balance, energy)
 - inference: stochastic variational training and closed-form updates

@@ -1,19 +1,17 @@
-"""Differentiable parametric maps with hand-rolled reverse-mode gradients.
+"""Tanh multilayer perceptrons with hand-rolled reverse-mode gradients.
 
-Networks are sequential stacks of layers acting on float64 vectors. All
-parameters live in one flat vector so optimizers and checkpoints can treat a
-network as a single array. forward() records a tape; backward() consumes it
-once and returns exact gradients of cotangent^T output with respect to the
-parameters and the input.
+A network is described by its layer widths (n_0, ..., n_L): layer l maps
+x -> W_l x + b_l with W_l of shape (n_l, n_{l-1}), and tanh follows every
+layer but the last. All parameters live in one flat float64 vector, layer by
+layer with W_l (row-major) before b_l, so optimizers and checkpoints can
+treat a network as a single array. forward() records a tape; backward()
+consumes it once and returns exact gradients of cotangent^T output with
+respect to the parameters and the input.
 
-Supported layers (descriptor dicts):
-    {"kind": "dense", "units": n}
-    {"kind": "tanh"} | {"kind": "relu"}
-
-Checkpoints of networks, generative models and training states share one
-on-disk format, written by save_arrays and read by load_arrays: <stem>.json
-holds a versioned header with the layout of the arrays, and <stem>.bin holds
-the arrays as one little-endian float64 blob.
+Checkpoints of generative models and training states share one on-disk
+format, written by save_arrays and read by load_arrays: <stem>.json holds a
+versioned header with the layout of the arrays, and <stem>.bin holds the
+arrays as one little-endian float64 blob.
 """
 
 from __future__ import annotations
@@ -27,15 +25,16 @@ from .errors import DimensionMismatch, TapeConsumed
 
 # Version 1 files have a separate layout per checkpoint kind, which
 # load_arrays cannot read; state files of versions 2 and 3 carry TrainConfig
-# fields that are now constants.
-CHECKPOINT_VERSION = 4
+# fields that are now constants; files of version 4 describe networks by
+# lists of layer kinds instead of their widths.
+CHECKPOINT_VERSION = 5
 
 
 class Tape:
-    """Per-layer caches from one forward pass; usable for one reverse pass."""
+    """The input of every layer from one forward pass; usable for one reverse pass."""
 
-    def __init__(self, caches):
-        self.caches = caches
+    def __init__(self, inputs):
+        self.inputs = inputs
         self.consumed = False
 
 
@@ -44,86 +43,51 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class _Dense:
-    def __init__(self, in_dim, units):
-        self.in_dim, self.units = in_dim, units
-        self.n_params = units * in_dim + units
-
-    def init(self, rng):
-        w = _glorot(rng, self.in_dim, self.units, (self.units, self.in_dim))
-        return np.concatenate([w.ravel(), np.zeros(self.units)])
-
-    def split(self, p):
-        nw = self.units * self.in_dim
-        return p[:nw].reshape(self.units, self.in_dim), p[nw:]
-
-    def forward(self, p, x):
-        w, b = self.split(p)
-        return w @ x + b, x
-
-    def backward(self, p, cache, cot):
-        w, _ = self.split(p)
-        x = cache
-        gp = np.concatenate([np.outer(cot, x).ravel(), cot])
-        return gp, w.T @ cot
-
-
-class _Tanh:
-    n_params = 0
-
-    def forward(self, p, x):
-        y = np.tanh(x)
-        return y, y
-
-    def backward(self, p, cache, cot):
-        return np.empty(0), cot * (1.0 - cache**2)
-
-
-class _Relu:
-    n_params = 0
-
-    def forward(self, p, x):
-        mask = x > 0.0
-        return x * mask, mask
-
-    def backward(self, p, cache, cot):
-        return np.empty(0), cot * cache
-
-
 class Approximator:
-    """A sequential differentiable map with one flat float64 parameter vector."""
+    """A tanh multilayer perceptron with layer widths `sizes` and one flat
+    float64 parameter vector.
 
-    def __init__(self, input_dim: int, layers: list[dict], seed: int = 0):
-        self._build(input_dim, layers)
-        rng = np.random.default_rng(seed)
-        chunks = [layer.init(rng) for layer in self._layers if layer.n_params]
-        self.params = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-        )
+    Weights get seeded Glorot-uniform draws, layer by layer, and biases start
+    at zero; `params`, when given, is copied instead and nothing is drawn.
+    """
 
-    def _build(self, input_dim, layers):
-        """Layer objects and parameter slices; draws no parameters."""
-        self.input_dim = int(input_dim)
-        self.layer_specs = [dict(spec) for spec in layers]
-        self._layers = []
-        width = self.input_dim
-        for spec in self.layer_specs:
-            kind = spec["kind"]
-            if kind == "dense":
-                layer = _Dense(width, int(spec["units"]))
-                width = layer.units
-            elif kind == "tanh":
-                layer = _Tanh()
-            elif kind == "relu":
-                layer = _Relu()
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-            self._layers.append(layer)
-        self.output_dim = width
-        offsets = np.cumsum([0] + [layer.n_params for layer in self._layers])
-        self._slices = [
-            slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])
-        ]
+    def __init__(self, sizes, seed: int = 0, params: np.ndarray | None = None):
+        self.sizes = sizes = tuple(int(n) for n in sizes)
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"need at least two positive layer widths, got {sizes}")
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        if params is None:
+            rng = np.random.default_rng(seed)
+            self.params = np.concatenate(
+                [
+                    np.append(_glorot(rng, n_in, n_out, (n_out, n_in)), np.zeros(n_out))
+                    for n_in, n_out in layers
+                ]
+            )
+        else:
+            self.params = np.array(params, dtype=np.float64)
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in layers)
+        if self.params.shape != (n_params,):
+            raise DimensionMismatch(
+                f"parameter blob has shape {self.params.shape}, expected ({n_params},)"
+            )
+
+    def _layers(self, flat):
+        """(W, b) views of a parameter-sized vector, layer by layer."""
+        out, pos = [], 0
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            end = pos + n_out * n_in
+            out.append((flat[pos:end].reshape(n_out, n_in), flat[end : end + n_out]))
+            pos = end + n_out
+        return out
+
+    @property
+    def input_dim(self) -> int:
+        return self.sizes[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.sizes[-1]
 
     @property
     def n_params(self) -> int:
@@ -136,11 +100,14 @@ class Approximator:
             raise DimensionMismatch(
                 f"input has size {x.size}, expected {self.input_dim}"
             )
-        caches = []
-        for layer, sl in zip(self._layers, self._slices):
-            x, cache = layer.forward(self.params[sl], x)
-            caches.append(cache)
-        return x, Tape(caches)
+        layers = self._layers(self.params)
+        inputs = []
+        for i, (w, b) in enumerate(layers):
+            inputs.append(x)
+            x = w @ x + b
+            if i + 1 < len(layers):
+                x = np.tanh(x)
+        return x, Tape(inputs)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
@@ -155,50 +122,17 @@ class Approximator:
             raise DimensionMismatch(
                 f"cotangent has size {cot.size}, expected {self.output_dim}"
             )
-        gparams = np.zeros_like(self.params)
-        for layer, sl, cache in zip(
-            reversed(self._layers), reversed(self._slices), reversed(tape.caches)
-        ):
-            gp, cot = layer.backward(self.params[sl], cache, cot)
-            if layer.n_params:
-                gparams[sl] = gp
+        # every slot of gparams is written below, layer by layer
+        gparams = np.empty_like(self.params)
+        layers = zip(self._layers(self.params), self._layers(gparams), tape.inputs)
+        for i, ((w, _), (gw, gb), x) in reversed(list(enumerate(layers))):
+            np.outer(cot, x, out=gw)
+            gb[:] = cot
+            cot = w.T @ cot
+            if i > 0:
+                # x = tanh(a), so d tanh / da = 1 - x^2
+                cot = cot * (1.0 - x**2)
         return gparams, cot
-
-    def descriptor(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "layers": self.layer_specs,
-            "n_params": self.n_params,
-        }
-
-    @classmethod
-    def from_descriptor(cls, desc: dict, params: np.ndarray):
-        """The network `desc` describes, holding a copy of `params`."""
-        net = cls.__new__(cls)
-        net._build(desc["input_dim"], desc["layers"])
-        params = np.asarray(params, dtype=np.float64)
-        expected = sum(layer.n_params for layer in net._layers)
-        if params.size != expected:
-            raise DimensionMismatch(
-                f"parameter blob has {params.size} values, expected {expected}"
-            )
-        net.params = params.copy()
-        return net
-
-
-def mlp(
-    input_dim: int,
-    hidden: tuple = (128, 256),
-    output_dim: int = 1,
-    activation: str = "tanh",
-    seed: int = 0,
-) -> Approximator:
-    layers = []
-    for width in hidden:
-        layers.append({"kind": "dense", "units": int(width)})
-        layers.append({"kind": activation})
-    layers.append({"kind": "dense", "units": int(output_dim)})
-    return Approximator(input_dim, layers, seed=seed)
 
 
 def save_arrays(stem, header: dict, arrays: dict) -> None:
@@ -228,11 +162,3 @@ def load_arrays(stem) -> tuple[dict, dict]:
         arrays[key] = chunk.astype(np.float64).reshape(info["shape"])
     return header, arrays
 
-
-def save_checkpoint(net: Approximator, stem) -> None:
-    save_arrays(stem, {"descriptor": net.descriptor()}, {"params": net.params})
-
-
-def load_checkpoint(stem) -> Approximator:
-    header, arrays = load_arrays(stem)
-    return Approximator.from_descriptor(header["descriptor"], arrays["params"])

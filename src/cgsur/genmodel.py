@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .approximators import Approximator, load_arrays, mlp, save_arrays
+from .approximators import Approximator, load_arrays, save_arrays
 from .errors import DimensionMismatch
 from .field import BoundaryCoeffs
 from .gaussians import (
@@ -78,12 +78,7 @@ class GenerativeModel:
     ):
         self._set_sizes(d_f, d_c, dim_z)
         rng = np.random.default_rng(seed)
-        decoder = mlp(
-            self.dim_z,
-            hidden=decoder_hidden,
-            output_dim=2 * self.dim_x,
-            seed=seed,
-        )
+        decoder = Approximator((self.dim_z, *decoder_hidden, 2 * self.dim_x), seed=seed)
         dz = self.dim_z
         limit = np.sqrt(6.0 / (dz + self.dim_X))
         self.params = ModelParams(
@@ -270,16 +265,13 @@ class GenerativeModel:
             "d_f": self.d_f,
             "d_c": self.d_c,
             "dim_z": self.dim_z,
+            "decoder_sizes": list(self.params.decoder.sizes),
         }
 
 
 def model_checkpoint(model: GenerativeModel) -> tuple[dict, dict]:
     """The header entries and named arrays that describe a model on disk."""
-    header = {
-        "model": model.metadata(),
-        "decoder_descriptor": model.params.decoder.descriptor(),
-    }
-    return header, model.params.arrays()
+    return {"model": model.metadata()}, model.params.arrays()
 
 
 def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
@@ -288,9 +280,7 @@ def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
     model = GenerativeModel.__new__(GenerativeModel)
     model._set_sizes(meta["d_f"], meta["d_c"], meta["dim_z"])
     model.params = ModelParams(
-        decoder=Approximator.from_descriptor(
-            header["decoder_descriptor"], arrays["decoder"]
-        ),
+        decoder=Approximator(meta["decoder_sizes"], params=arrays["decoder"]),
         **{key: arrays[key] for key in _BLOB_KEYS},
     )
     return model

@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import fem, vobs
-from .approximators import Approximator, load_arrays, mlp, save_arrays
+from .approximators import Approximator, load_arrays, save_arrays
 from .errors import IllConditioned, NonFiniteLoss
 from .field import BoundaryCoeffs
 from .gaussians import (
@@ -42,8 +42,10 @@ from .seeding import derive_rng
 from .vobs import EnergyObservable, GammaPosterior, LinearConstraintSet
 
 QY_ROW_CAP = 1024  # guard on the number of stacked constraint rows
-# Adam step size of the trainer; infer_z's ascent over one q(z) takes larger steps.
+# Adam step sizes of the trainer and of infer_z, which ascends one small q(z)
+# against a fixed decoder in a few hundred steps and so takes larger ones.
 LEARNING_RATE = 1e-3
+INFER_Z_LEARNING_RATE = 0.05
 # Std of the isotropic Gaussian prior on theta: weak against the data, but it
 # keeps weights that no datum constrains from drifting.
 THETA_PRIOR_SCALE = 10.0
@@ -271,8 +273,12 @@ class TrainConfig:
     log_every: int = 25
 
     def __post_init__(self):
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        for name in ("mc_samples", "unlabeled_batch", "cadence", "plateau_window", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("tau_start", "tau_end"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 class VariationalState:
@@ -352,18 +358,9 @@ def init_state(
             state.gamma_posteriors["flux"] = GammaPosterior(alpha=1e-6, beta=1e-6)
     if unlabeled is not None:
         if config.amortized:
-            state.enc_mu = mlp(
-                model.dim_x,
-                hidden=config.encoder_hidden,
-                output_dim=dz,
-                seed=config.seed + 1,
-            )
-            state.enc_logvar = mlp(
-                model.dim_x,
-                hidden=config.encoder_hidden,
-                output_dim=dz,
-                seed=config.seed + 2,
-            )
+            sizes = (model.dim_x, *config.encoder_hidden, dz)
+            state.enc_mu = Approximator(sizes, seed=config.seed + 1)
+            state.enc_logvar = Approximator(sizes, seed=config.seed + 2)
             # start near the prior: zero mean head, moderate variance
             state.enc_logvar.params[-dz:] = np.log(0.5)
         else:
@@ -847,7 +844,7 @@ def train(
 # full-state checkpoints
 # ---------------------------------------------------------------------------
 
-def save_state(state: VariationalState, stem, extra: dict | None = None) -> None:
+def save_state(state: VariationalState, stem) -> None:
     """The model checkpoint plus encoder, factors, precisions and config;
     q(y) is derived data and is rebuilt from the virtual dataset."""
     header, _ = model_checkpoint(state.model)
@@ -855,11 +852,6 @@ def save_state(state: VariationalState, stem, extra: dict | None = None) -> None
     cfg = dataclasses.asdict(state.config)
     cfg["encoder_hidden"] = list(cfg["encoder_hidden"])
     header.update(
-        encoder_descriptors=(
-            {"mu": state.enc_mu.descriptor(), "logvar": state.enc_logvar.descriptor()}
-            if state.enc_mu is not None
-            else None
-        ),
         factor_keys=sorted(state.factors.keys()),
         gamma_posteriors={
             key: {"alpha": post.alpha, "beta": post.beta}
@@ -867,7 +859,6 @@ def save_state(state: VariationalState, stem, extra: dict | None = None) -> None
         },
         iteration=state.iteration,
         config=cfg,
-        extra=extra or {},
     )
     save_arrays(stem, header, arrays)
 
@@ -878,13 +869,10 @@ def load_state(stem) -> VariationalState:
     cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
     model = model_from_checkpoint(header, arrays)
     state = VariationalState(model, TrainConfig(**cfg_dict))
-    if header["encoder_descriptors"] is not None:
-        state.enc_mu = Approximator.from_descriptor(
-            header["encoder_descriptors"]["mu"], arrays["enc_mu"]
-        )
-        state.enc_logvar = Approximator.from_descriptor(
-            header["encoder_descriptors"]["logvar"], arrays["enc_logvar"]
-        )
+    if "enc_mu" in arrays:
+        sizes = (model.dim_x, *state.config.encoder_hidden, model.dim_z)
+        state.enc_mu = Approximator(sizes, params=arrays["enc_mu"])
+        state.enc_logvar = Approximator(sizes, params=arrays["enc_logvar"])
     for key in header["factor_keys"]:
         state.factors[key] = arrays[key]
     state.gamma_posteriors = {

@@ -19,7 +19,7 @@ from . import fem
 from .errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from .field import BoundaryCoeffs
 from .gaussians import diag_logpdf, kl_diag_standard
-from .inference import Adam, DiagGaussian, VariationalState
+from .inference import INFER_Z_LEARNING_RATE, Adam, DiagGaussian, VariationalState
 from .seeding import derive_rng
 
 
@@ -37,7 +37,6 @@ def infer_z(
     state: VariationalState,
     mode: str = "optimize",
     steps: int = 400,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> DiagGaussian:
     """Posterior over the latent code for a new input; no model solves.
@@ -65,7 +64,7 @@ def infer_z(
         mu = np.zeros(model.dim_z)
         rho = np.full(model.dim_z, np.log(0.5))
     params = {"mu": mu, "rho": rho}
-    adam = Adam(lr)
+    adam = Adam(INFER_Z_LEARNING_RATE)
     objective = []
     for _ in range(steps):
         eps = rng.standard_normal(model.dim_z)

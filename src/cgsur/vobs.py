@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.special import digamma
 
 from . import fem
-from .errors import DimensionMismatch, GridMismatch, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 from .field import BoundaryCoeffs
 
 
@@ -204,13 +204,8 @@ def build_flux(
     exact fine solution does not satisfy these rows, so they carry a
     learned precision.
     """
-    if fine_mesh.d % coarse_mesh.d != 0:
-        raise GridMismatch(
-            f"fine size {fine_mesh.d} not a multiple of coarse size {coarse_mesh.d}"
-        )
-    kappa = np.asarray(
-        kappa.kappa_vec if hasattr(kappa, "kappa_vec") else kappa, dtype=np.float64
-    )
+    fem._check_nested(coarse_mesh.d, fine_mesh.d)
+    kappa = fem._as_kappa(fine_mesh, kappa)
     d_f, d_c = fine_mesh.d, coarse_mesh.d
     r = d_f // d_c
     n_sub = d_c * d_c

@@ -682,6 +682,22 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, TrainConfig(iterations=1))
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("mc_samples", 0),
+            ("unlabeled_batch", 0),
+            ("cadence", 0),
+            ("plateau_window", 0),
+            ("log_every", 0),
+            ("tau_start", 0.0),
+            ("tau_end", -1.0),
+        ],
+    )
+    def test_config_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_nonfinite_loss_raises(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=10)
         # (y - mean)^2 overflows, so log p(y | X) evaluates to -inf while the
@@ -722,7 +738,7 @@ class TestStateCheckpoint:
     def test_roundtrip(self, tmp_path):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=12)
         state.iteration = 77
-        save_state(state, tmp_path / "ckpt", extra={"final_F": -1.5})
+        save_state(state, tmp_path / "ckpt")
         loaded = load_state(tmp_path / "ckpt")
         assert loaded.iteration == 77
         assert loaded.model.metadata() == model.metadata()

@@ -24,7 +24,7 @@ class TestInferZ:
         bias = model.params.decoder.params[-2 * model.dim_x :]
         bias[model.dim_x :] = np.log(0.5)
         x = np.random.default_rng(0).normal(0.0, 0.5, model.dim_x)
-        q = predict.infer_z(x, state, mode="optimize", steps=800, lr=0.05)
+        q = predict.infer_z(x, state, mode="optimize", steps=800)
         assert np.max(np.abs(q.mean)) < 0.05
         assert np.max(np.abs(q.var - 1.0)) < 0.1
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from cgsur import fem, vobs
-from cgsur.errors import DimensionMismatch, GridMismatch, SingularSystem
+from cgsur.errors import (
+    DimensionMismatch,
+    GridMismatch,
+    NonPositiveConductivity,
+    SingularSystem,
+)
 from cgsur.field import BoundaryCoeffs
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
@@ -171,6 +176,20 @@ class TestFlux:
         total_row = cs.gamma.sum(axis=0)
         whole = vobs.build_flux(mesh, fem.build_mesh(1), kappa)
         assert total_row @ y == pytest.approx(whole.gamma[0] @ y, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kappa,error",
+        [
+            (np.ones(65), GridMismatch),
+            (np.ones(256), GridMismatch),  # a 16 x 16 field on the 8 x 8 mesh
+            (np.full(64, -1.0), NonPositiveConductivity),
+        ],
+        ids=["65-values", "16x16-field", "negative"],
+    )
+    def test_invalid_kappa(self, kappa, error):
+        mesh = fem.build_mesh(8)
+        with pytest.raises(error):
+            vobs.build_flux(mesh, fem.build_mesh(2), kappa)
 
     def test_learned_precision_group(self):
         mesh, kappa, bc, _, _ = random_problem(8, 11)
