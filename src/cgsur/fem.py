@@ -92,7 +92,6 @@ class Mesh:
         node_ix = np.arange(self.n_nodes) % (d + 1)
         node_iy = np.arange(self.n_nodes) // (d + 1)
         dirichlet = (node_ix == 0) | (node_ix == d)
-        self.dirichlet_mask = dirichlet
         self.dirichlet_nodes = np.where(dirichlet)[0]
         self.free_nodes = np.where(~dirichlet)[0]
         self.neumann_nodes = np.where(
@@ -102,9 +101,6 @@ class Mesh:
         # COO indices for vectorized stiffness assembly.
         self._rows = np.repeat(self.elements, 3, axis=1).ravel()
         self._cols = np.tile(self.elements, (1, 3)).ravel()
-        # Scatter of free-node positions for the constrained partition.
-        self._free_pos = -np.ones(self.n_nodes, dtype=np.int64)
-        self._free_pos[self.free_nodes] = np.arange(len(self.free_nodes))
 
     def element_stiffness_scaled(self, kappa_elem: np.ndarray) -> np.ndarray:
         """Per-element 3x3 stiffness blocks for given element conductivities."""
@@ -163,10 +159,7 @@ class FemSystem:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
         if self._solve is None:
             free = self.mesh.free_nodes
-            if self.dense:
-                self._solve = factorize(self.K[np.ix_(free, free)])
-            else:
-                self._solve = factorize(self.K[free][:, free])
+            self._solve = factorize(self.K[np.ix_(free, free)])
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
         return self._solve(rhs_f)
 
@@ -255,11 +248,7 @@ def solve(sys: FemSystem) -> Solution:
         SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
         sys._solution = y
         return Solution(y_vec=y)
-    if sys.dense:
-        K_fc = sys.K[np.ix_(free, cons)]
-    else:
-        K_fc = sys.K[free][:, cons]
-    rhs = sys.f_vec[free] - K_fc @ y[cons]
+    rhs = sys.f_vec[free] - sys.K[np.ix_(free, cons)] @ y[cons]
     y[free] = sys.solve_free(rhs)
     sys._solution = y
     return Solution(y_vec=y)

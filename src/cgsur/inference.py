@@ -14,8 +14,9 @@ model's *_grads methods; the coarse solve contributes through its adjoint.
 The labeled and virtual blocks are the same model term log p(y | X) and run
 one conditional-ELBO body; they differ only in where y comes from (an
 observation or a q(y) draw) and in the virtual block's likelihood and q(y)
-entropy terms. ELBO term functions accept an explicit noise bundle so
-common-random-number finite differencing stays exact in tests.
+entropy terms. Each block draws its noise from the generator it is given, in
+an order that does not depend on the parameter values, so two identically
+seeded generators give common random numbers for finite differences.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ THETA_PRIOR_SCALE = 10.0
 PLATEAU_TOL = 1e-4
 # Draws of X per query for the MC estimate of <h(Y(X))> in each q(y) refresh.
 QY_MC = 8
+# Shape and rate of the vague Gamma prior on the flux precision.
+GAMMA_PRIOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +120,7 @@ class LowRankGaussian:
         return float(r @ r) + max(trace, 0.0)
 
     def entropy(self):
-        if self.exact:
-            return float("-inf")
+        """Differential entropy; meaningful only without exact rows."""
         _, _, s = self._sqrt()
         logdet = float(np.sum(np.log(self.sbar))) + float(
             np.sum(np.log(np.clip(1.0 - s**2, 1e-300, None)))
@@ -127,7 +129,7 @@ class LowRankGaussian:
 
 
 def update_qy_closedform(
-    cs, sy_var_diag, h_mean, gamma_posteriors=None
+    sets, sy_var_diag, h_mean, gamma_posteriors=None
 ) -> LowRankGaussian:
     """Closed-form mean-field update of q(y) for linear virtual observables.
 
@@ -135,14 +137,12 @@ def update_qy_closedform(
         Sigma^{-1} = Gamma^T Lambda Gamma + diag(1/sy),
         Sigma^{-1} mu = Gamma^T Lambda alpha + diag(1/sy) h_mean
     through the Woodbury identity with Xi = Gamma S Gamma^T + Lambda^{-1};
-    exactly enforced rows take the Lambda^{-1} = 0 limit.
-
-    cs may be one LinearConstraintSet or a list to stack (hybrid bundles).
+    exactly enforced rows take the Lambda^{-1} = 0 limit. The rows of the
+    list of constraint sets are stacked.
     """
-    sets = cs if isinstance(cs, (list, tuple)) else [cs]
-    if len(sets) == 0 or sum(s.m for s in sets) == 0:
+    if not sets:
         return DiagGaussian(mean=h_mean.copy(), var=sy_var_diag.copy())
-    gamma, alpha, lam_inv = vobs.stack_sets(list(sets), gamma_posteriors)
+    gamma, alpha, lam_inv = vobs.stack_sets(sets, gamma_posteriors)
     if gamma.shape[0] > QY_ROW_CAP:
         raise ValueError(
             f"{gamma.shape[0]} constraint rows exceed the configured cap {QY_ROW_CAP}"
@@ -165,19 +165,18 @@ def update_qy_closedform(
     )
 
 
-def update_precision_gamma(
-    second_moments, m: int, alpha0: float = 1e-6, beta0: float = 1e-6
-) -> GammaPosterior:
+def update_precision_gamma(second_moments, m: int) -> GammaPosterior:
     """Conjugate update for a precision shared by m rows at every query point.
 
-    alpha = N_O m / 2 + alpha0,  beta = 0.5 sum_i E||o^(i)||^2 + beta0.
+    alpha = N_O m / 2 + a0,  beta = 0.5 sum_i E||o^(i)||^2 + b0, with the prior's
+    a0 = b0 = GAMMA_PRIOR.
     """
     moments = np.asarray(list(second_moments), dtype=np.float64)
     if np.any(moments < 0.0):
         raise ValueError("residual second moments must be nonnegative")
     return GammaPosterior(
-        alpha=0.5 * m * moments.size + alpha0,
-        beta=0.5 * float(moments.sum()) + beta0,
+        alpha=0.5 * m * moments.size + GAMMA_PRIOR,
+        beta=0.5 * float(moments.sum()) + GAMMA_PRIOR,
     )
 
 
@@ -355,7 +354,7 @@ def init_state(
             and any(isinstance(cs.precision, vobs.Learned) for cs in obs)
             for obs in virtual.observables
         ):
-            state.gamma_posteriors["flux"] = GammaPosterior(alpha=1e-6, beta=1e-6)
+            state.gamma_posteriors["flux"] = GammaPosterior(GAMMA_PRIOR, GAMMA_PRIOR)
     if unlabeled is not None:
         if config.amortized:
             sizes = (model.dim_x, *config.encoder_hidden, dz)
@@ -392,7 +391,6 @@ def elbo_unlabeled(
     lambdas: np.ndarray,
     rng: np.random.Generator,
     indices=None,
-    noise=None,
     scale: float = 1.0,
 ):
     """Monte Carlo estimate of the unlabeled ELBO block with gradients.
@@ -423,11 +421,7 @@ def elbo_unlabeled(
         acc_gz = np.zeros(model.dim_z)
         acc_gz_eps = np.zeros(model.dim_z)
         lik = 0.0
-        eps_block = (
-            noise[i]
-            if noise is not None
-            else rng.standard_normal((cfg.mc_samples, model.dim_z))
-        )
+        eps_block = rng.standard_normal((cfg.mc_samples, model.dim_z))
         for k in range(cfg.mc_samples):
             eps = eps_block[k]
             z = _q_draw(mu, rho, eps)
@@ -454,7 +448,7 @@ def elbo_unlabeled(
     return scale * value, theta, factors
 
 
-def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise):
+def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     """Per-datum body shared by the labeled and virtual blocks.
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
@@ -479,11 +473,8 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices, noise):
         x = lambdas[i]
         bc = BoundaryCoeffs.from_array(bcs[i])
         mu_z, rho_z, mu_X, rho_X = (r[i] for r in rows)
-        if noise is not None:
-            eps_z_blk, eps_X_blk = noise["z"][i], noise["X"][i]
-        else:
-            eps_z_blk = rng.standard_normal((mc, model.dim_z))
-            eps_X_blk = rng.standard_normal((mc, model.dim_X))
+        eps_z_blk = rng.standard_normal((mc, model.dim_z))
+        eps_X_blk = rng.standard_normal((mc, model.dim_X))
         acc_gz = np.zeros(model.dim_z)
         acc_gX = np.zeros(model.dim_X)
         acc_gz_eps = np.zeros(model.dim_z)
@@ -529,11 +520,10 @@ def elbo_labeled(
     bcs: np.ndarray,
     rng: np.random.Generator,
     indices=None,
-    noise=None,
 ):
     """Labeled ELBO block: the coarse solve sits inside log p(y | X)."""
     values, theta, factors = _conditional_elbo(
-        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices, noise
+        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices
     )
     value = 0.0
     for v in values:  # left to right; sum() compensates from Python 3.12 on
@@ -541,34 +531,19 @@ def elbo_labeled(
     return value, theta, factors
 
 
-def expected_constraint_loglik(cs: LinearConstraintSet, qy, gamma_posteriors=None):
-    """Analytic E_q(y)[log p(o-hat | y)] for one finite-precision set.
+def expected_constraint_loglik(cs: LinearConstraintSet, qy, gamma_posteriors):
+    """Analytic E_q[log p(o-hat | y)] for one set under q(y) q(lambda).
 
     For exactly enforced rows the term is a constant of the conditioning and
-    is dropped (returns 0). For per-row precisions lambda_m the value is
-    -0.5 sum_m lambda_m E[o_m^2] + 0.5 sum_m E[log lambda_m] - (M/2) log 2pi.
+    is dropped (returns 0). For flux rows, with lambda the precision of the
+    "flux" Gamma posterior, the value is
+    -0.5 E[lambda] E||o||^2 + 0.5 M E[log lambda] - (M/2) log 2pi.
     """
     if isinstance(cs.precision, vobs.Exact):
         return 0.0
-    if isinstance(cs.precision, vobs.Fixed):
-        lam = np.asarray(cs.precision.lam, dtype=np.float64)
-        elog = np.log(lam)
-    else:
-        post = (gamma_posteriors or {})[cs.precision.group]
-        lam = np.full(cs.m, post.mean())
-        elog = np.full(cs.m, post.expected_log())
-    if isinstance(qy, LowRankGaussian):
-        if np.all(lam == lam[0]):
-            weighted_sq = lam[0] * qy.second_moment(cs.gamma, cs.alpha)
-        else:
-            weighted_sq = sum(
-                lam[m] * qy.second_moment(cs.gamma[m : m + 1], cs.alpha[m : m + 1])
-                for m in range(cs.m)
-            )
-    else:
-        r = cs.gamma @ qy.mean - cs.alpha
-        sq_rows = r * r + np.sum(cs.gamma**2 * qy.var[None, :], axis=1)
-        weighted_sq = float(lam @ sq_rows)
+    post = gamma_posteriors["flux"]
+    weighted_sq = post.mean() * qy.second_moment(cs.gamma, cs.alpha)
+    elog = np.full(cs.m, post.expected_log())
     return -0.5 * weighted_sq + 0.5 * float(np.sum(elog)) - 0.5 * cs.m * LOG_2PI
 
 
@@ -598,7 +573,6 @@ def elbo_virtual(
     observables: list,
     rng: np.random.Generator,
     indices=None,
-    noise=None,
 ):
     """Virtual-observable ELBO block.
 
@@ -610,11 +584,8 @@ def elbo_virtual(
     idx = np.arange(lambdas.shape[0]) if indices is None else np.asarray(indices)
     qys = [state.qy[j] for j in idx]
 
-    def y_draw(i, k):
-        return noise["y"][i][k] if noise is not None else qys[i].sample(rng)
-
     values, theta, factors = _conditional_elbo(
-        state, "o", lambdas, bcs, y_draw, rng, indices, noise
+        state, "o", lambdas, bcs, lambda i, k: qys[i].sample(rng), rng, indices
     )
     value = 0.0
     for v, obs, qy in zip(values, observables, qys):
@@ -692,6 +663,16 @@ def _temper_tau(cfg: TrainConfig, iteration: int) -> float:
     return float(cfg.tau_start * (cfg.tau_end / cfg.tau_start) ** frac)
 
 
+def _plateaued(history: list, w: int) -> bool:
+    """The mean objective of the last w iterations moved by less than
+    PLATEAU_TOL (relative) from that of the w before them."""
+    if len(history) < 2 * w:
+        return False
+    recent = float(np.mean(history[-w:]))
+    before = float(np.mean(history[-2 * w : -w]))
+    return abs(recent - before) / max(abs(before), 1e-12) < PLATEAU_TOL
+
+
 def _estimate_h_mean(state, i, bc, rng):
     """MC estimate of <h(Y(X))> under q(X) for query i."""
     model = state.model
@@ -713,7 +694,7 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
     model = state.model
     sy = model.var_y()
     state.tau = _temper_tau(state.config, state.iteration - state.run_start)
-    flux_moments = {}
+    flux_moments, flux_rows = [], 0
     for i in range(len(virtual)):
         bc = BoundaryCoeffs.from_array(virtual.bcs[i])
         h_mean = _estimate_h_mean(state, i, bc, rng)
@@ -728,12 +709,10 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
             )
             for cs in obs:
                 if isinstance(cs.precision, vobs.Learned):
-                    flux_moments.setdefault(cs.precision.group, ([], cs.m))
-                    flux_moments[cs.precision.group][0].append(
-                        state.qy[i].second_moment(cs.gamma, cs.alpha)
-                    )
-    for group, (moments, m) in flux_moments.items():
-        state.gamma_posteriors[group] = update_precision_gamma(moments, m)
+                    flux_rows = cs.m
+                    flux_moments.append(state.qy[i].second_moment(cs.gamma, cs.alpha))
+    if flux_moments:
+        state.gamma_posteriors["flux"] = update_precision_gamma(flux_moments, flux_rows)
 
 
 def train(
@@ -825,18 +804,17 @@ def train(
             refresh_qy(state, virtual, rng)
 
         history.append(total)
-        if state.iteration % config.log_every == 0 or state.iteration == stop_iteration:
+        plateau = _plateaued(history, config.plateau_window)
+        if (
+            plateau
+            or state.iteration % config.log_every == 0
+            or state.iteration == stop_iteration
+        ):
             log.append(
                 state.iteration, total, f_u, f_l, f_o, time.monotonic() - start
             )
-
-        w = config.plateau_window
-        if len(history) >= 2 * w:
-            recent = float(np.mean(history[-w:]))
-            before = float(np.mean(history[-2 * w : -w]))
-            denom = max(abs(before), 1e-12)
-            if abs(recent - before) / denom < PLATEAU_TOL:
-                break
+        if plateau:
+            break
     return state, log
 
 

@@ -205,30 +205,21 @@ def propagate_uq(
             x.lambda_vec, bc, state, k=1, rng=rng, mode=mode, infer_seed=i
         )
         qoi_surrogate[i] = ps.samples[0, node]
-    result = {"surrogate": qoi_surrogate}
+    series = {"surrogate": qoi_surrogate}
     if with_reference:
         qoi_ref = np.empty(n)
         for i, x in enumerate(fields):
             sys = fem.assemble(model.fine_mesh, x.kappa_vec, bc)
             qoi_ref[i] = fem.solve(sys).y_vec[node]
-        result["reference"] = qoi_ref
-        result["ks"] = ks_statistic(qoi_surrogate, qoi_ref)
-        pooled = np.concatenate([qoi_surrogate, qoi_ref])
-    else:
-        pooled = qoi_surrogate
+        series["reference"] = qoi_ref
+    pooled = np.concatenate(list(series.values()))
     lo, hi = float(pooled.min()), float(pooled.max())
     edges = np.linspace(lo, hi, bins + 1)
-    result["bin_edges"] = edges
-    result["hist_surrogate"] = np.histogram(qoi_surrogate, bins=edges, density=True)[0]
-    if with_reference:
-        result["hist_reference"] = np.histogram(
-            result["reference"], bins=edges, density=True
-        )[0]
     grid = np.linspace(lo, hi, 256)
-    result["kde_grid"] = grid
-    result["kde_surrogate"] = gaussian_kde(qoi_surrogate, bw_method="silverman")(grid)
+    result = {**series, "bin_edges": edges, "kde_grid": grid}
     if with_reference:
-        result["kde_reference"] = gaussian_kde(result["reference"], bw_method="silverman")(
-            grid
-        )
+        result["ks"] = ks_statistic(qoi_surrogate, qoi_ref)
+    for name, qoi in series.items():
+        result[f"hist_{name}"] = np.histogram(qoi, bins=edges, density=True)[0]
+        result[f"kde_{name}"] = gaussian_kde(qoi, bw_method="silverman")(grid)
     return result

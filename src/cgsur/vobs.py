@@ -13,7 +13,7 @@ Residual rows are built in lift form: Dirichlet columns of Gamma are zeroed
 and the right-hand side absorbs the Dirichlet data, so the residual vanishes
 at the exact fine solution and is insensitive to the (known) boundary entries
 of y. Residual families carry exact (infinite) precision; flux rows carry a
-learned precision resolved through a named Gamma-posterior group.
+learned precision, the mean of the one "flux" Gamma posterior.
 
 The energy observable is nonlinear-complete information: it scores y by the
 tempered discrete potential of the fine system.
@@ -53,25 +53,10 @@ class GammaPosterior:
 class Exact:
     """Infinite precision: the constraint manifold is hit exactly."""
 
-    def __repr__(self):
-        return "Exact()"
 
-    def __eq__(self, other):
-        return isinstance(other, Exact)
-
-
-@dataclass
-class Fixed:
-    """Known finite precision per row."""
-
-    lam: np.ndarray
-
-
-@dataclass
 class Learned:
-    """Precision shared by a named group and inferred during training."""
-
-    group: str = "flux"
+    """Precision shared by all flux rows, inferred during training as the
+    "flux" Gamma posterior."""
 
 
 @dataclass
@@ -102,12 +87,7 @@ class LinearConstraintSet:
         """Per-row inverse precision; zeros for exactly enforced rows."""
         if isinstance(self.precision, Exact):
             return np.zeros(self.m)
-        if isinstance(self.precision, Fixed):
-            return 1.0 / np.asarray(self.precision.lam, dtype=np.float64)
-        post = (gamma_posteriors or {}).get(self.precision.group)
-        if post is None:
-            raise KeyError(f"no Gamma posterior for group {self.precision.group!r}")
-        return np.full(self.m, 1.0 / post.mean())
+        return np.full(self.m, 1.0 / gamma_posteriors["flux"].mean())
 
 
 def eval_residual(cs: LinearConstraintSet, y: np.ndarray) -> np.ndarray:
@@ -194,7 +174,6 @@ def build_flux(
     coarse_mesh: fem.Mesh,
     kappa,
     source=0.0,
-    precision_group: str = "flux",
 ) -> LinearConstraintSet:
     """Flux-balance constraints over subdomains matching the coarse cells.
 
@@ -247,7 +226,7 @@ def build_flux(
         per_pixel = src.reshape(d_f, d_f) / (d_f * d_f)
         alpha = per_pixel.reshape(d_c, r, d_c, r).sum(axis=(1, 3)).ravel()
     return LinearConstraintSet(
-        gamma=gamma, alpha=alpha, precision=Learned(precision_group), kind="flux"
+        gamma=gamma, alpha=alpha, precision=Learned(), kind="flux"
     )
 
 

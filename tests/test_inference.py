@@ -10,6 +10,7 @@ from cgsur.inference import (
     Adam,
     DiagGaussian,
     LabeledData,
+    LowRankGaussian,
     TrainConfig,
     UnlabeledData,
     VirtualData,
@@ -27,6 +28,7 @@ from cgsur.inference import (
     update_qy_closedform,
     update_qy_energy,
 )
+from cgsur.seeding import derive_rng
 
 
 def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), mc=1, m2=5):
@@ -61,6 +63,26 @@ def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), mc=1, m2=5):
     return model, cfg, labeled, virtual, state, rng
 
 
+def crn(seed=99):
+    """A fresh generator per call: every ELBO call draws in the same order
+    whatever the parameter values, so equal seeds give common random numbers."""
+    return np.random.default_rng(seed)
+
+
+def learned_set(gamma, alpha, lam):
+    """Flux-like rows with precision lam, held as the mean of a "flux"
+    Gamma posterior; returns the set and the posteriors."""
+    cs = vobs.LinearConstraintSet(
+        gamma=gamma, alpha=alpha, precision=vobs.Learned(), kind="flux"
+    )
+    return cs, {"flux": vobs.GammaPosterior(alpha=lam, beta=1.0)}
+
+
+def diagonal_qy(mean, var):
+    """A q(y) with diagonal covariance (no conditioning rows)."""
+    return LowRankGaussian(mean, var, np.zeros((0, mean.size)), False)
+
+
 class TestClosedFormQy:
     def test_no_constraints_returns_prior(self):
         rng = np.random.default_rng(0)
@@ -76,15 +98,13 @@ class TestClosedFormQy:
         sbar = rng.uniform(0.5, 2.0, d_y)
         gamma = rng.standard_normal((m, d_y))
         alpha = rng.standard_normal(m)
-        lam = rng.uniform(0.5, 4.0, m)
+        lam = rng.uniform(0.5, 4.0)
         h = rng.standard_normal(d_y)
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma, alpha=alpha, precision=vobs.Fixed(lam), kind="cgr"
-        )
-        q = update_qy_closedform(cs, sbar, h)
-        precision = gamma.T @ np.diag(lam) @ gamma + np.diag(1.0 / sbar)
+        cs, posts = learned_set(gamma, alpha, lam)
+        q = update_qy_closedform([cs], sbar, h, posts)
+        precision = lam * gamma.T @ gamma + np.diag(1.0 / sbar)
         sigma = np.linalg.inv(precision)
-        mu = sigma @ (gamma.T @ (lam * alpha) + h / sbar)
+        mu = sigma @ (lam * gamma.T @ alpha + h / sbar)
         assert np.max(np.abs(q.mean - mu)) < 1e-10 * max(np.abs(mu).max(), 1.0)
         assert np.max(np.abs(q.var_diag() - np.diag(sigma))) < 1e-10
 
@@ -93,17 +113,12 @@ class TestClosedFormQy:
         d_y, m = 7, 3
         sbar = rng.uniform(0.5, 2.0, d_y)
         gamma = rng.standard_normal((m, d_y))
-        lam = rng.uniform(0.5, 4.0, m)
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma,
-            alpha=rng.standard_normal(m),
-            precision=vobs.Fixed(lam),
-            kind="cgr",
-        )
-        q = update_qy_closedform(cs, sbar, rng.standard_normal(d_y))
+        lam = rng.uniform(0.5, 4.0)
+        cs, posts = learned_set(gamma, rng.standard_normal(m), lam)
+        q = update_qy_closedform([cs], sbar, rng.standard_normal(d_y), posts)
         assert not q.exact
         # Sigma = diag(sbar) - A^T A, formed densely from its precision
-        sigma = np.linalg.inv(gamma.T @ np.diag(lam) @ gamma + np.diag(1.0 / sbar))
+        sigma = np.linalg.inv(lam * gamma.T @ gamma + np.diag(1.0 / sbar))
         sign, logdet = np.linalg.slogdet(2 * np.pi * np.e * sigma)
         assert sign == 1.0
         assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
@@ -120,7 +135,7 @@ class TestClosedFormQy:
             gamma=g1[None, :], alpha=np.array([a1]), precision=vobs.Exact(), kind="cgr"
         )
         h = rng.standard_normal(d_y)
-        q = update_qy_closedform(cs, sbar, h)
+        q = update_qy_closedform([cs], sbar, h)
         assert g1 @ q.mean == pytest.approx(a1, abs=1e-9)
         # gamma Sigma gamma^T == 0: samples satisfy the constraint exactly
         assert q.second_moment(g1[None, :], np.array([g1 @ q.mean])) < 1e-9
@@ -159,7 +174,7 @@ class TestClosedFormQy:
             gamma=gamma, alpha=np.array([0.5, 0.5]), precision=vobs.Exact(), kind="cgr"
         )
         with pytest.raises(IllConditioned):
-            update_qy_closedform(cs, np.ones(4), np.zeros(4))
+            update_qy_closedform([cs], np.ones(4), np.zeros(4))
 
     def test_sample_statistics(self):
         rng = np.random.default_rng(3)
@@ -167,14 +182,9 @@ class TestClosedFormQy:
         sbar = rng.uniform(0.5, 1.5, d_y)
         gamma = rng.standard_normal((m, d_y))
         alpha = rng.standard_normal(m)
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma,
-            alpha=alpha,
-            precision=vobs.Fixed(np.full(m, 3.0)),
-            kind="cgr",
-        )
+        cs, posts = learned_set(gamma, alpha, 3.0)
         h = rng.standard_normal(d_y)
-        q = update_qy_closedform(cs, sbar, h)
+        q = update_qy_closedform([cs], sbar, h, posts)
         draws = np.array([q.sample(rng) for _ in range(60000)])
         assert np.max(np.abs(draws.mean(axis=0) - q.mean)) < 0.03
         assert np.max(np.abs(draws.var(axis=0) - q.var_diag())) < 0.03
@@ -182,14 +192,9 @@ class TestClosedFormQy:
     def test_row_cap(self):
         sbar = np.ones(4)
         gamma = np.ones((inference.QY_ROW_CAP + 1, 4))
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma,
-            alpha=np.zeros(gamma.shape[0]),
-            precision=vobs.Fixed(np.ones(gamma.shape[0])),
-            kind="cgr",
-        )
-        with pytest.raises(ValueError):
-            update_qy_closedform(cs, sbar, np.zeros(4))
+        cs, posts = learned_set(gamma, np.zeros(gamma.shape[0]), 1.0)
+        with pytest.raises(ValueError, match="cap"):
+            update_qy_closedform([cs], sbar, np.zeros(4), posts)
 
     def test_closed_form_beats_best_diagonal(self):
         # The closed-form q(y) is the unrestricted Gaussian optimum of its
@@ -217,13 +222,13 @@ class TestClosedFormQy:
 class TestGammaUpdate:
     def test_formula_example(self):
         post = update_precision_gamma([0.5], m=2)
-        assert post.alpha == pytest.approx(1.0 + 1e-6)
-        assert post.beta == pytest.approx(0.25 + 1e-6)
+        assert post.alpha == pytest.approx(1.0 + inference.GAMMA_PRIOR)
+        assert post.beta == pytest.approx(0.25 + inference.GAMMA_PRIOR)
 
     def test_defaults(self):
         post = update_precision_gamma([], m=4)
-        assert post.alpha == pytest.approx(1e-6)
-        assert post.beta == pytest.approx(1e-6)
+        assert post.alpha == inference.GAMMA_PRIOR == 1e-6
+        assert post.beta == inference.GAMMA_PRIOR
 
     def test_rejects_negative_moments(self):
         with pytest.raises(ValueError):
@@ -235,13 +240,8 @@ class TestGammaUpdate:
         sbar = rng.uniform(0.5, 2.0, d_y)
         gamma = rng.standard_normal((m, d_y))
         alpha = rng.standard_normal(m)
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma,
-            alpha=alpha,
-            precision=vobs.Fixed(np.full(m, 2.0)),
-            kind="flux",
-        )
-        q = update_qy_closedform(cs, sbar, rng.standard_normal(d_y))
+        cs, posts = learned_set(gamma, alpha, 2.0)
+        q = update_qy_closedform([cs], sbar, rng.standard_normal(d_y), posts)
         analytic = q.second_moment(gamma, alpha)
         n = 40000
         draws = np.array([q.sample(rng) for _ in range(n)])
@@ -361,16 +361,15 @@ class TestElboUnlabeled:
         xs = labeled.lambdas[:n_u]
         state.factors["mu_z_u"] = rng.standard_normal((n_u, model.dim_z)) * 0.1
         state.factors["rho_z_u"] = np.full((n_u, model.dim_z), np.log(0.2))
-        noise = rng.standard_normal((n_u, cfg.mc_samples, model.dim_z))
-        _, _, fgrads = elbo_unlabeled(state, xs, None, noise=noise)
+        _, _, fgrads = elbo_unlabeled(state, xs, crn())
         h = 1e-6
         for (i, j) in [(0, 0), (1, 1)]:
             arr = state.factors["mu_z_u"]
             old = arr[i, j]
             arr[i, j] = old + h
-            vp, _, _ = elbo_unlabeled(state, xs, None, noise=noise)
+            vp, _, _ = elbo_unlabeled(state, xs, crn())
             arr[i, j] = old - h
-            vm, _, _ = elbo_unlabeled(state, xs, None, noise=noise)
+            vm, _, _ = elbo_unlabeled(state, xs, crn())
             arr[i, j] = old
             fd = (vp - vm) / (2 * h)
             assert fgrads["mu_z_u"][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -381,17 +380,16 @@ class TestElboUnlabeled:
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (2, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         rng = np.random.default_rng(3)
-        noise = rng.standard_normal((2, 1, model.dim_z))
-        _, tgrads, _ = elbo_unlabeled(state, unl.lambdas, None, noise=noise)
+        _, tgrads, _ = elbo_unlabeled(state, unl.lambdas, crn())
         h = 1e-6
         for key, net in (("enc_mu", state.enc_mu), ("enc_logvar", state.enc_logvar)):
             idx = rng.choice(net.n_params, size=5, replace=False)
             for i in idx:
                 old = net.params[i]
                 net.params[i] = old + h
-                vp, _, _ = elbo_unlabeled(state, unl.lambdas, None, noise=noise)
+                vp, _, _ = elbo_unlabeled(state, unl.lambdas, crn())
                 net.params[i] = old - h
-                vm, _, _ = elbo_unlabeled(state, unl.lambdas, None, noise=noise)
+                vm, _, _ = elbo_unlabeled(state, unl.lambdas, crn())
                 net.params[i] = old
                 fd = (vp - vm) / (2 * h)
                 assert tgrads[key][i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
@@ -400,28 +398,24 @@ class TestElboUnlabeled:
 class TestElboLabeled:
     def test_plugin_oracle_tight_factors(self):
         # q collapsed to a near-delta at a known (z, X): the estimate equals
-        # the plug-in joint log-density plus the entropies.
+        # the plug-in joint log-density plus the entropies. The variance is
+        # small enough that every draw rounds to the mean.
         model, cfg, labeled, virtual, state, rng = make_problem(seed=1)
         i = 0
         z0 = rng.standard_normal(model.dim_z)
         X0 = rng.standard_normal(model.dim_X) * 0.3
-        tiny = np.log(1e-18)
+        tiny = np.log(1e-300)
         state.factors["mu_z_l"][i] = z0
         state.factors["rho_z_l"][i] = tiny
         state.factors["mu_X_l"][i] = X0
         state.factors["rho_X_l"][i] = tiny
-        noise = {
-            "z": np.zeros((1, 1, model.dim_z)),
-            "X": np.zeros((1, 1, model.dim_X)),
-        }
         value, _, _ = elbo_labeled(
             state,
             labeled.lambdas[:1],
             labeled.ys[:1],
             labeled.bcs[:1],
-            None,
+            rng,
             indices=[i],
-            noise=noise,
         )
         bc = BoundaryCoeffs.from_array(labeled.bcs[0])
         var_z = np.full(model.dim_z, np.exp(tiny))
@@ -449,14 +443,10 @@ class TestElboLabeled:
 
     def test_theta_gradient_through_cgm(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=3, mc=2)
-        noise = {
-            "z": rng.standard_normal((3, 2, model.dim_z)),
-            "X": rng.standard_normal((3, 2, model.dim_X)),
-        }
 
         def value():
             v, th, fa = elbo_labeled(
-                state, labeled.lambdas, labeled.ys, labeled.bcs, None, noise=noise
+                state, labeled.lambdas, labeled.ys, labeled.bcs, crn()
             )
             return v, th
 
@@ -485,13 +475,11 @@ class TestElboVirtual:
         d_y, m = 6, 3
         gamma = rng.standard_normal((m, d_y))
         mu = rng.standard_normal(d_y)
-        lam = rng.uniform(0.5, 3.0, m)
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma, alpha=gamma @ mu, precision=vobs.Fixed(lam), kind="flux"
-        )
-        qy = DiagGaussian(mean=mu, var=np.zeros(d_y))
-        value = expected_constraint_loglik(cs, qy)
-        assert value == pytest.approx(-0.5 * float(np.sum(np.log(2 * np.pi / lam))))
+        cs, posts = learned_set(gamma, gamma @ mu, rng.uniform(0.5, 3.0))
+        qy = diagonal_qy(mu, np.zeros(d_y))
+        value = expected_constraint_loglik(cs, qy, posts)
+        elog = posts["flux"].expected_log()
+        assert value == pytest.approx(0.5 * m * (elog - LOG_2PI))
 
     def test_doubling_lambda_on_violation(self):
         rng = np.random.default_rng(11)
@@ -499,51 +487,43 @@ class TestElboVirtual:
         gamma = rng.standard_normal((m, d_y))
         alpha = np.array([2.0])
         mu = rng.standard_normal(d_y)
-        qy = DiagGaussian(mean=mu, var=np.zeros(d_y))
+        qy = diagonal_qy(mu, np.zeros(d_y))
         sq = float(np.sum((gamma @ mu - alpha) ** 2))
-        lam1 = vobs.LinearConstraintSet(
-            gamma=gamma, alpha=alpha, precision=vobs.Fixed(np.array([1.5])), kind="flux"
+        cs = vobs.LinearConstraintSet(
+            gamma=gamma, alpha=alpha, precision=vobs.Learned(), kind="flux"
         )
-        lam2 = vobs.LinearConstraintSet(
-            gamma=gamma, alpha=alpha, precision=vobs.Fixed(np.array([3.0])), kind="flux"
-        )
-        v1 = expected_constraint_loglik(lam1, qy)
-        v2 = expected_constraint_loglik(lam2, qy)
+        # equal shapes, rates 2 and 1: E[lambda] doubles and E[log lambda]
+        # grows by log 2
+        lam1 = {"flux": vobs.GammaPosterior(alpha=3.0, beta=2.0)}
+        lam2 = {"flux": vobs.GammaPosterior(alpha=3.0, beta=1.0)}
+        v1 = expected_constraint_loglik(cs, qy, lam1)
+        v2 = expected_constraint_loglik(cs, qy, lam2)
         assert (v1 - v2) == pytest.approx(0.5 * 1.5 * sq - 0.5 * np.log(2.0))
 
     def test_analytic_term_matches_mc_2d(self):
         rng = np.random.default_rng(12)
         gamma = np.array([[1.0, -0.5]])
         alpha = np.array([0.3])
-        lam = np.array([2.2])
-        cs = vobs.LinearConstraintSet(
-            gamma=gamma, alpha=alpha, precision=vobs.Fixed(lam), kind="flux"
-        )
-        qy = DiagGaussian(mean=np.array([0.4, -0.1]), var=np.array([0.5, 0.2]))
-        analytic = expected_constraint_loglik(cs, qy)
+        cs, posts = learned_set(gamma, alpha, 2.2)
+        post = posts["flux"]
+        qy = diagonal_qy(np.array([0.4, -0.1]), np.array([0.5, 0.2]))
+        analytic = expected_constraint_loglik(cs, qy, posts)
         n = 1_000_000
-        draws = qy.mean + np.sqrt(qy.var) * rng.standard_normal((n, 2))
+        draws = qy.mean + np.sqrt(qy.var_diag()) * rng.standard_normal((n, 2))
         o = draws @ gamma.T - alpha
-        per = -0.5 * lam[0] * o[:, 0] ** 2 + 0.5 * np.log(lam[0]) - 0.5 * LOG_2PI
+        per = (
+            -0.5 * post.mean() * o[:, 0] ** 2
+            + 0.5 * post.expected_log()
+            - 0.5 * LOG_2PI
+        )
         assert abs(analytic - per.mean()) < 3 * per.std() / np.sqrt(n)
 
     def test_virtual_theta_gradients(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=4, mc=1)
-        y_samps = [[state.qy[i].sample(rng)] for i in range(len(virtual))]
-        noise = {
-            "z": rng.standard_normal((2, 1, model.dim_z)),
-            "X": rng.standard_normal((2, 1, model.dim_X)),
-            "y": y_samps,
-        }
 
         def value():
             v, th, fa = elbo_virtual(
-                state,
-                virtual.lambdas,
-                virtual.bcs,
-                virtual.observables,
-                None,
-                noise=noise,
+                state, virtual.lambdas, virtual.bcs, virtual.observables, crn()
             )
             return v, th
 
@@ -632,29 +612,19 @@ class TestReparametrization:
 class TestTrain:
     def test_elbo_additivity(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=7)
-        noise_l = {
-            "z": rng.standard_normal((3, 1, model.dim_z)),
-            "X": rng.standard_normal((3, 1, model.dim_X)),
-        }
-        y_samps = [[state.qy[i].sample(rng)] for i in range(2)]
-        noise_o = {
-            "z": rng.standard_normal((2, 1, model.dim_z)),
-            "X": rng.standard_normal((2, 1, model.dim_X)),
-            "y": y_samps,
-        }
         v_l1, _, _ = elbo_labeled(
-            state, labeled.lambdas, labeled.ys, labeled.bcs, None, noise=noise_l
+            state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
         v_o1, _, _ = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, None, noise=noise_o
+            state, virtual.lambdas, virtual.bcs, virtual.observables, crn(2)
         )
         v_p1, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         total_once = v_l1 + v_o1 + v_p1
         v_l2, _, _ = elbo_labeled(
-            state, labeled.lambdas, labeled.ys, labeled.bcs, None, noise=noise_l
+            state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
         v_o2, _, _ = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, None, noise=noise_o
+            state, virtual.lambdas, virtual.bcs, virtual.observables, crn(2)
         )
         v_p2, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
@@ -721,6 +691,30 @@ class TestTrain:
         )
         assert post.alpha == pytest.approx(len(virtual) * n_flux / 2 + 1e-6)
         assert post.beta > 1e-6
+
+    def test_plateau_stop_logs_its_iteration(self, monkeypatch):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=15)
+        # every comparison of two full windows reads as a plateau
+        monkeypatch.setattr(inference, "PLATEAU_TOL", np.inf)
+        cfg = TrainConfig(iterations=20, plateau_window=3, log_every=4)
+        state, log = train(model, cfg, labeled=labeled)
+        assert state.iteration == 6
+        assert list(log.column("iter")) == [4, 6]
+
+    def test_unlabeled_minibatch_updates_only_its_rows(self):
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=3)
+        unl = UnlabeledData(np.random.default_rng(4).normal(0.4, 0.8, (5, model.dim_x)))
+        cfg = TrainConfig(iterations=1, unlabeled_batch=2, seed=0)
+        state = init_state(model, cfg, None, unl, None)
+        before = {key: state.factors[key].copy() for key in ("mu_z_u", "rho_z_u")}
+        # the iteration's first draw from the training generator picks the batch
+        batch = derive_rng(cfg.seed, "train").choice(5, size=2, replace=False)
+        state, _ = train(model, cfg, unlabeled=unl, state=state)
+        rest = np.setdiff1d(np.arange(5), batch)
+        for key, old in before.items():
+            new = state.factors[key]
+            assert np.all(new[batch] != old[batch])
+            assert np.array_equal(new[rest], old[rest])
 
 
 class TestAdam:

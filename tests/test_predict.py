@@ -231,6 +231,25 @@ class TestPropagateUq:
         assert out["bin_edges"].shape == (65,)
         assert out["kde_surrogate"].shape == out["kde_grid"].shape
 
+    def test_without_reference_no_fine_solve(self):
+        # prediction never solves the fine system
+        state = plain_state(d_f=4, d_c=2, seed=8)
+        sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
+        fem.reset_solve_counts()
+        out = predict.propagate_uq(
+            sampler, BC_A, state, n=4, rng=np.random.default_rng(9), mode="optimize",
+            with_reference=False,
+        )
+        assert fem.solve_count(4) == 0
+        assert fem.solve_count(2) == 4
+        assert set(out) == {
+            "surrogate", "bin_edges", "hist_surrogate", "kde_grid", "kde_surrogate"
+        }
+        with_ref = predict.propagate_uq(
+            sampler, BC_A, state, n=4, rng=np.random.default_rng(9), mode="optimize"
+        )
+        assert np.array_equal(out["surrogate"], with_ref["surrogate"])
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_inputs_rejected_before_any_draw(self, n):
         state = plain_state(d_f=4, d_c=2, seed=8)

@@ -191,6 +191,16 @@ class TestFlux:
         with pytest.raises(error):
             vobs.build_flux(mesh, fem.build_mesh(2), kappa)
 
+    def test_per_pixel_source_matches_scalar(self):
+        mesh, kappa, _, _, _ = random_problem(8, 21)
+        coarse = fem.build_mesh(2)
+        scalar = vobs.build_flux(mesh, coarse, kappa, source=3.0)
+        per_pixel = vobs.build_flux(
+            mesh, coarse, kappa, source=np.full(mesh.n_pixels, 3.0)
+        )
+        assert np.array_equal(per_pixel.gamma, scalar.gamma)
+        assert np.array_equal(per_pixel.alpha, scalar.alpha)
+
     def test_learned_precision_group(self):
         mesh, kappa, bc, _, _ = random_problem(8, 11)
         cs = vobs.build_flux(mesh, fem.build_mesh(2), kappa)
