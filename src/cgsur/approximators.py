@@ -4,9 +4,14 @@ A network is described by its layer widths (n_0, ..., n_L): layer l maps
 x -> W_l x + b_l with W_l of shape (n_l, n_{l-1}), and tanh follows every
 layer but the last. All parameters live in one flat float64 vector, layer by
 layer with W_l (row-major) before b_l, so optimizers and checkpoints can
-treat a network as a single array. forward() records a tape; backward()
-consumes it once and returns exact gradients of cotangent^T output with
-respect to the parameters and the input.
+treat a network as a single array.
+
+forward() takes a batch of inputs as rows, shape (B, n_0), runs one matmul
+per layer and returns (B, n_L) outputs with a tape; one input of shape (n_0,)
+is a batch of one and gives an output of shape (n_L,). backward() consumes
+the tape once with a cotangent of the output's shape and returns exact
+gradients of sum_rows cotangent . output: the parameter gradient summed over
+the rows, and the input gradient row by row.
 
 Checkpoints of generative models and training states share one on-disk
 format, written by save_arrays and read by load_arrays: <stem>.json holds a
@@ -94,45 +99,58 @@ class Approximator:
         return self.params.size
 
     def forward(self, x: np.ndarray):
-        """Evaluate the network; returns (output, tape)."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != self.input_dim:
+        """Evaluate the network on (B, n_0) rows or one (n_0,) input; returns
+        (output, tape)."""
+        x = np.asarray(x, dtype=np.float64)
+        rows = np.atleast_2d(x)
+        if x.ndim > 2 or rows.shape[1] != self.input_dim:
             raise DimensionMismatch(
-                f"input has size {x.size}, expected {self.input_dim}"
+                f"input has shape {x.shape}, expected rows of width {self.input_dim}"
             )
         layers = self._layers(self.params)
         inputs = []
         for i, (w, b) in enumerate(layers):
-            inputs.append(x)
-            x = w @ x + b
+            inputs.append(rows)
+            rows = rows @ w.T
+            rows += b
             if i + 1 < len(layers):
-                x = np.tanh(x)
-        return x, Tape(inputs)
+                np.tanh(rows, out=rows)
+        return (rows if x.ndim == 2 else rows[0]), Tape(inputs)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, tape: Tape, output_cotangent: np.ndarray):
-        """Reverse pass; returns (param_gradient, input_gradient)."""
+    def backward(self, tape: Tape, output_cotangent: np.ndarray, params: bool = True):
+        """Reverse pass; returns (param_gradient, input_gradient).
+
+        The parameter gradient is summed over the tape's rows; with
+        params=False it is skipped and None is returned in its place.
+        """
         if tape.consumed:
             raise TapeConsumed("tape was already used for a reverse pass")
-        tape.consumed = True
-        cot = np.asarray(output_cotangent, dtype=np.float64).ravel()
-        if cot.size != self.output_dim:
+        cot = np.asarray(output_cotangent, dtype=np.float64)
+        rows = np.atleast_2d(cot)
+        expected = (tape.inputs[0].shape[0], self.output_dim)
+        if cot.ndim > 2 or rows.shape != expected:
             raise DimensionMismatch(
-                f"cotangent has size {cot.size}, expected {self.output_dim}"
+                f"cotangent has shape {cot.shape}, expected {expected} for this tape"
             )
+        tape.consumed = True
         # every slot of gparams is written below, layer by layer
-        gparams = np.empty_like(self.params)
-        layers = zip(self._layers(self.params), self._layers(gparams), tape.inputs)
-        for i, ((w, _), (gw, gb), x) in reversed(list(enumerate(layers))):
-            np.outer(cot, x, out=gw)
-            gb[:] = cot
-            cot = w.T @ cot
+        gparams = np.empty_like(self.params) if params else None
+        layers = self._layers(self.params)
+        grads = self._layers(gparams) if params else ()
+        for i in reversed(range(len(layers))):
+            x = tape.inputs[i]
+            if params:
+                gw, gb = grads[i]
+                np.matmul(rows.T, x, out=gw)
+                rows.sum(axis=0, out=gb)
+            rows = rows @ layers[i][0]
             if i > 0:
                 # x = tanh(a), so d tanh / da = 1 - x^2
-                cot = cot * (1.0 - x**2)
-        return gparams, cot
+                rows *= 1.0 - x**2
+        return gparams, (rows if cot.ndim == 2 else rows[0])
 
 
 def save_arrays(stem, header: dict, arrays: dict) -> None:

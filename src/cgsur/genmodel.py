@@ -12,6 +12,9 @@ All conditional densities are diagonal Gaussians. Methods named *_grads
 return the log-density together with exact gradients for every parameter
 and latent that feeds it, so the trainer can chain terms without a general
 autodiff graph; the coarse solve is differentiated through its adjoint.
+The decoder and coarse-map terms take a batch of (z, x) or (z, X) as rows,
+or one of each as vectors: values and latent gradients come per row, and
+parameter gradients summed over the rows.
 """
 
 from __future__ import annotations
@@ -126,30 +129,30 @@ class GenerativeModel:
     def decode_x(self, z: np.ndarray):
         """Mean and clamped diagonal variance of x given z."""
         out, _ = self.params.decoder.forward(z)
-        mean = out[: self.dim_x]
-        var = clamp_var(np.exp(out[self.dim_x :]))
-        return mean, var
+        return out[..., : self.dim_x], clamp_var(np.exp(out[..., self.dim_x :]))
 
     def logp_x_given_z(self, x: np.ndarray, z: np.ndarray) -> float:
         mean, var = self.decode_x(z)
         return diag_logpdf(x, mean, var)
 
-    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray):
-        """Returns (logpdf, d/dz, {"decoder": d/dtheta_x})."""
+    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray, theta: bool = True):
+        """Returns (logpdf, d/dz, {"decoder": d/dtheta_x}); with theta=False
+        the decoder gradient is not computed and the dict is empty."""
         out, tape = self.params.decoder.forward(z)
-        mean = out[: self.dim_x]
-        raw_exp = np.exp(out[self.dim_x :])
+        mean = out[..., : self.dim_x]
+        raw_exp = np.exp(out[..., self.dim_x :])
         var = clamp_var(raw_exp)
         val = diag_logpdf(x, mean, var)
         g_mean = diag_logpdf_grad_mean(x, mean, var)
         g_var = diag_logpdf_grad_var(x, mean, var) * clamp_gate(raw_exp) * raw_exp
-        gdec, gz = self.params.decoder.backward(tape, np.concatenate([g_mean, g_var]))
-        return val, gz, {"decoder": gdec}
+        cot = np.concatenate([g_mean, g_var], axis=-1)
+        gdec, gz = self.params.decoder.backward(tape, cot, params=theta)
+        return val, gz, ({"decoder": gdec} if theta else {})
 
     # ----- coarse map p(X | z) -----
 
     def coarse_map(self, z: np.ndarray):
-        mean = self.params.W_g @ z + self.params.b_g
+        mean = z @ self.params.W_g.T + self.params.b_g
         var = clamp_var(np.exp(self.params.log_S_X))
         return mean, var
 
@@ -164,14 +167,16 @@ class GenerativeModel:
         raw_exp = np.exp(p.log_S_X)
         val = diag_logpdf(X, mean, var)
         g_mean = diag_logpdf_grad_mean(X, mean, var)
+        g_var = diag_logpdf_grad_var(X, mean, var)
+        g_rows = g_mean.reshape(-1, self.dim_X)
         grads = {
-            "W_g": np.outer(g_mean, z),
-            "b_g": g_mean,
-            "log_S_X": diag_logpdf_grad_var(X, mean, var)
+            "W_g": g_rows.T @ np.reshape(z, (-1, self.dim_z)),
+            "b_g": g_rows.sum(axis=0),
+            "log_S_X": g_var.reshape(-1, self.dim_X).sum(axis=0)
             * clamp_gate(raw_exp)
             * raw_exp,
         }
-        return val, -g_mean, p.W_g.T @ g_mean, grads
+        return val, -g_mean, g_mean @ p.W_g, grads
 
     # ----- CGM -----
 

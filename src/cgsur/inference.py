@@ -17,6 +17,13 @@ observation or a q(y) draw) and in the virtual block's likelihood and q(y)
 entropy terms. Each block draws its noise from the generator it is given, in
 an order that does not depend on the parameter values, so two identically
 seeded generators give common random numbers for finite differences.
+
+A block first draws all its noise, datum by datum, and then runs the
+decoder, the encoders and the coarse map once over all n * mc_samples
+(datum, draw) rows; parameter gradients come back summed over the rows.
+Only log p(y | X) stays one call per row: each row's coarse system is
+factorized on its own, and fem.SOLVE_COUNTS, which the benchmark checks
+against its traced fem.solve calls, counts one solve per call.
 """
 
 from __future__ import annotations
@@ -375,15 +382,37 @@ def init_state(
 
 
 class GradStore(dict):
-    def add(self, key, value):
-        if key in self:
-            self[key] += value
-        else:
-            self[key] = np.array(value, dtype=np.float64)
+    """Gradients summed key by key over the dicts given to add()."""
+
+    def add(self, *grads):
+        for g in grads:
+            for key, value in g.items():
+                if key in self:
+                    self[key] += value
+                else:
+                    self[key] = np.array(value, dtype=np.float64)
 
 
 def _q_draw(mu, rho, eps):
-    return mu + np.exp(0.5 * rho) * eps
+    """Rows of reparametrized draws: eps is (n, mc, d) for the n rows of
+    (mu, rho); returns the draws as (n * mc, d) rows, datum by datum."""
+    return (mu[:, None] + np.exp(0.5 * rho)[:, None] * eps).reshape(-1, mu.shape[1])
+
+
+def _q_terms(mu, rho, g, eps, prior: bool):
+    """Closed forms of q = N(mu, diag exp(rho)) per datum: its entropy, plus
+    E_q[log N(0, I)] when `prior`. Returns their values and their (mu, rho)
+    gradients plus those of the MC average of a term whose gradients at the
+    draws _q_draw(mu, rho, eps) are the rows g."""
+    var = np.exp(rho)
+    g = g.reshape(eps.shape)
+    value = entropy_diag(var)
+    d_mu = g.mean(axis=1)
+    d_rho = 0.5 * np.exp(0.5 * rho) * (g * eps).mean(axis=1) + 0.5
+    if prior:
+        value = value + standard_logpdf_expectation(mu, var)
+        d_mu, d_rho = d_mu - mu, d_rho - 0.5 * var
+    return value, d_mu, d_rho
 
 
 def elbo_unlabeled(
@@ -399,63 +428,36 @@ def elbo_unlabeled(
     entropy are closed forms. Returns (value, theta_grads, factor_grads).
     """
     model = state.model
-    cfg = state.config
+    mc = state.config.mc_samples
     n = lambdas.shape[0]
-    amortized = state.enc_mu is not None
-    theta = GradStore()
-    factors = GradStore()
-    if not amortized:
+    if state.enc_mu is not None:
+        mu, tape_mu = state.enc_mu.forward(lambdas)
+        rho, tape_rho = state.enc_logvar.forward(lambdas)
+    else:
         idx = np.arange(n) if indices is None else np.asarray(indices)
-        g_mu = np.zeros((n, model.dim_z))
-        g_rho = np.zeros((n, model.dim_z))
-    value = 0.0
-    for i in range(n):
-        x = lambdas[i]
-        if amortized:
-            mu, tape_mu = state.enc_mu.forward(x)
-            rho, tape_rho = state.enc_logvar.forward(x)
-        else:
-            mu = state.factors["mu_z_u"][idx[i]]
-            rho = state.factors["rho_z_u"][idx[i]]
-        var = np.exp(rho)
-        acc_gz = np.zeros(model.dim_z)
-        acc_gz_eps = np.zeros(model.dim_z)
-        lik = 0.0
-        eps_block = rng.standard_normal((cfg.mc_samples, model.dim_z))
-        for k in range(cfg.mc_samples):
-            eps = eps_block[k]
-            z = _q_draw(mu, rho, eps)
-            lp, gz, gdec = model.logp_x_given_z_grads(x, z)
-            lik += lp / cfg.mc_samples
-            acc_gz += gz / cfg.mc_samples
-            acc_gz_eps += gz * eps / cfg.mc_samples
-            theta.add("decoder", scale * gdec["decoder"] / cfg.mc_samples)
-        value += lik + standard_logpdf_expectation(mu, var) + entropy_diag(var)
-        std = np.exp(0.5 * rho)
-        dmu = acc_gz - mu
-        drho = 0.5 * std * acc_gz_eps - 0.5 * var + 0.5
-        if amortized:
-            g_enc_mu, _ = state.enc_mu.backward(tape_mu, dmu)
-            g_enc_rho, _ = state.enc_logvar.backward(tape_rho, drho)
-            theta.add("enc_mu", scale * g_enc_mu)
-            theta.add("enc_logvar", scale * g_enc_rho)
-        else:
-            g_mu[i] = dmu
-            g_rho[i] = drho
-    if not amortized and n:
-        factors.add("mu_z_u", scale * g_mu)
-        factors.add("rho_z_u", scale * g_rho)
-    return scale * value, theta, factors
+        mu, rho = state.factors["mu_z_u"][idx], state.factors["rho_z_u"][idx]
+    eps = rng.standard_normal((n, mc, model.dim_z))
+    lp, gz, gdec = model.logp_x_given_z_grads(
+        np.repeat(lambdas, mc, axis=0), _q_draw(mu, rho, eps)
+    )
+    closed, g_mu, g_rho = _q_terms(mu, rho, gz, eps, prior=True)
+    value = scale * np.sum(lp.reshape(n, mc).mean(axis=1) + closed)
+    theta = {"decoder": gdec["decoder"] * (scale / mc)}
+    if state.enc_mu is None:
+        return value, theta, {"mu_z_u": scale * g_mu, "rho_z_u": scale * g_rho}
+    theta["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0] * scale
+    theta["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0] * scale
+    return value, theta, {}
 
 
 def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
-    """Per-datum body shared by the labeled and virtual blocks.
+    """Body shared by the labeled and virtual blocks.
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
     solve inside log p(y|X), plus the closed-form z prior cross term and the
     (z, X) entropies. They differ only in where y comes from: y_draw(i, k)
-    returns an observation or a q(y) draw, and is called after the k-th
-    (z, X) draw so the generator stream matches the block's own order.
+    returns an observation or a q(y) draw, and is called after datum i's
+    (z, X) draws so the generator stream matches the block's own order.
     Factor keys end in `suffix`. Returns (per-datum values, theta_grads,
     factor_grads).
     """
@@ -463,54 +465,30 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     mc = state.config.mc_samples
     n = lambdas.shape[0]
     idx = np.arange(n) if indices is None else np.asarray(indices)
-    theta = GradStore()
-    factors = GradStore()
-    names = ("mu_z", "rho_z", "mu_X", "rho_X")
-    rows = [state.factors[f"{name}_{suffix}"][idx] for name in names]
-    g = {name: np.zeros_like(r) for name, r in zip(names, rows)}
-    values = []
+    keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
+    mu_z, rho_z, mu_X, rho_X = (state.factors[key][idx] for key in keys)
+    eps_z, eps_X, ys = [], [], []
     for i in range(n):
-        x = lambdas[i]
-        bc = BoundaryCoeffs.from_array(bcs[i])
-        mu_z, rho_z, mu_X, rho_X = (r[i] for r in rows)
-        eps_z_blk = rng.standard_normal((mc, model.dim_z))
-        eps_X_blk = rng.standard_normal((mc, model.dim_X))
-        acc_gz = np.zeros(model.dim_z)
-        acc_gX = np.zeros(model.dim_X)
-        acc_gz_eps = np.zeros(model.dim_z)
-        acc_gX_eps = np.zeros(model.dim_X)
-        lik = 0.0
-        for k in range(mc):
-            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
-            z = _q_draw(mu_z, rho_z, eps_z)
-            X = _q_draw(mu_X, rho_X, eps_X)
-            lp_y, gX_y, gy_theta = model.logp_y_given_X_grads(y_draw(i, k), X, bc)
-            lp_x, gz_x, gdec = model.logp_x_given_z_grads(x, z)
-            lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-            for key, val in (*gy_theta.items(), *gdec.items(), *gcm.items()):
-                theta.add(key, val / mc)
-            gz = gz_x + gz_X
-            gX = gX_y + gX_X
-            lik += (lp_y + (lp_x + lp_X)) / mc
-            acc_gz += gz / mc
-            acc_gX += gX / mc
-            acc_gz_eps += gz * eps_z / mc
-            acc_gX_eps += gX * eps_X / mc
-        var_z, var_X = np.exp(rho_z), np.exp(rho_X)
-        values.append(
-            lik
-            + standard_logpdf_expectation(mu_z, var_z)
-            + entropy_diag(var_z)
-            + entropy_diag(var_X)
-        )
-        std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
-        g["mu_z"][i] = acc_gz - mu_z
-        g["rho_z"][i] = 0.5 * std_z * acc_gz_eps - 0.5 * var_z + 0.5
-        g["mu_X"][i] = acc_gX
-        g["rho_X"][i] = 0.5 * std_X * acc_gX_eps + 0.5
-    for name, arr in g.items():
-        factors.add(f"{name}_{suffix}", arr)
-    return values, theta, factors
+        eps_z.append(rng.standard_normal((mc, model.dim_z)))
+        eps_X.append(rng.standard_normal((mc, model.dim_X)))
+        ys += [y_draw(i, k) for k in range(mc)]
+    eps_z, eps_X = np.array(eps_z), np.array(eps_X)
+    z, X = _q_draw(mu_z, rho_z, eps_z), _q_draw(mu_X, rho_X, eps_X)
+
+    theta = GradStore()
+    lp_y, gX_y = np.empty(n * mc), np.empty_like(X)
+    for r in range(n * mc):
+        bc = BoundaryCoeffs.from_array(bcs[r // mc])
+        lp_y[r], gX_y[r], grads = model.logp_y_given_X_grads(ys[r], X[r], bc)
+        theta.add(grads)
+    lp_x, gz_x, gdec = model.logp_x_given_z_grads(np.repeat(lambdas, mc, axis=0), z)
+    lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
+    theta = {key: val / mc for key, val in {**theta, **gdec, **gcm}.items()}
+
+    closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
+    closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
+    values = (lp_y + (lp_x + lp_X)).reshape(n, mc).mean(axis=1) + closed_z + closed_X
+    return values, theta, dict(zip(keys, [*g_z, *g_X]))
 
 
 def elbo_labeled(
@@ -525,10 +503,7 @@ def elbo_labeled(
     values, theta, factors = _conditional_elbo(
         state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices
     )
-    value = 0.0
-    for v in values:  # left to right; sum() compensates from Python 3.12 on
-        value += v
-    return value, theta, factors
+    return np.sum(values), theta, factors
 
 
 def expected_constraint_loglik(cs: LinearConstraintSet, qy, gamma_posteriors):
@@ -587,9 +562,8 @@ def elbo_virtual(
     values, theta, factors = _conditional_elbo(
         state, "o", lambdas, bcs, lambda i, k: qys[i].sample(rng), rng, indices
     )
-    value = 0.0
-    for v, obs, qy in zip(values, observables, qys):
-        value += v
+    value = np.sum(values)
+    for obs, qy in zip(observables, qys):
         if isinstance(obs, EnergyObservable):
             value += _energy_likelihood_value(obs.system, qy, state.tau)
         else:
@@ -603,11 +577,9 @@ def prior_logpdf_theta(arrays: dict, prior_scale: float):
     Returns (value up to an additive constant, gradients)."""
     inv_var = 1.0 / (prior_scale * prior_scale)
     value = 0.0
-    grads = GradStore()
-    for key, arr in arrays.items():
+    for arr in arrays.values():
         value += -0.5 * inv_var * float(np.sum(arr * arr))
-        grads.add(key, -inv_var * arr)
-    return value, grads
+    return value, {key: -inv_var * arr for key, arr in arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +608,24 @@ class Adam:
             if key not in self.m:
                 self.m[key] = np.zeros_like(arr)
                 self.v[key] = np.zeros_like(arr)
-            sel = (rows or {}).get(key, slice(None))
             m, v = self.m[key], self.v[key]
-            m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
-            v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
-            arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
+            if rows and key in rows:
+                sel = rows[key]
+                m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
+                v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
+                arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
+                continue
+            m *= self.beta1
+            m += (1 - self.beta1) * gradient
+            v *= self.beta2
+            v += (1 - self.beta2) * (gradient * gradient)
+            # the row branch's update, in place where it gives the same bits
+            den = np.sqrt(v / b2c)
+            den += self.eps
+            step = m / b1c
+            step *= self.lr
+            step /= den
+            arr += step
 
 
 @dataclass
@@ -755,7 +740,7 @@ def train(
     while state.iteration < stop_iteration:
         state.iteration += 1
         f_u = f_l = f_o = 0.0
-        blocks = []
+        grads = GradStore()
         rows = {}
 
         if n_u:
@@ -767,30 +752,22 @@ def train(
             f_u, th, fa = elbo_unlabeled(
                 state, unlabeled.lambdas[batch], rng, indices=batch, scale=scale_u
             )
-            blocks.append((th, fa))
+            grads.add(th, fa)
             rows = dict.fromkeys(fa, batch)
         if n_l:
             f_l, th, fa = elbo_labeled(
                 state, labeled.lambdas, labeled.ys, labeled.bcs, rng
             )
-            blocks.append((th, fa))
+            grads.add(th, fa)
         if virtual is not None:
             f_o, th, fa = elbo_virtual(
                 state, virtual.lambdas, virtual.bcs, virtual.observables, rng
             )
-            blocks.append((th, fa))
+            grads.add(th, fa)
         f_prior, prior_grads = prior_logpdf_theta(
             state.model.params.arrays(), THETA_PRIOR_SCALE
         )
-        blocks.append((prior_grads, {}))
-
-        theta_grads = GradStore()
-        factor_grads = GradStore()
-        for th, fa in blocks:
-            for key, val in th.items():
-                theta_grads.add(key, val)
-            for key, val in fa.items():
-                factor_grads.add(key, val)
+        grads.add(prior_grads)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):
             raise NonFiniteLoss(
@@ -798,7 +775,7 @@ def train(
                 f"F_u={f_u:.3e} F_l={f_l:.3e} F_O={f_o:.3e} prior={f_prior:.3e}"
             )
 
-        adam.step(state.adam_arrays(), {**theta_grads, **factor_grads}, rows=rows)
+        adam.step(state.adam_arrays(), grads, rows=rows)
 
         if virtual is not None and state.iteration % config.cadence == 0:
             refresh_qy(state, virtual, rng)

@@ -70,7 +70,7 @@ def infer_z(
         eps = rng.standard_normal(model.dim_z)
         std = np.exp(0.5 * rho)
         z = mu + std * eps
-        lp, gz, _ = model.logp_x_given_z_grads(x, z)
+        lp, gz, _ = model.logp_x_given_z_grads(x, z, theta=False)
         var = np.exp(rho)
         obj = lp - kl_diag_standard(mu, var)
         objective.append(obj)
@@ -152,8 +152,7 @@ def logscore(y_true: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
     var = np.asarray(var, dtype=np.float64)
     if np.any(var <= 0.0):
         raise NonPositiveVariance("predictive variances must be positive")
-    n = y_true.shape[0]
-    return sum(diag_logpdf(y_true[i], mean[i], var[i]) for i in range(n)) / n
+    return float(np.mean(diag_logpdf(y_true, mean, var)))
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

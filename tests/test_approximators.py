@@ -80,6 +80,16 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             net(np.zeros(5))
 
+    def test_rows_of_wrong_width_rejected(self):
+        net = ap.Approximator((3, 4, 2))
+        with pytest.raises(DimensionMismatch, match="shape"):
+            net.forward(np.zeros((6, 4)))
+
+    def test_three_dimensional_input_rejected(self):
+        net = ap.Approximator((3, 4, 2))
+        with pytest.raises(DimensionMismatch, match="shape"):
+            net.forward(np.zeros((2, 5, 3)))
+
     @pytest.mark.parametrize("sizes", [(3,), (3, 0, 2)])
     def test_widths_validated(self, sizes):
         with pytest.raises(ValueError, match="layer widths"):
@@ -115,6 +125,16 @@ class TestBackward:
         _, tape = net.forward(np.ones(3))
         gp, gx = net.backward(tape, np.zeros(2))
         assert np.all(gp == 0) and np.all(gx == 0)
+
+    def test_cotangent_batch_must_match_tape(self):
+        net = ap.Approximator((3, 4, 2), seed=1)
+        _, tape = net.forward(np.ones((3, 3)))
+        for cot in (np.ones((2, 2)), np.ones(2)):
+            with pytest.raises(DimensionMismatch, match="tape"):
+                net.backward(tape, cot)
+        # a rejected cotangent leaves the tape usable
+        gp, gx = net.backward(tape, np.ones((3, 2)))
+        assert gp.shape == (net.n_params,) and gx.shape == (3, 3)
 
     def test_tape_single_use(self):
         net = ap.Approximator((2, 3, 1), seed=0)
@@ -192,3 +212,61 @@ class TestCheckpoint:
     def test_blob_size_checked(self):
         with pytest.raises(DimensionMismatch):
             ap.Approximator((3, 4, 2), params=np.zeros(7))
+
+
+def per_row(net, xs, cots):
+    """The looped reference: one forward/backward per row, parameter
+    gradients summed and input gradients stacked."""
+    outs, gps, gxs = [], [], []
+    for x, cot in zip(xs, cots):
+        out, tape = net.forward(x)
+        gp, gx = net.backward(tape, cot)
+        outs.append(out)
+        gps.append(gp)
+        gxs.append(gx)
+    return np.array(outs), np.sum(gps, axis=0), np.array(gxs)
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestBatch:
+    # the decoder and encoder shapes of a (16, 4) model with default widths
+    SHAPES = {"decoder": (8, 128, 256, 512), "encoder": (256, 256, 128, 8)}
+
+    @pytest.mark.parametrize("shape", ["decoder", "encoder"])
+    @pytest.mark.parametrize("batch", [1, 3, 48])
+    def test_matches_per_row_calls(self, shape, batch):
+        net = ap.Approximator(self.SHAPES[shape], seed=5)
+        rng = np.random.default_rng(batch)
+        xs = rng.standard_normal((batch, net.input_dim))
+        cots = rng.standard_normal((batch, net.output_dim))
+        out, tape = net.forward(xs)
+        gp, gx = net.backward(tape, cots)
+        ref_out, ref_gp, ref_gx = per_row(net, xs, cots)
+        assert out.shape == ref_out.shape and gx.shape == ref_gx.shape
+        assert max_rel(out, ref_out) <= 1e-13
+        assert max_rel(gp, ref_gp) <= 1e-13
+        assert max_rel(gx, ref_gx) <= 1e-13
+
+    def test_vector_is_a_batch_of_one(self):
+        net = ap.Approximator((3, 5, 2), seed=2)
+        x, cot = np.array([0.3, -1.2, 0.8]), np.array([1.5, -0.5])
+        out, tape = net.forward(x)
+        gp, gx = net.backward(tape, cot)
+        out2, tape2 = net.forward(x[None, :])
+        gp2, gx2 = net.backward(tape2, cot[None, :])
+        assert out.shape == (2,) and gx.shape == (3,)
+        assert np.array_equal(out2[0], out) and np.array_equal(gx2[0], gx)
+        assert np.array_equal(gp2, gp)
+
+    def test_input_gradient_alone(self):
+        net = ap.Approximator((3, 5, 2), seed=3)
+        xs = np.random.default_rng(4).standard_normal((4, 3))
+        cots = np.ones((4, 2))
+        _, tape = net.forward(xs)
+        gp, gx = net.backward(tape, cots)
+        _, tape = net.forward(xs)
+        none, gx_alone = net.backward(tape, cots, params=False)
+        assert none is None and np.array_equal(gx_alone, gx)

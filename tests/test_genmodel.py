@@ -9,6 +9,11 @@ from cgsur.genmodel import GenerativeModel
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
 
+def max_rel(a, b):
+    b = np.asarray(b)
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 def small_model(seed=0):
     # d_f = 4, d_c = 2; tiny decoder keeps finite differences cheap
     return GenerativeModel(4, 2, decoder_hidden=(6,), seed=seed)
@@ -99,6 +104,28 @@ class TestDecoder:
             assert gz[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+    def test_rows_match_single_calls(self):
+        m = GenerativeModel(4, 2, decoder_hidden=(6, 5), seed=3)
+        rng = np.random.default_rng(6)
+        zs = rng.standard_normal((5, m.dim_z))
+        xs = rng.normal(0.4, 0.8, (5, m.dim_x))
+        val, gz, grads = m.logp_x_given_z_grads(xs, zs)
+        singles = [m.logp_x_given_z_grads(x, z) for x, z in zip(xs, zs)]
+        assert val.shape == (5,) and gz.shape == zs.shape
+        assert max_rel(val, [v for v, _, _ in singles]) <= 1e-13
+        assert max_rel(gz, [g for _, g, _ in singles]) <= 1e-13
+        ref = np.sum([g["decoder"] for _, _, g in singles], axis=0)
+        assert max_rel(grads["decoder"], ref) <= 1e-13
+
+    def test_z_gradient_alone(self):
+        m = small_model(seed=2)
+        rng = np.random.default_rng(7)
+        z, x = rng.standard_normal(m.dim_z), rng.normal(0.4, 0.8, m.dim_x)
+        val, gz, _ = m.logp_x_given_z_grads(x, z)
+        val2, gz2, grads = m.logp_x_given_z_grads(x, z, theta=False)
+        assert grads == {} and val2 == val and np.array_equal(gz2, gz)
+
+
 class TestCoarseMap:
     def test_zero_weights_give_bias(self):
         m = small_model()
@@ -141,6 +168,20 @@ class TestCoarseMap:
             Xm[i] -= h
             fd = (m.logp_X_given_z(Xp, z) - m.logp_X_given_z(Xm, z)) / (2 * h)
             assert gX[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_rows_match_single_calls(self):
+        m = small_model(seed=8)
+        rng = np.random.default_rng(9)
+        zs = rng.standard_normal((6, m.dim_z))
+        Xs = rng.normal(0.4, 0.5, (6, m.dim_X))
+        val, gX, gz, grads = m.logp_X_given_z_grads(Xs, zs)
+        singles = [m.logp_X_given_z_grads(X, z) for X, z in zip(Xs, zs)]
+        assert val.shape == (6,) and gX.shape == Xs.shape and gz.shape == zs.shape
+        for j, batched in enumerate((val, gX, gz)):
+            assert max_rel(batched, [single[j] for single in singles]) <= 1e-13
+        for key in ("W_g", "b_g", "log_S_X"):
+            ref = np.sum([single[3][key] for single in singles], axis=0)
+            assert max_rel(grads[key], ref) <= 1e-13
 
 
 class TestCgm:

@@ -565,6 +565,167 @@ class TestElboVirtual:
         assert isinstance(state.qy[0], DiagGaussian)
 
 
+def _add(grads, key, value):
+    grads[key] = grads[key] + value if key in grads else np.array(value)
+
+
+def _closed_z(mu, var):
+    """E_q[log N(z | 0, I)] plus the entropy of q = N(mu, diag var)."""
+    d = mu.size
+    prior = -0.5 * (d * LOG_2PI + float(np.sum(mu * mu + var)))
+    return prior + 0.5 * float(np.sum(np.log(var) + LOG_2PI + 1.0))
+
+
+def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
+    """Reference for elbo_unlabeled: one decoder (and encoder) call per datum
+    and draw, noise drawn datum by datum."""
+    model, mc = state.model, state.config.mc_samples
+    n, dz = lambdas.shape[0], model.dim_z
+    idx = np.arange(n) if indices is None else np.asarray(indices)
+    amortized = state.enc_mu is not None
+    value, theta = 0.0, {}
+    factors = {"mu_z_u": np.zeros((n, dz)), "rho_z_u": np.zeros((n, dz))}
+    for i, x in enumerate(lambdas):
+        if amortized:
+            mu, tape_mu = state.enc_mu.forward(x)
+            rho, tape_rho = state.enc_logvar.forward(x)
+        else:
+            mu, rho = state.factors["mu_z_u"][idx[i]], state.factors["rho_z_u"][idx[i]]
+        var, std = np.exp(rho), np.exp(0.5 * rho)
+        acc_gz, acc_gz_eps = np.zeros(dz), np.zeros(dz)
+        for eps in rng.standard_normal((mc, dz)):
+            lp, gz, gdec = model.logp_x_given_z_grads(x, mu + std * eps)
+            value += scale * lp / mc
+            acc_gz += gz / mc
+            acc_gz_eps += gz * eps / mc
+            _add(theta, "decoder", scale * gdec["decoder"] / mc)
+        value += scale * _closed_z(mu, var)
+        d_mu = acc_gz - mu
+        d_rho = 0.5 * std * acc_gz_eps - 0.5 * var + 0.5
+        if amortized:
+            _add(theta, "enc_mu", scale * state.enc_mu.backward(tape_mu, d_mu)[0])
+            _add(theta, "enc_logvar", scale * state.enc_logvar.backward(tape_rho, d_rho)[0])
+        else:
+            factors["mu_z_u"][i] = scale * d_mu
+            factors["rho_z_u"][i] = scale * d_rho
+    return value, theta, {} if amortized else factors
+
+
+def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
+    """Reference for the labeled/virtual body: one decoder, coarse-map and
+    coarse-solve call per datum and draw, y drawn after each datum's (z, X)
+    noise."""
+    model, mc = state.model, state.config.mc_samples
+    n = lambdas.shape[0]
+    idx = np.arange(n) if indices is None else np.asarray(indices)
+    names = ("mu_z", "rho_z", "mu_X", "rho_X")
+    rows = [state.factors[f"{name}_{suffix}"][idx] for name in names]
+    factors = {f"{name}_{suffix}": np.zeros_like(r) for name, r in zip(names, rows)}
+    values, theta = [], {}
+    for i in range(n):
+        bc = BoundaryCoeffs.from_array(bcs[i])
+        mu_z, rho_z, mu_X, rho_X = (r[i] for r in rows)
+        std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
+        eps_z_blk = rng.standard_normal((mc, model.dim_z))
+        eps_X_blk = rng.standard_normal((mc, model.dim_X))
+        acc = [np.zeros(d) for d in (model.dim_z, model.dim_X) * 2]
+        lik = 0.0
+        for k in range(mc):
+            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
+            z, X = mu_z + std_z * eps_z, mu_X + std_X * eps_X
+            lp_y, gX_y, gy = model.logp_y_given_X_grads(y_draw(i, k), X, bc)
+            lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas[i], z)
+            lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
+            for key, val in (*gy.items(), *gdec.items(), *gcm.items()):
+                _add(theta, key, val / mc)
+            lik += (lp_y + lp_x + lp_X) / mc
+            gz, gX = gz_x + gz_X, gX_y + gX_X
+            for j, term in enumerate((gz, gX, gz * eps_z, gX * eps_X)):
+                acc[j] += term / mc
+        var_z, var_X = np.exp(rho_z), np.exp(rho_X)
+        values.append(lik + _closed_z(mu_z, var_z) + 0.5 * np.sum(np.log(var_X) + LOG_2PI + 1))
+        grads = (
+            acc[0] - mu_z,
+            0.5 * std_z * acc[2] - 0.5 * var_z + 0.5,
+            acc[1],
+            0.5 * std_X * acc[3] + 0.5,
+        )
+        for name, g in zip(names, grads):
+            factors[f"{name}_{suffix}"][i] = g
+    return values, theta, factors
+
+
+def assert_blocks_agree(batched, looped, rtol=1e-12):
+    value, theta, factors = batched
+    ref_value, ref_theta, ref_factors = looped
+    assert value == pytest.approx(ref_value, rel=rtol)
+    for got, ref in ((theta, ref_theta), (factors, ref_factors)):
+        assert got.keys() == ref.keys()
+        for key, arr in ref.items():
+            assert np.shape(got[key]) == np.shape(arr)
+            assert np.max(np.abs(got[key] - arr)) <= rtol * np.max(np.abs(arr)), key
+
+
+class TestBlocksAgainstLoops:
+    """Each ELBO block against its per-datum, per-draw loop: the same values
+    and gradients, and the generator left at the same stream position."""
+
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_unlabeled_factors(self, mc):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=5, mc=mc)
+        state.factors["mu_z_u"] = rng.standard_normal((4, model.dim_z)) * 0.3
+        state.factors["rho_z_u"] = rng.uniform(-2.0, 0.0, (4, model.dim_z))
+        xs, batch = labeled.lambdas[:2], np.array([3, 1])
+        rng_a, rng_b = crn(), crn()
+        batched = elbo_unlabeled(state, xs, rng_a, indices=batch, scale=1.7)
+        looped = looped_unlabeled(state, xs, rng_b, indices=batch, scale=1.7)
+        assert_blocks_agree(batched, looped)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_unlabeled_amortized(self):
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
+        cfg = TrainConfig(mc_samples=2, amortized=True, encoder_hidden=(7,), seed=0)
+        unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
+        state = init_state(model, cfg, None, unl, None)
+        rng_a, rng_b = crn(), crn()
+        batched = elbo_unlabeled(state, unl.lambdas, rng_a, scale=0.6)
+        looped = looped_unlabeled(state, unl.lambdas, rng_b, scale=0.6)
+        assert_blocks_agree(batched, looped)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_labeled(self, mc):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=6, mc=mc)
+        rng_a, rng_b = crn(), crn()
+        batched = elbo_labeled(
+            state, labeled.lambdas[1:], labeled.ys[1:], labeled.bcs[1:], rng_a, indices=[2, 0]
+        )
+        values, theta, factors = looped_conditional(
+            state, "l", labeled.lambdas[1:], labeled.bcs[1:],
+            lambda i, k: labeled.ys[1 + i], rng_b, indices=[2, 0],
+        )
+        assert_blocks_agree(batched, (sum(values), theta, factors))
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    @pytest.mark.parametrize("mc", [1, 2])
+    def test_virtual_hybrid(self, mc):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=8, mc=mc)
+        rng_a, rng_b = crn(), crn()
+        batched = elbo_virtual(
+            state, virtual.lambdas, virtual.bcs, virtual.observables, rng_a
+        )
+        values, theta, factors = looped_conditional(
+            state, "o", virtual.lambdas, virtual.bcs,
+            lambda i, k: state.qy[i].sample(rng_b), rng_b,
+        )
+        value = sum(values) + sum(
+            inference._constraint_likelihood_value(obs, qy, state.gamma_posteriors)
+            for obs, qy in zip(virtual.observables, state.qy)
+        )
+        assert_blocks_agree(batched, (value, theta, factors))
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
 class TestPriorTheta:
     def test_zero_is_maximum(self):
         arrays = {"a": np.zeros(5), "b": np.zeros((2, 2))}
@@ -718,6 +879,20 @@ class TestTrain:
 
 
 class TestAdam:
+    def test_full_update_matches_row_update_bits(self):
+        # the in-place full-array update against the row-subset expression
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal((5, 3))
+        full, rows = {"a": start.copy()}, {"a": start.copy()}
+        adam_full, adam_rows = Adam(lr=0.01), Adam(lr=0.01)
+        for _ in range(4):
+            g = rng.standard_normal((5, 3))
+            adam_full.step(full, {"a": g})
+            adam_rows.step(rows, {"a": g}, rows={"a": np.arange(5)})
+        assert np.array_equal(full["a"], rows["a"])
+        assert np.array_equal(adam_full.m["a"], adam_rows.m["a"])
+        assert np.array_equal(adam_full.v["a"], adam_rows.v["a"])
+
     def test_full_and_row_subset_updates(self):
         params = {"w": np.zeros(3), "rows": np.zeros((4, 2))}
         adam = Adam(lr=0.1)

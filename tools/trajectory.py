@@ -1,6 +1,6 @@
 """Record a fixed set of training and prediction results, or compare two records.
 
-    python tools/trajectory.py OUT.npz [REF.npz]
+    python tools/trajectory.py OUT.npz [REF.npz [--rtol R]]
 
 Runs the set-ups of the benchmark workloads at seed 7 with one BLAS thread
 and writes, to OUT.npz:
@@ -12,8 +12,11 @@ and writes, to OUT.npz:
 - uq-64x8: the surrogate QoI of one propagate_uq call.
 
 Given REF.npz, it prints the max abs/rel difference of every array that is
-not bit-identical to the reference's, and exits with status 1 unless every
-array is bit-identical and both files hold the same arrays.
+not bit-identical to the reference's, and exits with status 1 unless both
+files hold the same arrays and every array is bit-identical. With --rtol R
+an array also passes when its max abs difference is at most R times the max
+abs of the reference array: a change that only reorders floating-point sums
+passes at R = 1e-10, where a changed result does not.
 
 The program is imported from the `src/` next to this file and the workloads
 from `bench/workloads.py`, which is only read. To record another commit,
@@ -22,6 +25,7 @@ run a copy of this file from a checkout of that commit.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
@@ -59,11 +63,11 @@ def record() -> dict:
     return out
 
 
-def compare(new: dict, ref: dict) -> bool:
+def compare(new: dict, ref: dict, rtol: float = 0.0) -> bool:
     import numpy as np
 
     keys = sorted(new.keys() | ref.keys())
-    identical = 0
+    identical = within = 0
     for key in keys:
         if key not in ref or key not in new:
             print(f"{key}: only in {'OUT' if key in new else 'REF'}")
@@ -77,15 +81,26 @@ def compare(new: dict, ref: dict) -> bool:
             continue
         diff = np.abs(a - b)
         rel = diff / np.maximum(np.abs(b), np.finfo(float).tiny)
-        print(f"{key}: max abs diff {diff.max():.3e}, max rel diff {rel.max():.3e}")
+        close = bool(diff.max() <= rtol * np.abs(b).max())
+        within += close
+        print(
+            f"{key}: max abs diff {diff.max():.3e}, max rel diff {rel.max():.3e}"
+            + (f", within rtol {rtol:g}" if close else "")
+        )
     print(f"{identical} of {len(keys)} arrays bit-identical")
-    return identical == len(keys)
+    if rtol:
+        print(f"{within} more within rtol {rtol:g}")
+    return identical + within == len(keys)
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print(__doc__.splitlines()[2].strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(usage=__doc__.splitlines()[2].strip())
+    parser.add_argument("out")
+    parser.add_argument("ref", nargs="?")
+    parser.add_argument("--rtol", type=float, default=0.0)
+    opts = parser.parse_args(argv)
+    if not opts.rtol >= 0.0:
+        parser.error(f"--rtol must be >= 0, got {opts.rtol}")
     # Must precede the first import of numpy: results depend on the BLAS
     # thread count.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -100,12 +115,12 @@ def main(argv: list[str]) -> int:
     # as it is for a decoder trained for a few iterations.
     warnings.filterwarnings("ignore", category=RuntimeWarning, module="cgsur.predict")
     arrays = record()
-    np.savez(argv[0], **arrays)
-    print(f"wrote {len(arrays)} arrays to {argv[0]}")
-    if len(argv) == 1:
+    np.savez(opts.out, **arrays)
+    print(f"wrote {len(arrays)} arrays to {opts.out}")
+    if opts.ref is None:
         return 0
-    with np.load(argv[1]) as ref:
-        return 0 if compare(arrays, dict(ref)) else 1
+    with np.load(opts.ref) as ref:
+        return 0 if compare(arrays, dict(ref), opts.rtol) else 1
 
 
 if __name__ == "__main__":
