@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import GridMismatch, InvalidSize, NonPositiveConductivity, SingularSystem
 from .field import BoundaryCoeffs, FieldSample
@@ -167,15 +167,20 @@ class FemSystem:
 def factorize(A):
     """Factor a symmetric positive definite matrix; returns its solve function.
 
-    A dense ndarray gets a Cholesky factor, a scipy sparse matrix a sparse LU.
-    A failed factorization or a non-finite sparse solve raises SingularSystem.
+    A dense ndarray gets an upper Cholesky factor from LAPACK (dpotrf/dpotrs),
+    a scipy sparse matrix a sparse LU. A non-finite dense matrix, a failed
+    factorization or a non-finite sparse solve raises SingularSystem.
     """
+    if isinstance(A, np.ndarray):
+        if not np.isfinite(A).all():
+            raise SingularSystem("matrix has non-finite entries")
+        chol, info = lapack.dpotrf(A, clean=False)
+        if info != 0:
+            raise SingularSystem(f"Cholesky factorization failed (LAPACK info {info})")
+        return lambda rhs: lapack.dpotrs(chol, rhs)[0]
     try:
-        if isinstance(A, np.ndarray):
-            chol = scipy.linalg.cho_factor(A)
-            return lambda rhs: scipy.linalg.cho_solve(chol, rhs)
         lu = spla.splu(A.tocsc())
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, RuntimeError) as e:
+    except RuntimeError as e:
         raise SingularSystem(f"factorization failed: {e}") from None
 
     def solve_sparse(rhs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgsur import fem, field
-from cgsur.errors import GridMismatch, InvalidSize, NonPositiveConductivity
+from cgsur.errors import GridMismatch, InvalidSize, NonPositiveConductivity, SingularSystem
 from cgsur.field import BoundaryCoeffs
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
@@ -225,6 +225,27 @@ class TestSolve:
         assert fem.solve_count(4) == 1
         fem.solve(sys)  # cached solution, no new solve
         assert fem.solve_count(4) == 1
+
+
+class TestFactorize:
+    def test_dense_solve_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((9, 9))
+        A = B @ B.T + 9.0 * np.eye(9)
+        b = rng.standard_normal(9)
+        x = fem.factorize(A)(b)
+        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=0.0)
+
+    def test_dense_not_positive_definite_raises(self):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(SingularSystem):
+            fem.factorize(A)
+
+    def test_dense_nan_raises(self):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = np.nan
+        with pytest.raises(SingularSystem):
+            fem.factorize(A)
 
 
 class TestSolveVjp:
