@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgsur import field
+from cgsur.errors import FactorizationError
 from cgsur.field import BcScenario, BoundaryCoeffs, GrfSpec
 
 
@@ -118,3 +119,67 @@ def test_bc_scenarios():
 def test_boundary_coeffs_finite():
     with pytest.raises(ValueError):
         BoundaryCoeffs(np.nan, 0, 0, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_kronecker_factor_matches_dense_covariance(d):
+    spec = GrfSpec(grid_size=d)
+    chol = field.GrfSampler(spec)._chol
+    k1 = chol @ chol.T
+    C = field.covariance_matrix(spec)
+    err = np.max(np.abs(spec.std**2 * np.kron(k1, k1) - C))
+    assert err <= 3 * field.JITTER_START * spec.std**2
+
+
+def test_draw_matches_dense_factor_draw():
+    # Same normals through the dense factor of the d^2 x d^2 covariance: this
+    # pins the row-major pixel order (row = index // d).
+    spec = GrfSpec(grid_size=4, mean=0.4, std=0.8, length_scale=0.3)
+    lam = field.GrfSampler(spec).sample(np.random.default_rng(5)).lambda_vec
+    eps = np.random.default_rng(5).standard_normal(spec.dim)
+    C = field.covariance_matrix(spec)
+    dense = spec.mean + np.linalg.cholesky(C + field.JITTER_START * np.eye(spec.dim)) @ eps
+    assert np.linalg.norm(lam - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+def test_sample_consumes_d_squared_normals():
+    sampler = field.GrfSampler(GrfSpec(grid_size=5))
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    sampler.sample(a)
+    b.standard_normal(25)
+    assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+
+def test_grid_128_holds_small_arrays_and_matches_moments():
+    # The dense covariance alone would be 128^2 x 128^2 doubles (2 GB).
+    d = 128
+    spec = GrfSpec(grid_size=d)
+    sampler = field.GrfSampler(spec)
+    arrays = [v for v in vars(sampler).values() if isinstance(v, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= d * d
+    rng = np.random.default_rng(2)
+    n = 100
+    draws = np.array([sampler.sample(rng).lambda_vec for _ in range(n)])
+    # With C = std^2 (K1 kron K1) over D = d^2 pixels: the pooled mean has
+    # variance 1^T C 1 / (n D^2) = std^2 (sum K1)^2 / (n D^2), and the pooled
+    # mean square deviation has variance 2 tr(C^2) / (n D^2), where
+    # tr(C^2) = std^4 tr(K1^2)^2 = std^4 (sum K1 * K1)^2.
+    s = (np.arange(d) + 0.5) / d
+    k1 = np.exp(-0.5 * (s[:, None] - s[None, :]) ** 2 / spec.length_scale**2)
+    var = spec.std**2
+    dim = spec.dim
+    dev = draws - spec.mean
+    z_mean = dev.mean() / np.sqrt(var * k1.sum() ** 2 / (n * dim * dim))
+    z_var = (np.mean(dev * dev) - var) / np.sqrt(
+        2.0 * var**2 * np.sum(k1 * k1) ** 2 / (n * dim * dim)
+    )
+    assert abs(z_mean) < 4.5 and abs(z_var) < 4.5
+
+
+def test_factorization_failure_raises(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(FactorizationError):
+        field.GrfSampler(GrfSpec(grid_size=4))
