@@ -228,14 +228,6 @@ class TestSolve:
 
 
 class TestFactorize:
-    def test_dense_solve_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((9, 9))
-        A = B @ B.T + 9.0 * np.eye(9)
-        b = rng.standard_normal(9)
-        x = fem.factorize(A)(b)
-        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=0.0)
-
     def test_dense_not_positive_definite_raises(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(SingularSystem):
