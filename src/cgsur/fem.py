@@ -98,25 +98,27 @@ class Mesh:
             ~dirichlet & ((node_iy == 0) | (node_iy == d))
         )[0]
 
-        # COO indices for vectorized stiffness assembly.
+        # Assembly indexing, built once per mesh. Entry (a, b) of element e's
+        # 3x3 block goes to K[_rows, _cols], flat index _flat; np.bincount
+        # over _flat sums the blocks in the same order as np.add.at would.
+        self._k_ref = _K_REF[self.element_kind]
         self._rows = np.repeat(self.elements, 3, axis=1).ravel()
         self._cols = np.tile(self.elements, (1, 3)).ravel()
-
-    def element_stiffness_scaled(self, kappa_elem: np.ndarray) -> np.ndarray:
-        """Per-element 3x3 stiffness blocks for given element conductivities."""
-        return kappa_elem[:, None, None] * _K_REF[self.element_kind]
+        self._flat = self._rows * self.n_nodes + self._cols
+        self._ff = np.ix_(self.free_nodes, self.free_nodes)
+        self._fd = np.ix_(self.free_nodes, self.dirichlet_nodes)
+        self._dirichlet_s2 = self.nodes[self.dirichlet_nodes, 1]
+        self._dirichlet_left = self.nodes[self.dirichlet_nodes, 0] == 0.0
 
     def dirichlet_values(self, bc: BoundaryCoeffs) -> np.ndarray:
         """Full-length vector, zero on free nodes, prescribed data on Gamma_D."""
         vals = np.zeros(self.n_nodes)
-        s2 = self.nodes[self.dirichlet_nodes, 1]
-        left = self.nodes[self.dirichlet_nodes, 0] == 0.0
-        u = np.where(
-            left,
+        s2 = self._dirichlet_s2
+        vals[self.dirichlet_nodes] = np.where(
+            self._dirichlet_left,
             bc.a0 * s2 + bc.a1 * (1.0 - s2),
             bc.a2 * s2 + bc.a3 * (1.0 - s2),
         )
-        vals[self.dirichlet_nodes] = u
         return vals
 
 
@@ -158,8 +160,7 @@ class FemSystem:
     def solve_free(self, rhs_f: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
         if self._solve is None:
-            free = self.mesh.free_nodes
-            self._solve = factorize(self.K[np.ix_(free, free)])
+            self._solve = factorize(self.K[self.mesh._ff])
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
         return self._solve(rhs_f)
 
@@ -206,17 +207,16 @@ def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs, source=0.0) -> FemSystem:
     f_vec[a] = sum_e int_e f phi_a (source constant, or one value per pixel).
     """
     kappa = _as_kappa(mesh, kappa)
-    blocks = mesh.element_stiffness_scaled(kappa[mesh.pixel_of_element])
-    if mesh.n_nodes <= _DENSE_NODE_LIMIT:
-        K = np.zeros((mesh.n_nodes, mesh.n_nodes))
-        np.add.at(K, (mesh._rows, mesh._cols), blocks.ravel())
+    blocks = kappa[mesh.pixel_of_element][:, None, None] * mesh._k_ref
+    n = mesh.n_nodes
+    if n <= _DENSE_NODE_LIMIT:
+        K = np.bincount(mesh._flat, blocks.ravel(), n * n).reshape(n, n)
     else:
         K = sp.coo_matrix(
             (blocks.ravel(), (mesh._rows, mesh._cols)),
-            shape=(mesh.n_nodes, mesh.n_nodes),
+            shape=(n, n),
         ).tocsr()
 
-    f_vec = np.zeros(mesh.n_nodes)
     src = np.asarray(source, dtype=np.float64)
     if src.ndim == 0:
         f_elem = np.full(mesh.n_elements, float(src))
@@ -226,10 +226,8 @@ def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs, source=0.0) -> FemSystem:
                 f"source has shape {src.shape}, expected scalar or ({mesh.n_pixels},)"
             )
         f_elem = src[mesh.pixel_of_element]
-    np.add.at(
-        f_vec,
-        mesh.elements.ravel(),
-        np.repeat(f_elem * mesh.element_area / 3.0, 3),
+    f_vec = np.bincount(
+        mesh.elements.ravel(), np.repeat(f_elem * mesh.element_area / 3.0, 3), n
     )
 
     return FemSystem(
@@ -253,7 +251,7 @@ def solve(sys: FemSystem) -> Solution:
         SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
         sys._solution = y
         return Solution(y_vec=y)
-    rhs = sys.f_vec[free] - sys.K[np.ix_(free, cons)] @ y[cons]
+    rhs = sys.f_vec[free] - sys.K[mesh._fd] @ y[cons]
     y[free] = sys.solve_free(rhs)
     sys._solution = y
     return Solution(y_vec=y)
@@ -278,23 +276,8 @@ def solve_vjp(sys: FemSystem, cotangent: np.ndarray) -> np.ndarray:
     mu = np.zeros(mesh.n_nodes)
     mu[mesh.free_nodes] = sys.solve_free(cotangent[mesh.free_nodes])
 
-    Ye = y[mesh.elements]
-    Me = mu[mesh.elements]
-    Kref = _K_REF[mesh.element_kind]
-    per_elem = -np.einsum("ei,eij,ej->e", Me, Kref, Ye)
-    grad = np.zeros(mesh.n_pixels)
-    np.add.at(grad, mesh.pixel_of_element, per_elem)
-    return grad
-
-
-def element_flux(mesh: Mesh, kappa, y: np.ndarray) -> np.ndarray:
-    """Element-wise constant flux J_e = -kappa_e grad(u)|_e, shape (E, 2)."""
-    kappa = _as_kappa(mesh, kappa)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (mesh.n_nodes,):
-        raise GridMismatch(f"y has shape {y.shape}, expected ({mesh.n_nodes},)")
-    grads = np.einsum("eij,ej->ei", _B_REF[mesh.element_kind] / mesh.h, y[mesh.elements])
-    return -kappa[mesh.pixel_of_element][:, None] * grads
+    per_elem = -np.einsum("ei,eij,ej->e", mu[mesh.elements], mesh._k_ref, y[mesh.elements])
+    return np.bincount(mesh.pixel_of_element, per_elem, mesh.n_pixels)
 
 
 def energy(sys: FemSystem, y) -> float:

@@ -14,7 +14,8 @@ and latent that feeds it, so the trainer can chain terms without a general
 autodiff graph; the coarse solve is differentiated through its adjoint.
 The decoder and coarse-map terms take a batch of (z, x) or (z, X) as rows,
 or one of each as vectors: values and latent gradients come per row, and
-parameter gradients summed over the rows.
+parameter gradients summed over the rows. The output map also takes coarse
+solutions Y as rows; each coarse solve is one Y.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ class GenerativeModel:
         self.fine_mesh = fem.build_mesh(d_f)
         self.coarse_mesh = fem.build_mesh(d_c)
         self.prolongation = fem.bilinear_prolongation(d_c, d_f)
+        self._prolongation_T = self.prolongation.T.tocsr()
 
     # ----- prior -----
 
@@ -142,10 +144,15 @@ class GenerativeModel:
         mean = out[..., : self.dim_x]
         raw_exp = np.exp(out[..., self.dim_x :])
         var = clamp_var(raw_exp)
-        val = diag_logpdf(x, mean, var)
-        g_mean = diag_logpdf_grad_mean(x, mean, var)
-        g_var = diag_logpdf_grad_var(x, mean, var) * clamp_gate(raw_exp) * raw_exp
-        cot = np.concatenate([g_mean, g_var], axis=-1)
+        # diag_logpdf and its mean and variance gradients, sharing r and r*r
+        r = x - mean
+        rr = r * r
+        val = -0.5 * np.sum(rr / var + np.log(var) + LOG_2PI, axis=-1)
+        cot = np.empty_like(out)
+        np.divide(r, var, out=cot[..., : self.dim_x])
+        cot[..., self.dim_x :] = (
+            0.5 * (rr / (var * var) - 1.0 / var) * clamp_gate(raw_exp) * raw_exp
+        )
         gdec, gz = self.params.decoder.backward(tape, cot, params=theta)
         return val, gz, ({"decoder": gdec} if theta else {})
 
@@ -197,11 +204,14 @@ class GenerativeModel:
     # ----- output map p(y | X) -----
 
     def output_map(self, Y: np.ndarray):
+        """Mean and variance of y for one coarse solution Y or (B, dim_Y) rows."""
         Y = np.asarray(Y, dtype=np.float64)
-        if Y.shape != (self.dim_Y,):
-            raise DimensionMismatch(f"Y has shape {Y.shape}, expected ({self.dim_Y},)")
+        if Y.ndim > 2 or Y.shape[-1:] != (self.dim_Y,):
+            raise DimensionMismatch(
+                f"Y has shape {Y.shape}, expected rows of width {self.dim_Y}"
+            )
         p = self.params
-        mean = p.w_h * (self.prolongation @ Y) + p.b_h
+        mean = p.w_h * (self.prolongation @ Y.T).T + p.b_h
         var = clamp_var(np.exp(p.log_S_y))
         return mean, var
 
@@ -236,7 +246,7 @@ class GenerativeModel:
             * clamp_gate(raw_exp)
             * raw_exp,
         }
-        cot_Y = self.prolongation.T @ (g_mean * p.w_h)
+        cot_Y = self._prolongation_T @ (g_mean * p.w_h)
         gX = self.cgm_vjp(sys, cot_Y)
         return val, gX, grads
 

@@ -5,6 +5,10 @@ is either read off the amortized encoder or found by maximizing the
 unlabeled ELBO for the given input, and samples then flow through the coarse
 solver only. The fine solver is used here solely when an explicit Monte
 Carlo reference is requested for uncertainty propagation.
+
+predictive_posterior takes the noise of its K samples from one draw, in the
+order a per-sample loop consumes it, and runs the coarse and output maps over
+the K rows at once; only the K coarse solves run one sample at a time.
 """
 
 from __future__ import annotations
@@ -56,27 +60,28 @@ def infer_z(
     if mode != "optimize":
         raise ValueError(f"unknown mode {mode!r}")
 
-    rng = derive_rng(seed, "infer_z")
+    dz = model.dim_z
+    noise = derive_rng(seed, "infer_z").standard_normal((steps, dz))
+    # Adam ascends one flat factor; mu and rho (and their gradients) are views.
+    factor, grad = np.empty(2 * dz), np.empty(2 * dz)
+    mu, rho = factor[:dz], factor[dz:]
+    g_mu, g_rho = grad[:dz], grad[dz:]
     if state.enc_mu is not None:
-        mu = state.enc_mu(x)
-        rho = state.enc_logvar(x).copy()
+        mu[:], rho[:] = state.enc_mu(x), state.enc_logvar(x)
     else:
-        mu = np.zeros(model.dim_z)
-        rho = np.full(model.dim_z, np.log(0.5))
-    params = {"mu": mu, "rho": rho}
+        mu[:], rho[:] = 0.0, np.log(0.5)
+    params, grads = {"factor": factor}, {"factor": grad}
     adam = Adam(INFER_Z_LEARNING_RATE)
     objective = []
-    for _ in range(steps):
-        eps = rng.standard_normal(model.dim_z)
+    for eps in noise:
         std = np.exp(0.5 * rho)
         z = mu + std * eps
         lp, gz, _ = model.logp_x_given_z_grads(x, z, theta=False)
         var = np.exp(rho)
-        obj = lp - kl_diag_standard(mu, var)
-        objective.append(obj)
-        g_mu = gz - mu
-        g_rho = gz * (0.5 * std * eps) - 0.5 * var + 0.5
-        adam.step(params, {"mu": g_mu, "rho": g_rho})
+        objective.append(lp - kl_diag_standard(mu, var))
+        np.subtract(gz, mu, out=g_mu)
+        g_rho[:] = gz * (0.5 * std * eps) - 0.5 * var + 0.5
+        adam.step(params, grads)
     tail = max(steps // 10, 2)
     if len(objective) >= 2 * tail:
         early = float(np.mean(objective[-2 * tail : -tail]))
@@ -87,7 +92,7 @@ def infer_z(
                 "consider increasing steps",
                 RuntimeWarning,
             )
-    return DiagGaussian(mean=mu, var=np.exp(rho))
+    return DiagGaussian(mean=mu.copy(), var=np.exp(rho))
 
 
 def predictive_posterior(
@@ -102,10 +107,12 @@ def predictive_posterior(
 ) -> PredictiveSamples:
     """Monte Carlo predictive posterior p(y | x): K coarse solves, no fine ones.
 
-    Draws (per sample) z from q*(z), X from p(X | z), runs the coarse model
-    and adds the output-map noise. Sampling consumes the generator strictly
-    per sample, so a K-sample call replays as K sequential single-sample
-    calls sharing the generator.
+    Each sample draws z from q*(z) and X from p(X | z), runs the coarse model
+    and adds the output-map noise. One (K, dim_z + dim_X + dim_y) standard
+    normal draw holds every sample's noise, row j being what sample j would
+    draw in turn, so a K-sample call replays as K sequential single-sample
+    calls sharing the generator. The coarse and output maps run over all K
+    rows at once, and the coarse model solves once per sample.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -113,15 +120,14 @@ def predictive_posterior(
     model = state.model
     if qz is None:
         qz = infer_z(x, state, mode=mode, seed=infer_seed)
-    sy = model.var_y()
-    samples = np.empty((k, model.dim_y))
-    for j in range(k):
-        z = qz.mean + np.sqrt(qz.var) * rng.standard_normal(model.dim_z)
-        mean_X, var_X = model.coarse_map(z)
-        X = mean_X + np.sqrt(var_X) * rng.standard_normal(model.dim_X)
-        Y = model.cgm_forward(X, bc)
-        mean_y, _ = model.output_map(Y)
-        samples[j] = mean_y + np.sqrt(sy) * rng.standard_normal(model.dim_y)
+    dz, dX = model.dim_z, model.dim_X
+    noise = rng.standard_normal((k, dz + dX + model.dim_y))
+    z = qz.mean + np.sqrt(qz.var) * noise[:, :dz]
+    mean_X, var_X = model.coarse_map(z)
+    X = mean_X + np.sqrt(var_X) * noise[:, dz : dz + dX]
+    Y = np.array([model.cgm_forward(row, bc) for row in X])
+    mean_y, var_y = model.output_map(Y)
+    samples = mean_y + np.sqrt(var_y) * noise[:, dz + dX :]
     return PredictiveSamples(
         samples=samples, mean=samples.mean(axis=0), var=samples.var(axis=0)
     )

@@ -32,15 +32,34 @@ def naive_assemble(mesh, kappa, source=0.0):
     return K, f
 
 
-def naive_flux(mesh, kappa, y):
-    J = np.zeros((mesh.n_elements, 2))
-    for e in range(mesh.n_elements):
-        tri = mesh.elements[e]
-        pts = mesh.nodes[tri]
-        mat = np.column_stack((np.ones(3), pts))
-        grads = np.linalg.inv(mat).T[:, 1:]
-        J[e] = -kappa[mesh.pixel_of_element[e]] * grads.T @ y[tri]
-    return J
+def add_at_assemble(mesh, kappa, source):
+    """Dense K and f_vec summed with np.add.at from the same element blocks."""
+    n = mesh.n_nodes
+    blocks = kappa[mesh.pixel_of_element][:, None, None] * fem._K_REF[mesh.element_kind]
+    K = np.zeros((n, n))
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    np.add.at(K, (rows, cols), blocks.ravel())
+    src = np.asarray(source, dtype=np.float64)
+    f_elem = np.full(mesh.n_elements, float(src)) if src.ndim == 0 else src[mesh.pixel_of_element]
+    f = np.zeros(n)
+    np.add.at(f, mesh.elements.ravel(), np.repeat(f_elem * mesh.element_area / 3.0, 3))
+    return K, f
+
+
+def add_at_vjp(sys, cot):
+    """solve_vjp with its per-pixel sum taken by np.add.at."""
+    mesh = sys.mesh
+    grad = np.zeros(mesh.n_pixels)
+    if len(mesh.free_nodes) == 0:
+        return grad
+    y = fem.solve(sys).y_vec
+    mu = np.zeros(mesh.n_nodes)
+    mu[mesh.free_nodes] = sys.solve_free(cot[mesh.free_nodes])
+    kref = fem._K_REF[mesh.element_kind]
+    per_elem = -np.einsum("ei,eij,ej->e", mu[mesh.elements], kref, y[mesh.elements])
+    np.add.at(grad, mesh.pixel_of_element, per_elem)
+    return grad
 
 
 def random_system(d, seed, source=0.0):
@@ -155,6 +174,18 @@ class TestAssemble:
         sys = fem.assemble(mesh, np.ones(4), BC_A, source=src)
         assert sys.f_vec.sum() == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    @pytest.mark.parametrize("per_pixel", [False, True])
+    def test_bit_equal_to_add_at(self, d, per_pixel):
+        rng = np.random.default_rng(d)
+        mesh = fem.build_mesh(d)
+        kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
+        source = rng.normal(size=mesh.n_pixels) if per_pixel else 0.7
+        sys = fem.assemble(mesh, kappa, BC_A, source=source)
+        K0, f0 = add_at_assemble(mesh, kappa, source)
+        assert np.array_equal(sys.K, K0)
+        assert np.array_equal(sys.f_vec, f0)
+
     def test_accepts_field_sample(self):
         spec = field.GrfSpec(grid_size=4)
         s = field.sample_grf(spec, 0)
@@ -255,6 +286,12 @@ class TestSolveVjp:
         g = fem.solve_vjp(sys, rng.standard_normal(mesh.n_nodes))
         assert np.max(np.abs(g)) < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_bit_equal_to_add_at(self, d):
+        _, _, _, sys = random_system(d, 20 + d, source=0.3)
+        cot = np.random.default_rng(d).standard_normal(sys.mesh.n_nodes)
+        assert np.array_equal(fem.solve_vjp(sys, cot), add_at_vjp(sys, cot))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -276,25 +313,6 @@ class TestSolveVjp:
 
 
 class TestFluxAndEnergy:
-    def test_flux_constant_gradient(self):
-        mesh = fem.build_mesh(4)
-        y = mesh.nodes[:, 0]
-        J = fem.element_flux(mesh, np.ones(16), y)
-        assert np.max(np.abs(J - np.array([-1.0, 0.0]))) < 1e-13
-
-    def test_flux_constant_solution(self):
-        mesh = fem.build_mesh(4)
-        J = fem.element_flux(mesh, np.ones(16), np.full(mesh.n_nodes, 2.5))
-        assert np.max(np.abs(J)) < 1e-13
-
-    def test_flux_matches_naive_bmatrix(self):
-        mesh, kappa, bc, sys = random_system(2, 11)
-        rng = np.random.default_rng(12)
-        y = rng.standard_normal(mesh.n_nodes)
-        J = fem.element_flux(mesh, kappa, y)
-        J0 = naive_flux(mesh, kappa, y)
-        assert np.allclose(J, J0, atol=1e-12)
-
     def test_energy_linear_solution(self):
         mesh = fem.build_mesh(8)
         sys = fem.assemble(mesh, np.ones(64), BC_A)

@@ -4,7 +4,9 @@ from scipy.stats import multivariate_normal
 
 from cgsur import fem, genmodel
 from cgsur.field import BoundaryCoeffs
-from cgsur.genmodel import GenerativeModel
+from cgsur.errors import DimensionMismatch
+from cgsur.gaussians import diag_logpdf, diag_logpdf_grad_mean, diag_logpdf_grad_var
+from cgsur.genmodel import GenerativeModel, clamp_gate, clamp_var
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
@@ -116,6 +118,21 @@ class TestDecoder:
         assert max_rel(gz, [g for _, g, _ in singles]) <= 1e-13
         ref = np.sum([g["decoder"] for _, _, g in singles], axis=0)
         assert max_rel(grads["decoder"], ref) <= 1e-13
+
+    def test_bit_equal_to_gaussian_helpers(self):
+        m = small_model(seed=4)
+        rng = np.random.default_rng(8)
+        zs, x = rng.standard_normal((3, m.dim_z)), rng.normal(0.4, 0.8, m.dim_x)
+        val, gz, grads = m.logp_x_given_z_grads(x, zs)
+        out, tape = m.params.decoder.forward(zs)
+        mean, raw_exp = out[:, : m.dim_x], np.exp(out[:, m.dim_x :])
+        var = clamp_var(raw_exp)
+        g_var = diag_logpdf_grad_var(x, mean, var) * clamp_gate(raw_exp) * raw_exp
+        cot = np.concatenate([diag_logpdf_grad_mean(x, mean, var), g_var], axis=-1)
+        gdec, gz0 = m.params.decoder.backward(tape, cot)
+        assert np.array_equal(val, diag_logpdf(x, mean, var))
+        assert np.array_equal(gz, gz0)
+        assert np.array_equal(grads["decoder"], gdec)
 
     def test_z_gradient_alone(self):
         m = small_model(seed=2)
@@ -237,6 +254,17 @@ class TestOutputMap:
         m.params.b_h[:] = 2.5
         mean, _ = m.output_map(np.zeros(m.dim_Y))
         assert np.allclose(mean, 2.5)
+
+    def test_rows_bit_equal_to_single_calls(self):
+        m = small_model(seed=12)
+        rng = np.random.default_rng(9)
+        m.params.w_h[:] = rng.uniform(0.5, 1.5, m.dim_y)
+        Ys = rng.standard_normal((4, m.dim_Y))
+        mean, var = m.output_map(Ys)
+        assert np.array_equal(mean, [m.output_map(Y)[0] for Y in Ys])
+        assert np.array_equal(var, m.var_y())
+        with pytest.raises(DimensionMismatch):
+            m.output_map(Ys[None])
 
     def test_partition_of_unity(self):
         m = small_model()

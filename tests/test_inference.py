@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -901,6 +903,32 @@ class TestAdam:
         assert np.allclose(params["w"], 0.1)
         assert np.allclose(params["rows"][[1, 3]], 0.1)
         assert np.allclose(params["rows"][[0, 2]], 0.0)
+
+
+class TestStateCopy:
+    def test_deepcopy_runs_on_its_own_weights(self):
+        # Networks read their layers from `params` on every call, so a deep
+        # copy of a state, as a benchmark makes before each timed period,
+        # neither shares nor goes stale against the original's weights.
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=16)
+        cfg = TrainConfig(amortized=True, encoder_hidden=(5,), seed=0)
+        state = init_state(model, cfg, None, UnlabeledData(np.zeros((3, model.dim_x))), None)
+        rng = np.random.default_rng(17)
+        z, x = rng.standard_normal(model.dim_z), rng.standard_normal(model.dim_x)
+
+        def outputs(s):
+            return s.model.decode_x(z)[0], s.enc_mu(x), s.enc_logvar(x)
+
+        before = outputs(state)
+        twin = copy.deepcopy(state)
+        for a, b in zip(outputs(twin), before):
+            assert np.array_equal(a, b)
+        for net in (twin.model.params.decoder, twin.enc_mu, twin.enc_logvar):
+            net.params += 0.1
+        for a, b in zip(outputs(twin), before):
+            assert not np.array_equal(a, b)
+        for a, b in zip(outputs(state), before):
+            assert np.array_equal(a, b)
 
 
 class TestStateCheckpoint:

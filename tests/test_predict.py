@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -6,7 +8,17 @@ from cgsur import fem, field, genmodel, predict
 from cgsur.errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.genmodel import GenerativeModel
-from cgsur.inference import TrainConfig, UnlabeledData, VariationalState, init_state, train
+from cgsur.inference import (
+    INFER_Z_LEARNING_RATE,
+    Adam,
+    DiagGaussian,
+    TrainConfig,
+    UnlabeledData,
+    VariationalState,
+    init_state,
+    train,
+)
+from cgsur.seeding import derive_rng
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
@@ -16,7 +28,59 @@ def plain_state(d_f=4, d_c=2, seed=0, hidden=(6,)):
     return VariationalState(model, TrainConfig(seed=seed))
 
 
+def encoder_state(seed=11):
+    model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=seed)
+    cfg = TrainConfig(amortized=True, encoder_hidden=(5,), seed=seed)
+    return init_state(model, cfg, None, UnlabeledData(np.zeros((3, model.dim_x))), None)
+
+
+def looped_infer_z(x, state, steps, seed):
+    """infer_z's ascent drawn step by step, with Adam over a {mu, rho} dict."""
+    model = state.model
+    rng = derive_rng(seed, "infer_z")
+    if state.enc_mu is not None:
+        mu, rho = state.enc_mu(x), state.enc_logvar(x).copy()
+    else:
+        mu, rho = np.zeros(model.dim_z), np.full(model.dim_z, np.log(0.5))
+    params = {"mu": mu, "rho": rho}
+    adam = Adam(INFER_Z_LEARNING_RATE)
+    for _ in range(steps):
+        eps = rng.standard_normal(model.dim_z)
+        std = np.exp(0.5 * rho)
+        z = mu + std * eps
+        _, gz, _ = model.logp_x_given_z_grads(x, z, theta=False)
+        var = np.exp(rho)
+        adam.step(params, {"mu": gz - mu, "rho": gz * (0.5 * std * eps) - 0.5 * var + 0.5})
+    return mu, np.exp(rho)
+
+
+def looped_predictive(x, bc, state, k, rng, qz):
+    """predictive_posterior's samples drawn and mapped one sample at a time."""
+    model = state.model
+    samples = np.empty((k, model.dim_y))
+    for j in range(k):
+        z = qz.mean + np.sqrt(qz.var) * rng.standard_normal(model.dim_z)
+        mean_X, var_X = model.coarse_map(z)
+        X = mean_X + np.sqrt(var_X) * rng.standard_normal(model.dim_X)
+        mean_y, var_y = model.output_map(model.cgm_forward(X, bc))
+        samples[j] = mean_y + np.sqrt(var_y) * rng.standard_normal(model.dim_y)
+    return samples
+
+
 class TestInferZ:
+    @pytest.mark.parametrize("encoder", [False, True])
+    def test_bit_equal_to_per_step_dict_adam(self, encoder):
+        state = encoder_state() if encoder else plain_state(seed=11)
+        x = np.random.default_rng(12).normal(0.4, 0.8, state.model.dim_x)
+        with warnings.catch_warnings():
+            # 50 steps leave the objective improving, which infer_z reports
+            warnings.simplefilter("ignore", RuntimeWarning)
+            q = predict.infer_z(x, state, steps=50, seed=5)
+        mu, var = looped_infer_z(x, state, steps=50, seed=5)
+        assert np.array_equal(q.mean, mu)
+        assert np.array_equal(q.var, var)
+        assert q.mean.base is None and q.var.base is None
+
     def test_decoder_ignoring_z_recovers_prior(self):
         state = plain_state()
         model = state.model
@@ -76,8 +140,29 @@ class TestInferZ:
 
 
 class TestPredictivePosterior:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_per_sample_loop(self, k):
+        state = plain_state(d_f=8, d_c=4, seed=13)
+        model = state.model
+        rng = np.random.default_rng(14)
+        qz = DiagGaussian(
+            mean=rng.standard_normal(model.dim_z), var=rng.uniform(0.5, 2.0, model.dim_z)
+        )
+        bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
+        x = np.zeros(model.dim_x)
+        rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+        fem.reset_solve_counts()
+        ps = predict.predictive_posterior(x, bc, state, k=k, rng=rng_a, qz=qz)
+        assert fem.solve_count(4) == k
+        assert fem.solve_count(8) == 0
+        ref = looped_predictive(x, bc, state, k, rng_b, qz)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        if k == 1:
+            assert np.array_equal(ps.samples, ref)
+        # the batched coarse map rounds as a matrix product, not per row
+        assert np.max(np.abs(ps.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_zero_variance_deterministic(self):
-        from cgsur.inference import DiagGaussian
 
         state = plain_state(seed=4)
         model = state.model
@@ -105,7 +190,6 @@ class TestPredictivePosterior:
 
     def test_rng_stream_trace(self):
         state = plain_state(seed=6)
-        from cgsur.inference import DiagGaussian
 
         model = state.model
         qz = DiagGaussian(mean=np.zeros(model.dim_z), var=np.ones(model.dim_z))

@@ -8,7 +8,9 @@ and writes, to OUT.npz:
 - train-hybrid-16x4 and train-energy-16x4, after one 50-iteration train()
   call: every array the optimizer updates (`adam_arrays()`), the q(y) means
   and variances, the Gamma posteriors, and the logged F, F_u, F_l and F_O;
-- predict-16x4: the samples of one predictive_posterior call;
+- predict-16x4: the samples of one predictive_posterior call, and the
+  mean and variance of q(z) from infer_z at the workload's input, so the
+  ascent is certified apart from the sampling that follows it;
 - uq-64x8: the surrogate QoI of one propagate_uq call.
 
 Given REF.npz, it prints the max abs/rel difference of every array that is
@@ -37,7 +39,7 @@ SEED = 7
 def record() -> dict:
     import numpy as np
 
-    from cgsur import inference
+    from cgsur import inference, predict
     from workloads import WORKLOADS
 
     out = {}
@@ -55,11 +57,16 @@ def record() -> dict:
         for col in ("F", "F_u", "F_l", "F_O"):
             out[f"{name}/log_{col}"] = log.column(col)
 
-    for name, key in (("predict-16x4", "samples"), ("uq-64x8", "surrogate")):
-        workload = WORKLOADS[name]
-        ctx = workload.setup(SEED)
-        result = workload.op(ctx, workload.prepare(ctx), None)
-        out[f"{name}/{key}"] = result.samples if key == "samples" else result[key]
+    workload = WORKLOADS["predict-16x4"]
+    ctx = workload.setup(SEED)
+    out["predict-16x4/samples"] = workload.op(ctx, workload.prepare(ctx), None).samples
+    qz = predict.infer_z(ctx.x, ctx.state)
+    out["predict-16x4/qz_mean"] = qz.mean
+    out["predict-16x4/qz_var"] = qz.var
+
+    workload = WORKLOADS["uq-64x8"]
+    ctx = workload.setup(SEED)
+    out["uq-64x8/surrogate"] = workload.op(ctx, workload.prepare(ctx), None)["surrogate"]
     return out
 
 
