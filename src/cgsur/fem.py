@@ -27,6 +27,10 @@ from .field import BoundaryCoeffs, FieldSample
 
 # Below this node count dense factorizations beat sparse ones.
 _DENSE_NODE_LIMIT = 500
+# splu for SPD matrices: minimum-degree ordering of A + A^T, diagonal pivots.
+_SPD_SPLU = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+)
 
 # Number of linear solves performed, keyed by grid size d. Used to assert
 # that prediction never touches the fine grid.
@@ -169,8 +173,9 @@ def factorize(A):
     """Factor a symmetric positive definite matrix; returns its solve function.
 
     A dense ndarray gets an upper Cholesky factor from LAPACK (dpotrf/dpotrs),
-    a scipy sparse matrix a sparse LU. A non-finite dense matrix, a failed
-    factorization or a non-finite sparse solve raises SingularSystem.
+    a scipy sparse matrix a sparse LU set up for SPD input. A non-finite dense
+    matrix, a failed factorization or a non-finite sparse solve raises
+    SingularSystem.
     """
     if isinstance(A, np.ndarray):
         if not np.isfinite(A).all():
@@ -180,7 +185,7 @@ def factorize(A):
             raise SingularSystem(f"Cholesky factorization failed (LAPACK info {info})")
         return lambda rhs: lapack.dpotrs(chol, rhs)[0]
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), **_SPD_SPLU)
     except RuntimeError as e:
         raise SingularSystem(f"factorization failed: {e}") from None
 

@@ -6,7 +6,8 @@ piecewise-constant value per pixel of the d x d grid on the unit square.
 On this grid the covariance is std^2 (K1 kron K1) for the 1-D kernel K1, and
 GrfSampler draws through K1's d x d factor (Saatci 2011; Wilson et al., NeurIPS 2014).
 Dirichlet boundary data on the left/right edges is parameterized by four
-coefficients (a0..a3) that are either fixed or sampled per scenario.
+coefficients (a0..a3), drawn from one of two scenarios: UNIFORM, the training
+distribution, or D, a shifted test distribution.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FactorizationError
+from .errors import DimensionMismatch, FactorizationError
 
 # Diagonal jitter of K1's Cholesky (K1 has unit diagonal): it factors K1 for all
 # d <= 512 and length scales 1e-3..1e4; zero jitter fails there from d = 3.
@@ -111,18 +112,10 @@ class GrfSampler:
         return FieldSample.from_lambda(lam)
 
 
-def sample_grf(spec: GrfSpec, seed: int) -> FieldSample:
-    """One field draw, deterministic in (spec, seed)."""
-    return GrfSampler(spec).sample(np.random.default_rng(seed))
-
-
 class BcScenario(Enum):
-    """Named boundary-condition families; UNIFORM is four iid U[-0.5, 0.5]."""
+    """Boundary-condition families; UNIFORM is four iid U[-0.5, 0.5]."""
 
     UNIFORM = "uniform"
-    A = "A"
-    B = "B"
-    C = "C"
     D = "D"
 
 
@@ -150,7 +143,9 @@ class BoundaryCoeffs:
     @classmethod
     def from_array(cls, a) -> "BoundaryCoeffs":
         a = np.asarray(a, dtype=np.float64)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        if a.shape != (4,):
+            raise DimensionMismatch(f"expected 4 coefficients, got shape {a.shape}")
+        return cls(*map(float, a))
 
 
 def sample_bc(
@@ -158,18 +153,12 @@ def sample_bc(
 ) -> BoundaryCoeffs:
     """Draw boundary coefficients for the given scenario.
 
-    A and B are fixed profiles; C mixes uniform draws with zeros; D uses
-    +/- Beta(2, 5) draws. UNIFORM is the default training distribution.
+    UNIFORM is the default training distribution; D draws a1 and a2 as
+    +Beta(2, 5) and -Beta(2, 5) and sets a0 = a3 = 0.
     """
     if scenario is BcScenario.UNIFORM:
         a = rng.uniform(-0.5, 0.5, size=4)
         return BoundaryCoeffs(*a)
-    if scenario is BcScenario.A:
-        return BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
-    if scenario is BcScenario.B:
-        return BoundaryCoeffs(1.0, 1.0, 0.0, 0.0)
-    if scenario is BcScenario.C:
-        return BoundaryCoeffs(rng.uniform(-0.5, 0.5), 0.0, 0.0, rng.uniform(-0.5, 0.5))
     if scenario is BcScenario.D:
         return BoundaryCoeffs(0.0, rng.beta(2.0, 5.0), -rng.beta(2.0, 5.0), 0.0)
     raise ValueError(f"unknown scenario {scenario!r}")

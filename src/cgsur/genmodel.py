@@ -12,10 +12,10 @@ All conditional densities are diagonal Gaussians. Methods named *_grads
 return the log-density together with exact gradients for every parameter
 and latent that feeds it, so the trainer can chain terms without a general
 autodiff graph; the coarse solve is differentiated through its adjoint.
-The decoder and coarse-map terms take a batch of (z, x) or (z, X) as rows,
-or one of each as vectors: values and latent gradients come per row, and
-parameter gradients summed over the rows. The output map also takes coarse
-solutions Y as rows; each coarse solve is one Y.
+Every term takes a batch as rows (the decoder and coarse map also one vector
+each), the coarse solve one BoundaryCoeffs per row of X: values and latent
+gradients come per row, parameter gradients summed over the rows. One private
+loop assembles, solves and differentiates the coarse systems row by row.
 """
 
 from __future__ import annotations
@@ -185,70 +185,75 @@ class GenerativeModel:
         }
         return val, -g_mean, g_mean @ p.W_g, grads
 
-    # ----- CGM -----
+    # ----- CGM and output map p(y | X) -----
 
-    def cgm_system(self, X: np.ndarray, bc: BoundaryCoeffs) -> fem.FemSystem:
+    def _X_rows(self, X: np.ndarray, bcs) -> np.ndarray:
+        """X as (B, dim_X) rows, checked against its B BoundaryCoeffs."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape != (self.dim_X,):
-            raise DimensionMismatch(f"X has shape {X.shape}, expected ({self.dim_X},)")
-        return fem.assemble(self.coarse_mesh, np.exp(X), bc)
+        if X.ndim != 2 or X.shape[1] != self.dim_X:
+            raise DimensionMismatch(f"X has shape {X.shape}, expected (B, {self.dim_X})")
+        if len(bcs) != X.shape[0]:
+            raise DimensionMismatch(f"{len(bcs)} boundary conditions for {len(X)} rows of X")
+        return X
 
-    def cgm_forward(self, X: np.ndarray, bc: BoundaryCoeffs) -> np.ndarray:
-        """Coarse nodal solution for effective log-conductivity X."""
-        return fem.solve(self.cgm_system(X, bc)).y_vec
+    def _coarse_solves(self, X: np.ndarray, bcs):
+        """The model's one loop over rows: assembles and solves each checked row's
+        coarse system. Returns Y as rows and the pullback of cotangents on Y to X,
+        one adjoint solve per row on the cached factor."""
+        systems = [fem.assemble(self.coarse_mesh, k, bc) for k, bc in zip(np.exp(X), bcs)]
+        Y = np.array([fem.solve(sys).y_vec for sys in systems])
 
-    def cgm_vjp(self, sys: fem.FemSystem, cot_Y: np.ndarray) -> np.ndarray:
-        """Pull a cotangent on Y back to X through the adjoint solve."""
-        return fem.solve_vjp(sys, cot_Y) * sys.kappa
+        def pullback(cot_Y):
+            gX = [fem.solve_vjp(sys, c) * sys.kappa for sys, c in zip(systems, cot_Y)]
+            return np.reshape(gX, X.shape)
 
-    # ----- output map p(y | X) -----
+        return Y.reshape(X.shape[0], self.dim_Y), pullback
+
+    def cgm_forward(self, X: np.ndarray, bcs) -> np.ndarray:
+        """Coarse nodal solutions Y as rows, for rows of X and their BoundaryCoeffs."""
+        return self._coarse_solves(self._X_rows(X, bcs), bcs)[0]
 
     def output_map(self, Y: np.ndarray):
         """Mean and variance of y for one coarse solution Y or (B, dim_Y) rows."""
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim > 2 or Y.shape[-1:] != (self.dim_Y,):
-            raise DimensionMismatch(
-                f"Y has shape {Y.shape}, expected rows of width {self.dim_Y}"
-            )
+            raise DimensionMismatch(f"Y has shape {Y.shape}, expected (B, {self.dim_Y})")
         p = self.params
         mean = p.w_h * (self.prolongation @ Y.T).T + p.b_h
         var = clamp_var(np.exp(p.log_S_y))
         return mean, var
 
-    def mean_y_given_X(self, X: np.ndarray, bc: BoundaryCoeffs) -> np.ndarray:
-        return self.output_map(self.cgm_forward(X, bc))[0]
-
     def var_y(self) -> np.ndarray:
         return clamp_var(np.exp(self.params.log_S_y))
 
     def logp_y_given_X(self, y: np.ndarray, X: np.ndarray, bc: BoundaryCoeffs) -> float:
-        mean, var = self.output_map(self.cgm_forward(X, bc))
+        mean, var = self.output_map(self.cgm_forward(np.asarray(X)[None], [bc])[0])
         return diag_logpdf(y, mean, var)
 
-    def logp_y_given_X_grads(self, y: np.ndarray, X: np.ndarray, bc: BoundaryCoeffs):
-        """Returns (logpdf, d/dX, theta grads for w_h, b_h, log_S_y).
-
-        The d/dX path runs through one adjoint solve of the coarse system.
-        """
+    def logp_y_given_X_grads(self, y: np.ndarray, X: np.ndarray, bcs):
+        """Returns (logpdf, d/dX, theta grads for w_h, b_h, log_S_y) for rows
+        of y and X and one BoundaryCoeffs per row: values and d/dX per row,
+        theta grads summed; d/dX through each row's adjoint coarse solve."""
+        X = self._X_rows(X, bcs)
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (len(X), self.dim_y):
+            raise DimensionMismatch(f"y has shape {y.shape}, expected {(len(X), self.dim_y)}")
         p = self.params
-        sys = self.cgm_system(X, bc)
-        Y = fem.solve(sys).y_vec
-        PY = self.prolongation @ Y
+        Y, pullback = self._coarse_solves(X, bcs)
+        PY = (self.prolongation @ Y.T).T
         raw_exp = np.exp(p.log_S_y)
         var = clamp_var(raw_exp)
         mean = p.w_h * PY + p.b_h
         val = diag_logpdf(y, mean, var)
         g_mean = diag_logpdf_grad_mean(y, mean, var)
+        g_var = diag_logpdf_grad_var(y, mean, var) * clamp_gate(raw_exp) * raw_exp
         grads = {
-            "w_h": g_mean * PY,
-            "b_h": g_mean,
-            "log_S_y": diag_logpdf_grad_var(y, mean, var)
-            * clamp_gate(raw_exp)
-            * raw_exp,
+            "w_h": (g_mean * PY).sum(axis=0),
+            "b_h": g_mean.sum(axis=0),
+            "log_S_y": g_var.sum(axis=0),
         }
-        cot_Y = self._prolongation_T @ (g_mean * p.w_h)
-        gX = self.cgm_vjp(sys, cot_Y)
-        return val, gX, grads
+        cot_Y = (self._prolongation_T @ (g_mean * p.w_h).T).T
+        return val, pullback(cot_Y), grads
 
     # ----- joint sampling -----
 
@@ -259,7 +264,7 @@ class GenerativeModel:
         x = mean_x + np.sqrt(var_x) * rng.standard_normal(self.dim_x)
         mean_X, var_X = self.coarse_map(z)
         X = mean_X + np.sqrt(var_X) * rng.standard_normal(self.dim_X)
-        Y = self.cgm_forward(X, bc)
+        Y = self.cgm_forward(X[None], [bc])[0]
         mean_y, var_y = self.output_map(Y)
         y = mean_y + np.sqrt(var_y) * rng.standard_normal(self.dim_y)
         return {"z": z, "x": x, "X": X, "Y": Y, "y": y}

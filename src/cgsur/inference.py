@@ -18,12 +18,11 @@ entropy terms. Each block draws its noise from the generator it is given, in
 an order that does not depend on the parameter values, so two identically
 seeded generators give common random numbers for finite differences.
 
-A block first draws all its noise, datum by datum, and then runs the
-decoder, the encoders and the coarse map once over all n * mc_samples
-(datum, draw) rows; parameter gradients come back summed over the rows.
-Only log p(y | X) stays one call per row: each row's coarse system is
-factorized on its own, and fem.SOLVE_COUNTS, which the benchmark checks
-against its traced fem.solve calls, counts one solve per call.
+A block first draws all its noise, datum by datum, and then makes one call
+of each model term, log p(y | X) with its coarse solves included, over all
+n * mc_samples (datum, draw) rows; parameter gradients come back summed over
+the rows. A q(y) refresh likewise draws the coarse inputs of every query at
+once and solves them in one call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import scipy.sparse
 
 from . import fem, vobs
 from .approximators import Approximator, load_arrays, save_arrays
-from .errors import IllConditioned, NonFiniteLoss
+from .errors import DimensionMismatch, IllConditioned, NonFiniteLoss
 from .field import BoundaryCoeffs
 from .gaussians import (
     LOG_2PI,
@@ -213,27 +212,36 @@ def update_qy_energy(
 # ---------------------------------------------------------------------------
 
 
+class _Dataset:
+    """Every given field holds one row per lambda; bcs rows hold four values."""
+
+    def __post_init__(self):
+        n = len(self)
+        for name, rows in vars(self).items():
+            if rows is not None and len(rows) != n:
+                raise DimensionMismatch(f"{name} has {len(rows)} rows for {n} lambdas")
+        if self.bcs is not None and np.shape(self.bcs) != (n, 4):
+            raise DimensionMismatch(f"bcs has shape {np.shape(self.bcs)}, expected ({n}, 4)")
+
+    def __len__(self):
+        return self.lambdas.shape[0]
+
+
 @dataclass
-class LabeledData:
+class LabeledData(_Dataset):
     lambdas: np.ndarray
     ys: np.ndarray
     bcs: np.ndarray
 
-    def __len__(self):
-        return self.lambdas.shape[0]
-
 
 @dataclass
-class UnlabeledData:
+class UnlabeledData(_Dataset):
     lambdas: np.ndarray
     bcs: np.ndarray | None = None
 
-    def __len__(self):
-        return self.lambdas.shape[0]
-
 
 @dataclass
-class VirtualData:
+class VirtualData(_Dataset):
     """Query inputs with their observables.
 
     observables[i] is either a list of LinearConstraintSet or one
@@ -243,9 +251,6 @@ class VirtualData:
     lambdas: np.ndarray
     bcs: np.ndarray
     observables: list
-
-    def __len__(self):
-        return self.lambdas.shape[0]
 
 
 @dataclass
@@ -399,6 +404,11 @@ def _q_draw(mu, rho, eps):
     return (mu[:, None] + np.exp(0.5 * rho)[:, None] * eps).reshape(-1, mu.shape[1])
 
 
+def _row_bcs(bcs, mc):
+    """BoundaryCoeffs for the (n * mc, .) rows of n data, datum by datum."""
+    return [BoundaryCoeffs.from_array(bc) for bc in bcs for _ in range(mc)]
+
+
 def _q_terms(mu, rho, g, eps, prior: bool):
     """Closed forms of q = N(mu, diag exp(rho)) per datum: its entropy, plus
     E_q[log N(0, I)] when `prior`. Returns their values and their (mu, rho)
@@ -475,15 +485,10 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     eps_z, eps_X = np.array(eps_z), np.array(eps_X)
     z, X = _q_draw(mu_z, rho_z, eps_z), _q_draw(mu_X, rho_X, eps_X)
 
-    theta = GradStore()
-    lp_y, gX_y = np.empty(n * mc), np.empty_like(X)
-    for r in range(n * mc):
-        bc = BoundaryCoeffs.from_array(bcs[r // mc])
-        lp_y[r], gX_y[r], grads = model.logp_y_given_X_grads(ys[r], X[r], bc)
-        theta.add(grads)
+    lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs, mc))
     lp_x, gz_x, gdec = model.logp_x_given_z_grads(np.repeat(lambdas, mc, axis=0), z)
     lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-    theta = {key: val / mc for key, val in {**theta, **gdec, **gcm}.items()}
+    theta = {key: val / mc for key, val in {**gy, **gdec, **gcm}.items()}
 
     closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
     closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
@@ -658,31 +663,25 @@ def _plateaued(history: list, w: int) -> bool:
     return abs(recent - before) / max(abs(before), 1e-12) < PLATEAU_TOL
 
 
-def _estimate_h_mean(state, i, bc, rng):
-    """MC estimate of <h(Y(X))> under q(X) for query i."""
-    model = state.model
-    mu_X = state.factors["mu_X_o"][i]
-    std_X = np.exp(0.5 * state.factors["rho_X_o"][i])
-    total = np.zeros(model.dim_y)
-    for _ in range(QY_MC):
-        X = mu_X + std_X * rng.standard_normal(model.dim_X)
-        total += model.mean_y_given_X(X, bc)
-    return total / QY_MC
-
-
 def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
     """Closed-form / energy updates of every q(y) plus Gamma precisions.
 
+    Each query's h_mean, the MC estimate of <h(Y(X))> under q(X), averages
+    QY_MC draws of X, all queries' drawn at once and solved in one call.
     Energy observables are tempered with the tau of the current train()
     call, kept on the state; the caller's observables are not modified.
     """
     model = state.model
     sy = model.var_y()
     state.tau = _temper_tau(state.config, state.iteration - state.run_start)
+    n = len(virtual)
+    eps = rng.standard_normal((n, QY_MC, model.dim_X))
+    X = _q_draw(state.factors["mu_X_o"], state.factors["rho_X_o"], eps)
+    mean_y = model.output_map(model.cgm_forward(X, _row_bcs(virtual.bcs, QY_MC)))[0]
+    # in row-major order each query's draws are summed in turn, not pairwise
+    h_means = np.ascontiguousarray(mean_y).reshape(n, QY_MC, -1).sum(axis=1) / QY_MC
     flux_moments, flux_rows = [], 0
-    for i in range(len(virtual)):
-        bc = BoundaryCoeffs.from_array(virtual.bcs[i])
-        h_mean = _estimate_h_mean(state, i, bc, rng)
+    for i, h_mean in enumerate(h_means):
         obs = virtual.observables[i]
         if isinstance(obs, EnergyObservable):
             state.qy[i] = update_qy_energy(

@@ -7,8 +7,8 @@ solver only. The fine solver is used here solely when an explicit Monte
 Carlo reference is requested for uncertainty propagation.
 
 predictive_posterior takes the noise of its K samples from one draw, in the
-order a per-sample loop consumes it, and runs the coarse and output maps over
-the K rows at once; only the K coarse solves run one sample at a time.
+order a per-sample loop consumes it, and runs every model term, the coarse
+solves included, once over the K rows.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def predictive_posterior(
     and adds the output-map noise. One (K, dim_z + dim_X + dim_y) standard
     normal draw holds every sample's noise, row j being what sample j would
     draw in turn, so a K-sample call replays as K sequential single-sample
-    calls sharing the generator. The coarse and output maps run over all K
-    rows at once, and the coarse model solves once per sample.
+    calls sharing the generator. Every model term runs once over all K rows;
+    the coarse model solves once per sample.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -125,7 +125,7 @@ def predictive_posterior(
     z = qz.mean + np.sqrt(qz.var) * noise[:, :dz]
     mean_X, var_X = model.coarse_map(z)
     X = mean_X + np.sqrt(var_X) * noise[:, dz : dz + dX]
-    Y = np.array([model.cgm_forward(row, bc) for row in X])
+    Y = model.cgm_forward(X, [bc] * k)
     mean_y, var_y = model.output_map(Y)
     samples = mean_y + np.sqrt(var_y) * noise[:, dz + dX :]
     return PredictiveSamples(

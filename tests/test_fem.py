@@ -188,7 +188,7 @@ class TestAssemble:
 
     def test_accepts_field_sample(self):
         spec = field.GrfSpec(grid_size=4)
-        s = field.sample_grf(spec, 0)
+        s = field.GrfSampler(spec).sample(np.random.default_rng(0))
         mesh = fem.build_mesh(4)
         sys = fem.assemble(mesh, s, BC_A)
         assert np.allclose(sys.kappa, s.kappa_vec)

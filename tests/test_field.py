@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from cgsur import field
-from cgsur.errors import FactorizationError
-from cgsur.field import BcScenario, BoundaryCoeffs, GrfSpec
+from cgsur.errors import DimensionMismatch, FactorizationError
+from cgsur.field import BcScenario, BoundaryCoeffs, GrfSampler, GrfSpec
+
+
+def draw(spec, seed):
+    return GrfSampler(spec).sample(np.random.default_rng(seed))
 
 
 def test_covariance_diagonal_is_sigma_squared():
@@ -53,21 +57,21 @@ def test_spec_invariants():
 
 def test_sample_deterministic_for_seed():
     spec = GrfSpec(grid_size=8)
-    a = field.sample_grf(spec, 123)
-    b = field.sample_grf(spec, 123)
+    a = draw(spec, 123)
+    b = draw(spec, 123)
     assert np.array_equal(a.lambda_vec, b.lambda_vec)
-    c = field.sample_grf(spec, 124)
+    c = draw(spec, 124)
     assert not np.array_equal(a.lambda_vec, c.lambda_vec)
 
 
 def test_sample_degenerate_sigma():
     spec = GrfSpec(grid_size=4, mean=0.4, std=1e-12)
-    s = field.sample_grf(spec, 7)
+    s = draw(spec, 7)
     assert np.allclose(s.lambda_vec, 0.4, atol=1e-9)
 
 
 def test_exp_log_roundtrip():
-    s = field.sample_grf(GrfSpec(grid_size=8), 5)
+    s = draw(GrfSpec(grid_size=8), 5)
     assert np.max(np.abs(np.log(s.kappa_vec) - s.lambda_vec)) < 1e-13
     assert np.all(s.kappa_vec > 0)
 
@@ -101,19 +105,22 @@ def test_empirical_mean_and_covariance():
 
 def test_bc_scenarios():
     rng = np.random.default_rng(0)
-    assert field.sample_bc(rng, BcScenario.A) == BoundaryCoeffs(0, 0, 1, 1)
-    assert field.sample_bc(rng, BcScenario.B) == BoundaryCoeffs(1, 1, 0, 0)
+    assert [s.name for s in BcScenario] == ["UNIFORM", "D"]
     for _ in range(100):
         bc = field.sample_bc(rng)
         assert np.all(np.abs(bc.as_array()) <= 0.5)
     for _ in range(100):
-        bc = field.sample_bc(rng, BcScenario.C)
-        assert bc.a1 == 0.0 and bc.a2 == 0.0
-        assert abs(bc.a0) <= 0.5 and abs(bc.a3) <= 0.5
-    for _ in range(100):
         bc = field.sample_bc(rng, BcScenario.D)
         assert bc.a0 == 0.0 and bc.a3 == 0.0
         assert 0.0 <= bc.a1 <= 1.0 and -1.0 <= bc.a2 <= 0.0
+
+
+def test_from_array_takes_exactly_four_values():
+    bc = BoundaryCoeffs(0.1, 0.2, 0.3, 0.4)
+    assert BoundaryCoeffs.from_array(bc.as_array()) == bc
+    for values in ([0.1, 0.2, 0.3, 0.4, 9.0], [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3, 0.4]]):
+        with pytest.raises(DimensionMismatch):
+            BoundaryCoeffs.from_array(values)
 
 
 def test_boundary_coeffs_finite():

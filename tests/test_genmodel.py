@@ -201,41 +201,98 @@ class TestCoarseMap:
             assert max_rel(grads[key], ref) <= 1e-13
 
 
+def cgm_rows(m, rng, n):
+    """n rows of X, each with its own boundary data, and y near their means."""
+    Xs = rng.normal(0.0, 0.5, (n, m.dim_X))
+    bcs = [BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4)) for _ in range(n)]
+    ys = m.output_map(m.cgm_forward(Xs, bcs))[0] + rng.normal(0.0, 0.1, (n, m.dim_y))
+    return ys, Xs, bcs
+
+
 class TestCgm:
     def test_constant_field_linear_solution(self):
         m = small_model()
-        Y = m.cgm_forward(np.zeros(m.dim_X), BC_A)
-        assert np.allclose(Y, m.coarse_mesh.nodes[:, 0], atol=1e-12)
+        Y = m.cgm_forward(np.zeros((1, m.dim_X)), [BC_A])
+        assert Y.shape == (1, m.dim_Y)
+        assert np.allclose(Y[0], m.coarse_mesh.nodes[:, 0], atol=1e-12)
 
     def test_d_c_one_corner_interpolation(self):
         m = GenerativeModel(2, 1, decoder_hidden=(4,))
         assert m.dim_X == 1 and m.dim_Y == 4
         bc = BoundaryCoeffs(0.1, -0.2, 0.3, 0.4)
-        for X in (np.zeros(1), np.array([1.3])):
-            Y = m.cgm_forward(X, bc)
-            # corners: (0,0)->a1, (1,0)->a3, (0,1)->a0, (1,1)->a2
-            assert np.allclose(Y, [-0.2, 0.4, 0.1, 0.3])
+        Ys = m.cgm_forward(np.array([[0.0], [1.3]]), [bc, bc])
+        # corners: (0,0)->a1, (1,0)->a3, (0,1)->a0, (1,1)->a2
+        assert np.allclose(Ys, [-0.2, 0.4, 0.1, 0.3])
 
     def test_grad_through_cgm(self):
+        # d/dX of every row, each with its own boundary data, against central
+        # differences of the model's composition through cgm_forward
         m = small_model()
         rng = np.random.default_rng(4)
-        X = rng.normal(0.0, 0.5, m.dim_X)
-        bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-        w = rng.standard_normal(m.dim_Y)
+        m.params.w_h[:] = rng.uniform(0.5, 1.5, m.dim_y)
+        ys, Xs, bcs = cgm_rows(m, rng, 3)
 
         def functional(Xv):
-            return w @ m.cgm_forward(Xv, bc)
+            mean, var = m.output_map(m.cgm_forward(Xv, bcs))
+            return diag_logpdf(ys, mean, var)
 
-        sys = m.cgm_system(X, bc)
-        fem.solve(sys)
-        g = m.cgm_vjp(sys, w)
+        _, g, _ = m.logp_y_given_X_grads(ys, Xs, bcs)
         h = 1e-6
         for i in range(m.dim_X):
-            Xp, Xm = X.copy(), X.copy()
-            Xp[i] += h
-            Xm[i] -= h
+            Xp, Xm = Xs.copy(), Xs.copy()
+            Xp[:, i] += h
+            Xm[:, i] -= h
             fd = (functional(Xp) - functional(Xm)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert g[:, i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    def test_rows_bit_equal_to_single_calls(self):
+        m = small_model(seed=14)
+        rng = np.random.default_rng(10)
+        m.params.w_h[:] = rng.uniform(0.5, 1.5, m.dim_y)
+        ys, Xs, bcs = cgm_rows(m, rng, 5)
+        Ys = m.cgm_forward(Xs, bcs)
+        assert np.array_equal(Ys, [m.cgm_forward(X[None], [bc])[0] for X, bc in zip(Xs, bcs)])
+        val, gX, grads = m.logp_y_given_X_grads(ys, Xs, bcs)
+        singles = [
+            m.logp_y_given_X_grads(y[None], X[None], [bc]) for y, X, bc in zip(ys, Xs, bcs)
+        ]
+        assert val.shape == (5,) and gX.shape == Xs.shape
+        assert np.array_equal(val, [v[0] for v, _, _ in singles])
+        assert np.array_equal(gX, [g[0] for _, g, _ in singles])
+        assert grads.keys() == {"w_h", "b_h", "log_S_y"}
+        for key in grads:
+            ref = np.sum([single[key] for _, _, single in singles], axis=0)
+            assert max_rel(grads[key], ref) <= 1e-13
+
+    def test_one_solve_per_row_and_one_per_adjoint(self):
+        # the benchmark counts these and compares them with its traced solves
+        m = small_model(seed=15)
+        ys, Xs, bcs = cgm_rows(m, np.random.default_rng(11), 3)
+        calls = {
+            1: lambda: m.cgm_forward(Xs, bcs),
+            2: lambda: m.logp_y_given_X_grads(ys, Xs, bcs),
+        }
+        for per_row, call in calls.items():
+            coarse, fine = fem.solve_count(m.d_c), fem.solve_count(m.d_f)
+            call()
+            assert fem.solve_count(m.d_c) - coarse == per_row * len(Xs)
+            assert fem.solve_count(m.d_f) == fine
+
+    def test_row_counts_must_agree(self):
+        m = small_model(seed=16)
+        ys, Xs, bcs = cgm_rows(m, np.random.default_rng(12), 3)
+        before = fem.solve_count(m.d_c)
+        bad_calls = (
+            lambda: m.cgm_forward(Xs, bcs[:2]),
+            lambda: m.cgm_forward(Xs[0], bcs[:1]),
+            lambda: m.logp_y_given_X_grads(ys, Xs, bcs + bcs[:1]),
+            lambda: m.logp_y_given_X_grads(ys[:2], Xs, bcs),
+            lambda: m.logp_y_given_X_grads(ys[:, 1:], Xs, bcs),
+        )
+        for call in bad_calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+        assert fem.solve_count(m.d_c) == before
 
 
 class TestOutputMap:
@@ -277,7 +334,8 @@ class TestOutputMap:
         X = rng.normal(0.0, 0.4, m.dim_X)
         bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
         y = rng.standard_normal(m.dim_y)
-        val, gX, grads = m.logp_y_given_X_grads(y, X, bc)
+        val, gX, grads = m.logp_y_given_X_grads(y[None], X[None], [bc])
+        val, gX = val[0], gX[0]
         assert val == pytest.approx(m.logp_y_given_X(y, X, bc))
         h = 1e-6
         for i in range(m.dim_X):
@@ -314,7 +372,8 @@ class TestSampleJoint:
         mean_X, _ = m.coarse_map(s["z"])
         assert np.allclose(s["x"], mean_x, atol=1e-3)
         assert np.allclose(s["X"], mean_X, atol=1e-3)
-        Y = m.cgm_forward(s["X"], BC_A)
+        Y = m.cgm_forward(s["X"][None], [BC_A])[0]
+        assert np.array_equal(s["Y"], Y)
         mean_y, _ = m.output_map(Y)
         assert np.allclose(s["y"], mean_y, atol=1e-3)
 
@@ -350,7 +409,7 @@ class TestJointDensity:
         expected += multivariate_normal.logpdf(s["x"], mean_x, np.diag(var_x))
         mean_X, var_X = m.coarse_map(s["z"])
         expected += multivariate_normal.logpdf(s["X"], mean_X, np.diag(var_X))
-        mean_y, var_y = m.output_map(m.cgm_forward(s["X"], bc))
+        mean_y, var_y = m.output_map(m.cgm_forward(s["X"][None], [bc])[0])
         expected += multivariate_normal.logpdf(s["y"], mean_y, np.diag(var_y))
         assert total == pytest.approx(expected, rel=1e-12)
 

@@ -1,10 +1,11 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cgsur import fem, field, inference, vobs
-from cgsur.errors import IllConditioned, NonFiniteLoss
+from cgsur.errors import DimensionMismatch, IllConditioned, NonFiniteLoss
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.gaussians import LOG_2PI, diag_logpdf, kl_diag_standard
 from cgsur.genmodel import GenerativeModel
@@ -438,7 +439,7 @@ class TestElboLabeled:
         bc = BoundaryCoeffs.from_array(labeled.bcs[0])
         X = state.factors["mu_X_l"][0]
         y_far = labeled.ys[0] + 100.0
-        mean_y, var_y = model.output_map(model.cgm_forward(X, bc))
+        mean_y, var_y = model.output_map(model.cgm_forward(X[None], [bc])[0])
         lp = model.logp_y_given_X(y_far, X, bc)
         quad = -0.5 * float(np.sum((y_far - mean_y) ** 2 / var_y))
         assert lp == pytest.approx(quad, rel=1e-3)  # log-det term negligible
@@ -635,7 +636,8 @@ def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
         for k in range(mc):
             eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
             z, X = mu_z + std_z * eps_z, mu_X + std_X * eps_X
-            lp_y, gX_y, gy = model.logp_y_given_X_grads(y_draw(i, k), X, bc)
+            lp_y, gX_y, gy = model.logp_y_given_X_grads(y_draw(i, k)[None], X[None], [bc])
+            lp_y, gX_y = lp_y[0], gX_y[0]
             lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas[i], z)
             lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
             for key, val in (*gy.items(), *gdec.items(), *gcm.items()):
@@ -726,6 +728,60 @@ class TestBlocksAgainstLoops:
         )
         assert_blocks_agree(batched, (value, theta, factors))
         assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_refresh_qy(self):
+        # the per-query, per-draw loop of h_means, each q(y) updated from it
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=9, n_o=3)
+        before = copy.deepcopy(state)
+        rng_a, rng_b = crn(), crn()
+        refresh_qy(state, virtual, rng_a)
+        sy = model.var_y()
+        for i, obs in enumerate(virtual.observables):
+            bc = BoundaryCoeffs.from_array(virtual.bcs[i])
+            mu_X, rho_X = before.factors["mu_X_o"][i], before.factors["rho_X_o"][i]
+            total = np.zeros(model.dim_y)
+            for _ in range(inference.QY_MC):
+                X = mu_X + np.exp(0.5 * rho_X) * rng_b.standard_normal(model.dim_X)
+                total += model.output_map(model.cgm_forward(X[None], [bc])[0])[0]
+            h_mean = total / inference.QY_MC
+            qy = update_qy_closedform(obs, sy, h_mean, before.gamma_posteriors)
+            assert np.array_equal(state.qy[i].mean, qy.mean)
+            assert np.array_equal(state.qy[i].var_diag(), qy.var_diag())
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+# Datasets whose per-datum arrays disagree with the 3 lambdas, or whose bcs
+# rows do not hold four coefficients.
+BAD_DATASETS = {
+    "more-ys": lambda d: LabeledData(d.lams[:2], d.ys, d.bcs[:2]),
+    "fewer-ys": lambda d: LabeledData(d.lams, d.ys[:2], d.bcs),
+    "labeled-bcs": lambda d: LabeledData(d.lams, d.ys, d.bcs[:2]),
+    "three-coeffs": lambda d: LabeledData(d.lams, d.ys, d.bcs[:, :3]),
+    "unlabeled-bcs": lambda d: UnlabeledData(d.lams, d.bcs[:1]),
+    "virtual-bcs": lambda d: VirtualData(d.lams[:2], d.bcs, d.obs[:2]),
+    "observables": lambda d: VirtualData(d.lams[:2], d.bcs[:2], d.obs),
+}
+
+
+class TestDatasets:
+    @staticmethod
+    def arrays():
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=10, n_l=3, n_o=3)
+        return SimpleNamespace(
+            lams=labeled.lambdas, ys=labeled.ys, bcs=labeled.bcs, obs=virtual.observables
+        )
+
+    @pytest.mark.parametrize("case", BAD_DATASETS)
+    def test_row_counts_must_agree(self, case):
+        with pytest.raises(DimensionMismatch):
+            BAD_DATASETS[case](self.arrays())
+
+    def test_consistent_rows_accepted(self):
+        d = self.arrays()
+        assert len(LabeledData(d.lams, d.ys, d.bcs)) == 3
+        assert len(UnlabeledData(d.lams)) == 3
+        assert len(UnlabeledData(d.lams, d.bcs)) == 3
+        assert len(VirtualData(d.lams, d.bcs, d.obs)) == 3
 
 
 class TestPriorTheta:

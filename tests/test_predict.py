@@ -62,7 +62,7 @@ def looped_predictive(x, bc, state, k, rng, qz):
         z = qz.mean + np.sqrt(qz.var) * rng.standard_normal(model.dim_z)
         mean_X, var_X = model.coarse_map(z)
         X = mean_X + np.sqrt(var_X) * rng.standard_normal(model.dim_X)
-        mean_y, var_y = model.output_map(model.cgm_forward(X, bc))
+        mean_y, var_y = model.output_map(model.cgm_forward(X[None], [bc])[0])
         samples[j] = mean_y + np.sqrt(var_y) * rng.standard_normal(model.dim_y)
     return samples
 
@@ -174,7 +174,7 @@ class TestPredictivePosterior:
             x, BC_A, state, k=4, rng=np.random.default_rng(0), qz=qz
         )
         mean_X, _ = model.coarse_map(np.zeros(model.dim_z))
-        Y = model.cgm_forward(mean_X, BC_A)
+        Y = model.cgm_forward(mean_X[None], [BC_A])[0]
         mean_y, _ = model.output_map(Y)
         assert np.max(np.abs(ps.samples - mean_y)) < 1e-3
 
