@@ -94,13 +94,9 @@ class Mesh:
         self.element_area = self.h * self.h / 2.0
 
         node_ix = np.arange(self.n_nodes) % (d + 1)
-        node_iy = np.arange(self.n_nodes) // (d + 1)
         dirichlet = (node_ix == 0) | (node_ix == d)
         self.dirichlet_nodes = np.where(dirichlet)[0]
         self.free_nodes = np.where(~dirichlet)[0]
-        self.neumann_nodes = np.where(
-            ~dirichlet & ((node_iy == 0) | (node_iy == d))
-        )[0]
 
         # Assembly indexing, built once per mesh. Entry (a, b) of element e's
         # 3x3 block goes to K[_rows, _cols], flat index _flat; np.bincount

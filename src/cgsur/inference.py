@@ -14,9 +14,12 @@ model's *_grads methods; the coarse solve contributes through its adjoint.
 The labeled and virtual blocks are the same model term log p(y | X) and run
 one conditional-ELBO body; they differ only in where y comes from (an
 observation or a q(y) draw) and in the virtual block's likelihood and q(y)
-entropy terms. Each block draws its noise from the generator it is given, in
-an order that does not depend on the parameter values, so two identically
-seeded generators give common random numbers for finite differences.
+entropy terms. Those terms depend only on q(y), the flux Gamma posterior and
+the tempering tau, which change only when q(y) is refreshed; each refresh
+computes every query's term once, and the virtual block adds them. Each block
+draws its noise from the generator it is given, in an order that does not
+depend on the parameter values, so two identically seeded generators give
+common random numbers for finite differences.
 
 A block first draws all its noise, datum by datum, and then makes one call
 of each model term, log p(y | X) with its coarse solves included, over all
@@ -94,11 +97,10 @@ class LowRankGaussian:
     pinned to the constraint manifold.
     """
 
-    def __init__(self, mean, sbar, a_mat, exact: bool):
+    def __init__(self, mean, sbar, a_mat):
         self.mean = mean
         self.sbar = sbar
         self._a = a_mat
-        self.exact = exact
         self._sqrt_parts = None
 
     def var_diag(self):
@@ -163,12 +165,7 @@ def update_qy_closedform(
     a_mat = scipy.linalg.solve_triangular(low, gs, lower=True)
     u = scipy.linalg.solve_triangular(low, alpha - gamma @ h_mean, lower=True)
     mean = h_mean + a_mat.T @ u
-    return LowRankGaussian(
-        mean=mean,
-        sbar=sbar,
-        a_mat=a_mat,
-        exact=bool(np.any(lam_inv == 0.0)),
-    )
+    return LowRankGaussian(mean=mean, sbar=sbar, a_mat=a_mat)
 
 
 def update_precision_gamma(second_moments, m: int) -> GammaPosterior:
@@ -302,6 +299,8 @@ class VariationalState:
         self.enc_mu: Approximator | None = None
         self.enc_logvar: Approximator | None = None
         self.qy: list = []
+        # per query, its expected log-likelihood plus q(y) entropy
+        self.qy_terms: list = []
         self.gamma_posteriors: dict[str, GammaPosterior] = {}
         self.iteration = 0
         # energy tempering: the iteration at which the current train() call
@@ -452,11 +451,14 @@ def elbo_unlabeled(
     )
     closed, g_mu, g_rho = _q_terms(mu, rho, gz, eps, prior=True)
     value = scale * np.sum(lp.reshape(n, mc).mean(axis=1) + closed)
-    theta = {"decoder": gdec["decoder"] * (scale / mc)}
+    theta = gdec
+    theta["decoder"] *= scale / mc
     if state.enc_mu is None:
         return value, theta, {"mu_z_u": scale * g_mu, "rho_z_u": scale * g_rho}
-    theta["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0] * scale
-    theta["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0] * scale
+    theta["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0]
+    theta["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0]
+    theta["enc_mu"] *= scale
+    theta["enc_logvar"] *= scale
     return value, theta, {}
 
 
@@ -488,7 +490,9 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs, mc))
     lp_x, gz_x, gdec = model.logp_x_given_z_grads(np.repeat(lambdas, mc, axis=0), z)
     lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-    theta = {key: val / mc for key, val in {**gy, **gdec, **gcm}.items()}
+    theta = {**gy, **gdec, **gcm}
+    for grad in theta.values():
+        grad /= mc
 
     closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
     closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
@@ -511,32 +515,18 @@ def elbo_labeled(
     return np.sum(values), theta, factors
 
 
-def expected_constraint_loglik(cs: LinearConstraintSet, qy, gamma_posteriors):
-    """Analytic E_q[log p(o-hat | y)] for one set under q(y) q(lambda).
+def expected_constraint_loglik(
+    cs: LinearConstraintSet, second_moment: float, post: GammaPosterior
+):
+    """Analytic E_q[log p(o-hat | y)] for one learned set under q(y) q(lambda).
 
-    For exactly enforced rows the term is a constant of the conditioning and
-    is dropped (returns 0). For flux rows, with lambda the precision of the
-    "flux" Gamma posterior, the value is
+    With second_moment = E_q||o||^2, o = Gamma y - alpha, and lambda the
+    precision of the flux Gamma posterior `post`, the value is
     -0.5 E[lambda] E||o||^2 + 0.5 M E[log lambda] - (M/2) log 2pi.
     """
-    if isinstance(cs.precision, vobs.Exact):
-        return 0.0
-    post = gamma_posteriors["flux"]
-    weighted_sq = post.mean() * qy.second_moment(cs.gamma, cs.alpha)
+    weighted_sq = post.mean() * second_moment
     elog = np.full(cs.m, post.expected_log())
     return -0.5 * weighted_sq + 0.5 * float(np.sum(elog)) - 0.5 * cs.m * LOG_2PI
-
-
-def _constraint_likelihood_value(sets, qy, gamma_posteriors):
-    """Finite-precision likelihood terms plus the q(y) entropy when finite.
-
-    For exact rows both the likelihood and the entropy along the constrained
-    directions are infinite with opposite signs and cancel; both are dropped
-    from the reported value."""
-    value = 0.0 if isinstance(qy, LowRankGaussian) and qy.exact else qy.entropy()
-    for cs in sets:
-        value += expected_constraint_loglik(cs, qy, gamma_posteriors)
-    return value
 
 
 def _energy_likelihood_value(system: fem.FemSystem, qy: DiagGaussian, tau: float):
@@ -550,7 +540,6 @@ def elbo_virtual(
     state: VariationalState,
     lambdas: np.ndarray,
     bcs: np.ndarray,
-    observables: list,
     rng: np.random.Generator,
     indices=None,
 ):
@@ -558,8 +547,9 @@ def elbo_virtual(
 
     q(y) is sampled, never reparametrized: its parameters are maintained by
     the closed-form / energy updates, so gradients here flow only to theta
-    and the (z, X) factors. Each datum adds its constraint or energy
-    likelihood and the q(y) entropy to the shared conditional body.
+    and the (z, X) factors. Each datum's constraint or energy likelihood plus
+    its q(y) entropy is a constant of the latest q(y) refresh, which computed
+    it into state.qy_terms; the block adds it to the shared conditional body.
     """
     idx = np.arange(lambdas.shape[0]) if indices is None else np.asarray(indices)
     qys = [state.qy[j] for j in idx]
@@ -568,11 +558,8 @@ def elbo_virtual(
         state, "o", lambdas, bcs, lambda i, k: qys[i].sample(rng), rng, indices
     )
     value = np.sum(values)
-    for obs, qy in zip(observables, qys):
-        if isinstance(obs, EnergyObservable):
-            value += _energy_likelihood_value(obs.system, qy, state.tau)
-        else:
-            value += _constraint_likelihood_value(obs, qy, state.gamma_posteriors)
+    for j in idx:
+        value += state.qy_terms[j]
     return value, theta, factors
 
 
@@ -670,6 +657,8 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
     QY_MC draws of X, all queries' drawn at once and solved in one call.
     Energy observables are tempered with the tau of the current train()
     call, kept on the state; the caller's observables are not modified.
+    Each query's expected log-likelihood plus q(y) entropy, which the
+    virtual ELBO block adds until the next refresh, goes to state.qy_terms.
     """
     model = state.model
     sy = model.var_y()
@@ -680,23 +669,33 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
     mean_y = model.output_map(model.cgm_forward(X, _row_bcs(virtual.bcs, QY_MC)))[0]
     # in row-major order each query's draws are summed in turn, not pairwise
     h_means = np.ascontiguousarray(mean_y).reshape(n, QY_MC, -1).sum(axis=1) / QY_MC
-    flux_moments, flux_rows = [], 0
+    state.qy_terms = [0.0] * n
+    flux = []  # (query, set, E||Gamma y - alpha||^2) of every learned set
     for i, h_mean in enumerate(h_means):
         obs = virtual.observables[i]
         if isinstance(obs, EnergyObservable):
-            state.qy[i] = update_qy_energy(
+            qy = update_qy_energy(
                 dataclasses.replace(obs, tau=state.tau), 1.0 / sy, h_mean
             )
+            state.qy_terms[i] = _energy_likelihood_value(obs.system, qy, state.tau)
         else:
-            state.qy[i] = update_qy_closedform(
-                obs, sy, h_mean, state.gamma_posteriors
-            )
-            for cs in obs:
-                if isinstance(cs.precision, vobs.Learned):
-                    flux_rows = cs.m
-                    flux_moments.append(state.qy[i].second_moment(cs.gamma, cs.alpha))
-    if flux_moments:
-        state.gamma_posteriors["flux"] = update_precision_gamma(flux_moments, flux_rows)
+            qy = update_qy_closedform(obs, sy, h_mean, state.gamma_posteriors)
+            # For exact rows both the likelihood and the entropy along the
+            # constrained directions are infinite with opposite signs and
+            # cancel; both are dropped from the term.
+            if not any(isinstance(cs.precision, vobs.Exact) for cs in obs):
+                state.qy_terms[i] = qy.entropy()
+            flux += [
+                (i, cs, qy.second_moment(cs.gamma, cs.alpha))
+                for cs in obs
+                if isinstance(cs.precision, vobs.Learned)
+            ]
+        state.qy[i] = qy
+    if flux:
+        post = update_precision_gamma([moment for *_, moment in flux], flux[-1][1].m)
+        state.gamma_posteriors["flux"] = post
+        for i, cs, moment in flux:
+            state.qy_terms[i] += expected_constraint_loglik(cs, moment, post)
 
 
 def train(
@@ -759,9 +758,7 @@ def train(
             )
             grads.add(th, fa)
         if virtual is not None:
-            f_o, th, fa = elbo_virtual(
-                state, virtual.lambdas, virtual.bcs, virtual.observables, rng
-            )
+            f_o, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng)
             grads.add(th, fa)
         f_prior, prior_grads = prior_logpdf_theta(
             state.model.params.arrays(), THETA_PRIOR_SCALE

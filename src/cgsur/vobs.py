@@ -250,19 +250,6 @@ def build_energy(
     )
 
 
-def energy_logpdf(obs: EnergyObservable, y: np.ndarray) -> float:
-    """log-likelihood up to the y- and theta-independent constants.
-
-    The minimum-energy offset and the tempering normalizer are dropped; they
-    do not affect training.
-    """
-    return -obs.tau * fem.energy(obs.system, y)
-
-
-def energy_logpdf_grad(obs: EnergyObservable, y: np.ndarray) -> np.ndarray:
-    return -obs.tau * fem.energy_grad(obs.system, y)
-
-
 def build_hybrid(
     fine_mesh: fem.Mesh,
     coarse_mesh: fem.Mesh,

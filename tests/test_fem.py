@@ -103,9 +103,6 @@ class TestMesh:
         m = fem.build_mesh(3)
         for n in m.dirichlet_nodes:
             assert m.nodes[n, 0] in (0.0, 1.0)
-        for n in m.neumann_nodes:
-            assert m.nodes[n, 1] in (0.0, 1.0)
-            assert m.nodes[n, 0] not in (0.0, 1.0)
 
     def test_nested_refinement(self):
         # every coarse element is a union of fine elements: the p1 interpolant

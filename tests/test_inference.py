@@ -83,7 +83,20 @@ def learned_set(gamma, alpha, lam):
 
 def diagonal_qy(mean, var):
     """A q(y) with diagonal covariance (no conditioning rows)."""
-    return LowRankGaussian(mean, var, np.zeros((0, mean.size)), False)
+    return LowRankGaussian(mean, var, np.zeros((0, mean.size)))
+
+
+def reference_qy_term(obs, qy, post):
+    """A linear bundle's likelihood-plus-entropy term from its q(y): the
+    entropy, or 0.0 when the bundle has exact rows, plus each learned set's
+    expected log-likelihood under the flux posterior `post`, in bundle order."""
+    exact = any(isinstance(cs.precision, vobs.Exact) for cs in obs)
+    term = 0.0 if exact else qy.entropy()
+    for cs in obs:
+        if isinstance(cs.precision, vobs.Learned):
+            moment = qy.second_moment(cs.gamma, cs.alpha)
+            term += expected_constraint_loglik(cs, moment, post)
+    return term
 
 
 class TestClosedFormQy:
@@ -119,7 +132,6 @@ class TestClosedFormQy:
         lam = rng.uniform(0.5, 4.0)
         cs, posts = learned_set(gamma, rng.standard_normal(m), lam)
         q = update_qy_closedform([cs], sbar, rng.standard_normal(d_y), posts)
-        assert not q.exact
         # Sigma = diag(sbar) - A^T A, formed densely from its precision
         sigma = np.linalg.inv(lam * gamma.T @ gamma + np.diag(1.0 / sbar))
         sign, logdet = np.linalg.slogdet(2 * np.pi * np.e * sigma)
@@ -480,7 +492,9 @@ class TestElboVirtual:
         mu = rng.standard_normal(d_y)
         cs, posts = learned_set(gamma, gamma @ mu, rng.uniform(0.5, 3.0))
         qy = diagonal_qy(mu, np.zeros(d_y))
-        value = expected_constraint_loglik(cs, qy, posts)
+        value = expected_constraint_loglik(
+            cs, qy.second_moment(cs.gamma, cs.alpha), posts["flux"]
+        )
         elog = posts["flux"].expected_log()
         assert value == pytest.approx(0.5 * m * (elog - LOG_2PI))
 
@@ -499,8 +513,9 @@ class TestElboVirtual:
         # grows by log 2
         lam1 = {"flux": vobs.GammaPosterior(alpha=3.0, beta=2.0)}
         lam2 = {"flux": vobs.GammaPosterior(alpha=3.0, beta=1.0)}
-        v1 = expected_constraint_loglik(cs, qy, lam1)
-        v2 = expected_constraint_loglik(cs, qy, lam2)
+        moment = qy.second_moment(cs.gamma, cs.alpha)
+        v1 = expected_constraint_loglik(cs, moment, lam1["flux"])
+        v2 = expected_constraint_loglik(cs, moment, lam2["flux"])
         assert (v1 - v2) == pytest.approx(0.5 * 1.5 * sq - 0.5 * np.log(2.0))
 
     def test_analytic_term_matches_mc_2d(self):
@@ -510,7 +525,9 @@ class TestElboVirtual:
         cs, posts = learned_set(gamma, alpha, 2.2)
         post = posts["flux"]
         qy = diagonal_qy(np.array([0.4, -0.1]), np.array([0.5, 0.2]))
-        analytic = expected_constraint_loglik(cs, qy, posts)
+        analytic = expected_constraint_loglik(
+            cs, qy.second_moment(cs.gamma, cs.alpha), post
+        )
         n = 1_000_000
         draws = qy.mean + np.sqrt(qy.var_diag()) * rng.standard_normal((n, 2))
         o = draws @ gamma.T - alpha
@@ -525,9 +542,7 @@ class TestElboVirtual:
         model, cfg, labeled, virtual, state, rng = make_problem(seed=4, mc=1)
 
         def value():
-            v, th, fa = elbo_virtual(
-                state, virtual.lambdas, virtual.bcs, virtual.observables, crn()
-            )
+            v, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn())
             return v, th
 
         v0, th = value()
@@ -561,11 +576,30 @@ class TestElboVirtual:
         )
         state = init_state(model, cfg, None, None, virtual)
         refresh_qy(state, virtual, rng)
-        v, th, fa = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, rng
-        )
+        v, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng)
         assert np.isfinite(v)
         assert isinstance(state.qy[0], DiagGaussian)
+
+    def test_energy_term_matches_mc(self):
+        # E_q[-tau V(y)] + H[q], scored once per refresh, against draws of q(y)
+        rng = np.random.default_rng(14)
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=6)
+        sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
+        lams, bcs, obs = [], [], []
+        for _ in range(2):
+            s = sampler.sample(rng)
+            bc = field.sample_bc(rng)
+            lams.append(s.lambda_vec)
+            bcs.append(bc.as_array())
+            obs.append(vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=1.0))
+        virtual = VirtualData(np.array(lams), np.array(bcs), obs)
+        state = init_state(model, TrainConfig(tau_start=3.0, seed=0), None, None, virtual)
+        refresh_qy(state, virtual, rng)
+        n = 20_000
+        for o, qy, term in zip(obs, state.qy, state.qy_terms):
+            draws = qy.mean + np.sqrt(qy.var) * rng.standard_normal((n, qy.mean.size))
+            per = np.array([-state.tau * fem.energy(o.system, y) for y in draws])
+            assert abs(term - (per.mean() + qy.entropy())) < 3 * per.std() / np.sqrt(n)
 
 
 def _add(grads, key, value):
@@ -715,27 +749,34 @@ class TestBlocksAgainstLoops:
     def test_virtual_hybrid(self, mc):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=8, mc=mc)
         rng_a, rng_b = crn(), crn()
-        batched = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, rng_a
-        )
+        batched = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng_a)
         values, theta, factors = looped_conditional(
             state, "o", virtual.lambdas, virtual.bcs,
             lambda i, k: state.qy[i].sample(rng_b), rng_b,
         )
-        value = sum(values) + sum(
-            inference._constraint_likelihood_value(obs, qy, state.gamma_posteriors)
+        terms = [
+            reference_qy_term(obs, qy, state.gamma_posteriors["flux"])
             for obs, qy in zip(virtual.observables, state.qy)
-        )
-        assert_blocks_agree(batched, (value, theta, factors))
+        ]
+        assert state.qy_terms == terms
+        assert_blocks_agree(batched, (sum(values) + sum(terms), theta, factors))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_refresh_qy(self):
-        # the per-query, per-draw loop of h_means, each q(y) updated from it
+        # the per-query, per-draw loop of h_means, each q(y) updated from it,
+        # then the flux posterior and each query's term scored under it
         model, cfg, labeled, virtual, state, rng = make_problem(seed=9, n_o=3)
+        # the last query keeps only its flux rows, so its term has an entropy
+        flux_only = [
+            cs for cs in virtual.observables[2] if isinstance(cs.precision, vobs.Learned)
+        ]
+        virtual = VirtualData(
+            virtual.lambdas, virtual.bcs, [*virtual.observables[:2], flux_only]
+        )
         before = copy.deepcopy(state)
         rng_a, rng_b = crn(), crn()
         refresh_qy(state, virtual, rng_a)
-        sy = model.var_y()
+        sy, qys = model.var_y(), []
         for i, obs in enumerate(virtual.observables):
             bc = BoundaryCoeffs.from_array(virtual.bcs[i])
             mu_X, rho_X = before.factors["mu_X_o"][i], before.factors["rho_X_o"][i]
@@ -747,7 +788,19 @@ class TestBlocksAgainstLoops:
             qy = update_qy_closedform(obs, sy, h_mean, before.gamma_posteriors)
             assert np.array_equal(state.qy[i].mean, qy.mean)
             assert np.array_equal(state.qy[i].var_diag(), qy.var_diag())
+            qys.append(qy)
         assert rng_a.standard_normal() == rng_b.standard_normal()
+        flux = [
+            (cs, qy) for obs, qy in zip(virtual.observables, qys) for cs in obs
+            if isinstance(cs.precision, vobs.Learned)
+        ]
+        post = update_precision_gamma(
+            [qy.second_moment(cs.gamma, cs.alpha) for cs, qy in flux], flux[0][0].m
+        )
+        assert state.gamma_posteriors["flux"] == post
+        assert state.qy_terms == [
+            reference_qy_term(obs, qy, post) for obs, qy in zip(virtual.observables, qys)
+        ]
 
 
 # Datasets whose per-datum arrays disagree with the 3 lambdas, or whose bcs
@@ -834,17 +887,13 @@ class TestTrain:
         v_l1, _, _ = elbo_labeled(
             state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
-        v_o1, _, _ = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, crn(2)
-        )
+        v_o1, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
         v_p1, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         total_once = v_l1 + v_o1 + v_p1
         v_l2, _, _ = elbo_labeled(
             state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
-        v_o2, _, _ = elbo_virtual(
-            state, virtual.lambdas, virtual.bcs, virtual.observables, crn(2)
-        )
+        v_o2, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
         v_p2, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
 
