@@ -191,7 +191,7 @@ def update_qy_energy(
     The tempered potential exp(-tau V(y)) and the Gaussian p(y | X) make the
     optimal mean the solution of one SPD system,
     (diag(sy_inv) + tau K) mu = tau f + diag(sy_inv) h_mean, which is factored
-    and solved directly (dense Cholesky or sparse LU, as fem chooses for K).
+    and solved directly (dense or band Cholesky, as fem chooses for K).
     Variances are the mean-field fixed point 1 / diag(Sigma^{-1}).
 
     `steps` is accepted and ignored; callers from before the exact solve
@@ -386,7 +386,8 @@ def init_state(
 
 
 class GradStore(dict):
-    """Gradients summed key by key over the dicts given to add()."""
+    """Gradients summed key by key over the dicts given to add(), in place
+    into the first array given for each key: pass only arrays you own."""
 
     def add(self, *grads):
         for g in grads:
@@ -394,7 +395,7 @@ class GradStore(dict):
                 if key in self:
                     self[key] += value
                 else:
-                    self[key] = np.array(value, dtype=np.float64)
+                    self[key] = value
 
 
 def _q_draw(mu, rho, eps):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgsur import fem, field
 from cgsur.errors import GridMismatch, InvalidSize, NonPositiveConductivity, SingularSystem
@@ -267,6 +268,42 @@ class TestFactorize:
         with pytest.raises(SingularSystem):
             fem.factorize(A)
 
+    def test_band_not_positive_definite_raises(self):
+        A = sp.csr_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SingularSystem):
+            fem.factorize(A)
+
+    def test_band_nan_raises(self):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = np.nan
+        with pytest.raises(SingularSystem):
+            fem.factorize(sp.csr_array(A))
+
+    def test_coo_duplicates_solve_like_summed_csr(self):
+        # K_ff at d = 22 as a COO matrix that stores every entry twice, as a
+        # quarter and three quarters of its value
+        _, _, _, sys = random_system(22, 30)
+        K = sys.K[sys.mesh._ff].tocoo()
+        dup = sp.coo_array(
+            (np.concatenate([0.25 * K.data, 0.75 * K.data]),
+             (np.tile(K.row, 2), np.tile(K.col, 2))),
+            shape=K.shape,
+        )
+        rhs = np.random.default_rng(31).standard_normal(K.shape[0])
+        x = fem.factorize(dup)(rhs)
+        assert dup.nnz == 2 * K.nnz  # the caller's COO is left as given
+        assert np.max(np.abs(x - fem.factorize(K.tocsr())(rhs))) <= 1e-13 * np.abs(x).max()
+
+    def test_energy_matrix_band_matches_dense_solve(self):
+        # tau K + diag(s_y^-1) over all nodes has half-bandwidth d + 2
+        mesh, _, _, sys = random_system(32, 32)
+        rng = np.random.default_rng(33)
+        A = 1e3 * sys.K + sp.diags_array(rng.uniform(0.5, 3.0, mesh.n_nodes))
+        rhs = rng.standard_normal(mesh.n_nodes)
+        x = fem.factorize(A)(rhs)
+        x0 = np.linalg.solve(A.toarray(), rhs)
+        assert np.max(np.abs(x - x0)) <= 1e-12 * np.abs(x0).max()
+
 
 class TestSolveVjp:
     def test_zero_cotangent(self):
@@ -288,6 +325,17 @@ class TestSolveVjp:
         _, _, _, sys = random_system(d, 20 + d, source=0.3)
         cot = np.random.default_rng(d).standard_normal(sys.mesh.n_nodes)
         assert np.array_equal(fem.solve_vjp(sys, cot), add_at_vjp(sys, cot))
+
+    def test_band_path_matches_dense_assembly(self, monkeypatch):
+        # d = 22, 529 nodes, is the smallest grid on the band path
+        mesh, kappa, bc, sys = random_system(22, 34, source=0.3)
+        assert not sys.dense
+        monkeypatch.setattr(fem, "_DENSE_NODE_LIMIT", mesh.n_nodes)
+        dense = fem.assemble(mesh, kappa, bc, source=0.3)
+        assert dense.dense
+        cot = np.random.default_rng(35).standard_normal(mesh.n_nodes)
+        g, g0 = fem.solve_vjp(sys, cot), fem.solve_vjp(dense, cot)
+        assert np.max(np.abs(g - g0)) <= 1e-12 * np.abs(g0).max()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, seed):

@@ -282,8 +282,9 @@ class TestEnergyUpdate:
         assert np.max(np.abs(q.mean - h)) < 1e-9
         assert np.max(np.abs(q.var - 1.0 / sy_inv)) < 1e-9
 
-    # d = 2 has 9 nodes and a dense K; d = 22 has 529 > 500 nodes and a sparse K
-    @pytest.mark.parametrize("d", [2, 22], ids=["dense", "sparse"])
+    # d = 2 has 9 nodes and a dense K; d = 22 has 529 > 500 nodes and a sparse
+    # K, factored through its band like d = 32
+    @pytest.mark.parametrize("d", [2, 22, 32], ids=["dense", "sparse", "sparse32"])
     @pytest.mark.parametrize("tau", [11.0, 1e4], ids=["tau11", "tau1e4"])
     def test_matches_dense_solve(self, d, tau):
         obs, sy_inv, h, _ = self.build(d, 7, tau=tau)
@@ -859,6 +860,40 @@ class TestPriorTheta:
         scale = 1.7
         v, _ = prior_logpdf_theta(arrays, scale)
         assert v == pytest.approx(-0.5 * float(arrays["a"] @ arrays["a"]) / scale**2)
+
+
+class TestGradientsOwnTheirMemory:
+    """GradStore sums into the first array it gets for a key, so no block
+    may return a view of a trained array or two views of one buffer."""
+
+    @staticmethod
+    def assert_owned(state, *grad_dicts):
+        params = list(state.adam_arrays().values())
+        grads = [g for grad_dict in grad_dicts for g in grad_dict.values()]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, p) for p in params)
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
+
+    def test_factor_blocks_and_prior(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=5)
+        state.factors["mu_z_u"] = rng.standard_normal((4, model.dim_z)) * 0.3
+        state.factors["rho_z_u"] = rng.uniform(-2.0, 0.0, (4, model.dim_z))
+        blocks = [
+            elbo_unlabeled(state, labeled.lambdas[:2], rng, indices=np.array([3, 1])),
+            elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng),
+            elbo_virtual(state, virtual.lambdas, virtual.bcs, rng),
+        ]
+        _, prior = prior_logpdf_theta(model.params.arrays(), 1.0)
+        self.assert_owned(state, *[g for _, th, fa in blocks for g in (th, fa)], prior)
+
+    def test_amortized_unlabeled(self):
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
+        cfg = TrainConfig(mc_samples=2, amortized=True, encoder_hidden=(7,), seed=0)
+        unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
+        state = init_state(model, cfg, None, unl, None)
+        _, theta, factors = elbo_unlabeled(state, unl.lambdas, crn())
+        assert {"enc_mu", "enc_logvar"} <= theta.keys()
+        self.assert_owned(state, theta, factors)
 
 
 class TestReparametrization:
