@@ -31,8 +31,9 @@ from .errors import DimensionMismatch, TapeConsumed
 # Version 1 files have a separate layout per checkpoint kind, which
 # load_arrays cannot read; state files of versions 2 and 3 carry TrainConfig
 # fields that are now constants; files of version 4 describe networks by
-# lists of layer kinds instead of their widths.
-CHECKPOINT_VERSION = 5
+# lists of layer kinds instead of their widths; state files of version 5 carry
+# TrainConfig's per-datum Monte Carlo draw count, which is now one.
+CHECKPOINT_VERSION = 6
 
 
 class Tape:
@@ -172,7 +173,14 @@ def load_arrays(stem) -> tuple[dict, dict]:
     header = json.loads(stem.with_suffix(".json").read_text())
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
+    data = stem.with_suffix(".bin").read_bytes()
+    total = sum(int(np.prod(info["shape"])) for info in header["arrays"].values())
+    if len(data) != 8 * total:
+        raise ValueError(
+            f"{stem.with_suffix('.bin')} has {len(data)} bytes; its header lays out "
+            f"{total} float64 values ({8 * total} bytes)"
+        )
+    blob = np.frombuffer(data, dtype="<f8")
     arrays = {}
     for key, info in header["arrays"].items():
         size = int(np.prod(info["shape"]))

@@ -88,7 +88,6 @@ class Mesh:
         self.pixel_of_element = np.arange(self.n_elements) // 2
         # 0 = lower triangle, 1 = upper triangle
         self.element_kind = np.tile(np.array([0, 1]), self.n_pixels)
-        self.element_area = self.h * self.h / 2.0
 
         node_ix = np.arange(self.n_nodes) % (d + 1)
         dirichlet = (node_ix == 0) | (node_ix == d)
@@ -140,11 +139,11 @@ def _as_kappa(mesh: Mesh, kappa) -> np.ndarray:
 
 @dataclass
 class FemSystem:
-    """Assembled stiffness, load and Dirichlet data for one (kappa, bc)."""
+    """Assembled stiffness and Dirichlet data for one (kappa, bc)."""
 
     mesh: Mesh
     K: object  # dense ndarray or scipy CSR, over all nodes
-    f_vec: np.ndarray
+    f_vec: np.ndarray  # zero load (no source term); bench/checks.py reads it
     dirichlet_values: np.ndarray
     kappa: np.ndarray
     _solve: object = field(default=None, repr=False)
@@ -200,11 +199,10 @@ class Solution:
     y_vec: np.ndarray
 
 
-def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs, source=0.0) -> FemSystem:
-    """Assemble stiffness and load for piecewise-constant kappa.
+def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs) -> FemSystem:
+    """Assemble the stiffness for piecewise-constant kappa; the load is zero.
 
-    K[a, b] = sum_e kappa_e int_e grad(phi_a) . grad(phi_b);
-    f_vec[a] = sum_e int_e f phi_a (source constant, or one value per pixel).
+    K[a, b] = sum_e kappa_e int_e grad(phi_a) . grad(phi_b).
     """
     kappa = _as_kappa(mesh, kappa)
     blocks = kappa[mesh.pixel_of_element][:, None, None] * mesh._k_ref
@@ -216,24 +214,10 @@ def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs, source=0.0) -> FemSystem:
             (blocks.ravel(), (mesh._rows, mesh._cols)),
             shape=(n, n),
         ).tocsr()
-
-    src = np.asarray(source, dtype=np.float64)
-    if src.ndim == 0:
-        f_elem = np.full(mesh.n_elements, float(src))
-    else:
-        if src.shape != (mesh.n_pixels,):
-            raise GridMismatch(
-                f"source has shape {src.shape}, expected scalar or ({mesh.n_pixels},)"
-            )
-        f_elem = src[mesh.pixel_of_element]
-    f_vec = np.bincount(
-        mesh.elements.ravel(), np.repeat(f_elem * mesh.element_area / 3.0, 3), n
-    )
-
     return FemSystem(
         mesh=mesh,
         K=K,
-        f_vec=f_vec,
+        f_vec=np.zeros(n),
         dirichlet_values=mesh.dirichlet_values(bc),
         kappa=kappa,
     )
@@ -251,7 +235,7 @@ def solve(sys: FemSystem) -> Solution:
         SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
         sys._solution = y
         return Solution(y_vec=y)
-    rhs = sys.f_vec[free] - sys.K[mesh._fd] @ y[cons]
+    rhs = -(sys.K[mesh._fd] @ y[cons])
     y[free] = sys.solve_free(rhs)
     sys._solution = y
     return Solution(y_vec=y)
@@ -281,17 +265,11 @@ def solve_vjp(sys: FemSystem, cotangent: np.ndarray) -> np.ndarray:
 
 
 def energy(sys: FemSystem, y) -> float:
-    """Discrete potential 0.5 y^T K y - f^T y over the full nodal vector."""
+    """Discrete potential 0.5 y^T K y over the full nodal vector."""
     if isinstance(y, Solution):
         y = y.y_vec
     y = np.asarray(y, dtype=np.float64)
-    return 0.5 * float(y @ (sys.K @ y)) - float(sys.f_vec @ y)
-
-
-def energy_grad(sys: FemSystem, y) -> np.ndarray:
-    if isinstance(y, Solution):
-        y = y.y_vec
-    return sys.K @ y - sys.f_vec
+    return 0.5 * float(y @ (sys.K @ y))
 
 
 def _locate_in_coarse(fine_nodes: np.ndarray, d_c: int):

@@ -41,9 +41,9 @@ class GrfSpec:
     def __post_init__(self):
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
-        if self.std <= 0.0:
+        if not self.std > 0.0:
             raise ValueError(f"std must be > 0, got {self.std}")
-        if self.length_scale <= 0.0:
+        if not self.length_scale > 0.0:
             raise ValueError(f"length_scale must be > 0, got {self.length_scale}")
 
     @property

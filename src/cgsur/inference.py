@@ -21,9 +21,9 @@ draws its noise from the generator it is given, in an order that does not
 depend on the parameter values, so two identically seeded generators give
 common random numbers for finite differences.
 
-A block first draws all its noise, datum by datum, and then makes one call
-of each model term, log p(y | X) with its coarse solves included, over all
-n * mc_samples (datum, draw) rows; parameter gradients come back summed over
+A block first draws all its noise, one reparametrized draw per datum, and
+then makes one call of each model term, log p(y | X) with its coarse solves
+included, over the n data rows; parameter gradients come back summed over
 the rows. A q(y) refresh likewise draws the coarse inputs of every query at
 once and solves them in one call.
 """
@@ -175,8 +175,8 @@ def update_precision_gamma(second_moments, m: int) -> GammaPosterior:
     a0 = b0 = GAMMA_PRIOR.
     """
     moments = np.asarray(list(second_moments), dtype=np.float64)
-    if np.any(moments < 0.0):
-        raise ValueError("residual second moments must be nonnegative")
+    if not np.all(np.isfinite(moments) & (moments >= 0.0)):
+        raise ValueError("residual second moments must be finite and nonnegative")
     return GammaPosterior(
         alpha=0.5 * m * moments.size + GAMMA_PRIOR,
         beta=0.5 * float(moments.sum()) + GAMMA_PRIOR,
@@ -190,7 +190,7 @@ def update_qy_energy(
 
     The tempered potential exp(-tau V(y)) and the Gaussian p(y | X) make the
     optimal mean the solution of one SPD system,
-    (diag(sy_inv) + tau K) mu = tau f + diag(sy_inv) h_mean, which is factored
+    (diag(sy_inv) + tau K) mu = diag(sy_inv) h_mean, which is factored
     and solved directly (dense or band Cholesky, as fem chooses for K).
     Variances are the mean-field fixed point 1 / diag(Sigma^{-1}).
 
@@ -200,7 +200,7 @@ def update_qy_energy(
     sy_inv = np.asarray(sy_inv_diag, dtype=np.float64)
     K = obs.system.K
     a_mat = obs.tau * K + scipy.sparse.diags_array(sy_inv)
-    mean = fem.factorize(a_mat)(obs.tau * obs.system.f_vec + sy_inv * h_mean)
+    mean = fem.factorize(a_mat)(sy_inv * h_mean)
     return DiagGaussian(mean=mean, var=1.0 / (sy_inv + obs.tau * K.diagonal()))
 
 
@@ -255,7 +255,6 @@ class TrainConfig:
     """Settings of one train() call.
 
     iterations: iteration budget of the call.
-    mc_samples: reparametrized draws per datum in every ELBO block.
     unlabeled_batch: unlabeled data per iteration (all of them when fewer).
     cadence: iterations between q(y) and Gamma-precision refreshes.
     plateau_window: iterations per window of the plateau stop, which compares
@@ -269,7 +268,6 @@ class TrainConfig:
     """
 
     iterations: int = 20000
-    mc_samples: int = 1
     unlabeled_batch: int = 64
     cadence: int = 50
     plateau_window: int = 500
@@ -281,7 +279,7 @@ class TrainConfig:
     log_every: int = 25
 
     def __post_init__(self):
-        for name in ("mc_samples", "unlabeled_batch", "cadence", "plateau_window", "log_every"):
+        for name in ("unlabeled_batch", "cadence", "plateau_window", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("tau_start", "tau_end"):
@@ -399,26 +397,24 @@ class GradStore(dict):
 
 
 def _q_draw(mu, rho, eps):
-    """Rows of reparametrized draws: eps is (n, mc, d) for the n rows of
-    (mu, rho); returns the draws as (n * mc, d) rows, datum by datum."""
-    return (mu[:, None] + np.exp(0.5 * rho)[:, None] * eps).reshape(-1, mu.shape[1])
+    """Reparametrized draws mu + exp(rho / 2) eps of q = N(mu, diag exp(rho))."""
+    return mu + np.exp(0.5 * rho) * eps
 
 
-def _row_bcs(bcs, mc):
-    """BoundaryCoeffs for the (n * mc, .) rows of n data, datum by datum."""
-    return [BoundaryCoeffs.from_array(bc) for bc in bcs for _ in range(mc)]
+def _row_bcs(bcs):
+    """BoundaryCoeffs for each row of an (n, 4) array."""
+    return [BoundaryCoeffs.from_array(bc) for bc in bcs]
 
 
 def _q_terms(mu, rho, g, eps, prior: bool):
     """Closed forms of q = N(mu, diag exp(rho)) per datum: its entropy, plus
     E_q[log N(0, I)] when `prior`. Returns their values and their (mu, rho)
-    gradients plus those of the MC average of a term whose gradients at the
-    draws _q_draw(mu, rho, eps) are the rows g."""
+    gradients plus those of a term whose gradients at the draws
+    _q_draw(mu, rho, eps) are the rows g."""
     var = np.exp(rho)
-    g = g.reshape(eps.shape)
     value = entropy_diag(var)
-    d_mu = g.mean(axis=1)
-    d_rho = 0.5 * np.exp(0.5 * rho) * (g * eps).mean(axis=1) + 0.5
+    d_mu = g
+    d_rho = 0.5 * np.exp(0.5 * rho) * (g * eps) + 0.5
     if prior:
         value = value + standard_logpdf_expectation(mu, var)
         d_mu, d_rho = d_mu - mu, d_rho - 0.5 * var
@@ -438,7 +434,6 @@ def elbo_unlabeled(
     entropy are closed forms. Returns (value, theta_grads, factor_grads).
     """
     model = state.model
-    mc = state.config.mc_samples
     n = lambdas.shape[0]
     if state.enc_mu is not None:
         mu, tape_mu = state.enc_mu.forward(lambdas)
@@ -446,14 +441,12 @@ def elbo_unlabeled(
     else:
         idx = np.arange(n) if indices is None else np.asarray(indices)
         mu, rho = state.factors["mu_z_u"][idx], state.factors["rho_z_u"][idx]
-    eps = rng.standard_normal((n, mc, model.dim_z))
-    lp, gz, gdec = model.logp_x_given_z_grads(
-        np.repeat(lambdas, mc, axis=0), _q_draw(mu, rho, eps)
-    )
+    eps = rng.standard_normal((n, model.dim_z))
+    lp, gz, gdec = model.logp_x_given_z_grads(lambdas, _q_draw(mu, rho, eps))
     closed, g_mu, g_rho = _q_terms(mu, rho, gz, eps, prior=True)
-    value = scale * np.sum(lp.reshape(n, mc).mean(axis=1) + closed)
+    value = scale * np.sum(lp + closed)
     theta = gdec
-    theta["decoder"] *= scale / mc
+    theta["decoder"] *= scale
     if state.enc_mu is None:
         return value, theta, {"mu_z_u": scale * g_mu, "rho_z_u": scale * g_rho}
     theta["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0]
@@ -468,36 +461,33 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
     solve inside log p(y|X), plus the closed-form z prior cross term and the
-    (z, X) entropies. They differ only in where y comes from: y_draw(i, k)
+    (z, X) entropies. They differ only in where y comes from: y_draw(i)
     returns an observation or a q(y) draw, and is called after datum i's
     (z, X) draws so the generator stream matches the block's own order.
     Factor keys end in `suffix`. Returns (per-datum values, theta_grads,
     factor_grads).
     """
     model = state.model
-    mc = state.config.mc_samples
     n = lambdas.shape[0]
     idx = np.arange(n) if indices is None else np.asarray(indices)
     keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
     mu_z, rho_z, mu_X, rho_X = (state.factors[key][idx] for key in keys)
     eps_z, eps_X, ys = [], [], []
     for i in range(n):
-        eps_z.append(rng.standard_normal((mc, model.dim_z)))
-        eps_X.append(rng.standard_normal((mc, model.dim_X)))
-        ys += [y_draw(i, k) for k in range(mc)]
+        eps_z.append(rng.standard_normal(model.dim_z))
+        eps_X.append(rng.standard_normal(model.dim_X))
+        ys.append(y_draw(i))
     eps_z, eps_X = np.array(eps_z), np.array(eps_X)
     z, X = _q_draw(mu_z, rho_z, eps_z), _q_draw(mu_X, rho_X, eps_X)
 
-    lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs, mc))
-    lp_x, gz_x, gdec = model.logp_x_given_z_grads(np.repeat(lambdas, mc, axis=0), z)
+    lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs))
+    lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas, z)
     lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
     theta = {**gy, **gdec, **gcm}
-    for grad in theta.values():
-        grad /= mc
 
     closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
     closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
-    values = (lp_y + (lp_x + lp_X)).reshape(n, mc).mean(axis=1) + closed_z + closed_X
+    values = lp_y + (lp_x + lp_X) + closed_z + closed_X
     return values, theta, dict(zip(keys, [*g_z, *g_X]))
 
 
@@ -511,7 +501,7 @@ def elbo_labeled(
 ):
     """Labeled ELBO block: the coarse solve sits inside log p(y | X)."""
     values, theta, factors = _conditional_elbo(
-        state, "l", lambdas, bcs, lambda i, k: ys[i], rng, indices
+        state, "l", lambdas, bcs, lambda i: ys[i], rng, indices
     )
     return np.sum(values), theta, factors
 
@@ -534,7 +524,7 @@ def _energy_likelihood_value(system: fem.FemSystem, qy: DiagGaussian, tau: float
     """E_q[-tau V(y)] for diagonal q plus its entropy; constants dropped."""
     K = system.K
     quad = float(qy.mean @ (K @ qy.mean)) + float(K.diagonal() @ qy.var)
-    return -tau * (0.5 * quad - float(system.f_vec @ qy.mean)) + qy.entropy()
+    return -tau * (0.5 * quad) + qy.entropy()
 
 
 def elbo_virtual(
@@ -556,7 +546,7 @@ def elbo_virtual(
     qys = [state.qy[j] for j in idx]
 
     values, theta, factors = _conditional_elbo(
-        state, "o", lambdas, bcs, lambda i, k: qys[i].sample(rng), rng, indices
+        state, "o", lambdas, bcs, lambda i: qys[i].sample(rng), rng, indices
     )
     value = np.sum(values)
     for j in idx:
@@ -666,8 +656,10 @@ def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
     state.tau = _temper_tau(state.config, state.iteration - state.run_start)
     n = len(virtual)
     eps = rng.standard_normal((n, QY_MC, model.dim_X))
-    X = _q_draw(state.factors["mu_X_o"], state.factors["rho_X_o"], eps)
-    mean_y = model.output_map(model.cgm_forward(X, _row_bcs(virtual.bcs, QY_MC)))[0]
+    mu, rho = state.factors["mu_X_o"][:, None], state.factors["rho_X_o"][:, None]
+    X = _q_draw(mu, rho, eps).reshape(n * QY_MC, model.dim_X)
+    bcs = _row_bcs(np.repeat(virtual.bcs, QY_MC, axis=0))
+    mean_y = model.output_map(model.cgm_forward(X, bcs))[0]
     # in row-major order each query's draws are summed in turn, not pairwise
     h_means = np.ascontiguousarray(mean_y).reshape(n, QY_MC, -1).sum(axis=1) / QY_MC
     state.qy_terms = [0.0] * n

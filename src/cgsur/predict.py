@@ -156,7 +156,7 @@ def logscore(y_true: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
     y_true = np.asarray(y_true, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
-    if np.any(var <= 0.0):
+    if not np.all(var > 0.0):
         raise NonPositiveVariance("predictive variances must be positive")
     return float(np.mean(diag_logpdf(y_true, mean, var)))
 
@@ -194,7 +194,8 @@ def propagate_uq(
     sample per input (the correct marginal over inputs and predictive
     noise). When requested, the fine-model Monte Carlo reference is computed
     for the same inputs and the two-sample KS distance is reported. The
-    density estimates need n >= 2 inputs.
+    density estimates need n >= 2 inputs. mode="amortized" silently falls
+    back to "optimize" when the state has no encoder.
     """
     if n < 2:
         raise InvalidSize(f"propagate_uq needs n >= 2 inputs, got {n}")

@@ -6,8 +6,8 @@ Three linear families act on the full fine nodal vector y:
   shape functions (interpolated onto the fine mesh, zeroed on Gamma_D);
 - randomized residuals: the same construction with radial-basis weights at
   uniformly sampled centers;
-- flux balance: net boundary flux minus source integral per subdomain,
-  where subdomains coincide with the coarse-mesh cells.
+- flux balance: net boundary flux per subdomain, where subdomains
+  coincide with the coarse-mesh cells.
 
 Residual rows are built in lift form: Dirichlet columns of Gamma are zeroed
 and the right-hand side absorbs the Dirichlet data, so the residual vanishes
@@ -40,7 +40,7 @@ class GammaPosterior:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(f"Gamma parameters must be positive: {self}")
 
     def mean(self) -> float:
@@ -105,7 +105,7 @@ def _weighted_residual_rows(sys: fem.FemSystem, weights: np.ndarray):
     weights: (n_nodes, M) columns already zeroed at Dirichlet nodes.
     """
     raw = np.asarray((sys.K @ weights).T)
-    alpha = weights.T @ sys.f_vec - raw @ sys.dirichlet_values
+    alpha = -(raw @ sys.dirichlet_values)
     gamma = raw.copy()
     gamma[:, sys.mesh.dirichlet_nodes] = 0.0
     return gamma, alpha
@@ -121,7 +121,6 @@ def build_cgr(
     coarse_mesh: fem.Mesh,
     kappa,
     bc: BoundaryCoeffs,
-    source=0.0,
 ) -> LinearConstraintSet:
     """Coarse-grained residual constraints, one per coarse node.
 
@@ -131,7 +130,7 @@ def build_cgr(
     fine solution. Rows are zeroed, not dropped (all-zero rows can only occur
     in the degenerate d_f = d_c case and are removed).
     """
-    sys = fem.assemble(fine_mesh, kappa, bc, source=source)
+    sys = fem.assemble(fine_mesh, kappa, bc)
     W = np.asarray(fem.p1_prolongation(coarse_mesh.d, fine_mesh.d).todense())
     W[fine_mesh.dirichlet_nodes, :] = 0.0
     gamma, alpha = _weighted_residual_rows(sys, W)
@@ -146,17 +145,16 @@ def build_randomized(
     count: int,
     scale: float = 0.1,
     rng: np.random.Generator | None = None,
-    source=0.0,
 ) -> LinearConstraintSet:
     """Randomized weighted residuals with radial-basis weights.
 
     Centers are uniform on the unit square; each weight is the fine nodal
     interpolant of exp(-||s - s0||^2 / scale^2), zeroed on Gamma_D.
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     rng = rng or np.random.default_rng()
-    sys = fem.assemble(fine_mesh, kappa, bc, source=source)
+    sys = fem.assemble(fine_mesh, kappa, bc)
     centers = rng.uniform(0.0, 1.0, size=(count, 2))
     d2 = np.sum(
         (fine_mesh.nodes[:, None, :] - centers[None, :, :]) ** 2, axis=-1
@@ -173,14 +171,13 @@ def build_flux(
     fine_mesh: fem.Mesh,
     coarse_mesh: fem.Mesh,
     kappa,
-    source=0.0,
 ) -> LinearConstraintSet:
     """Flux-balance constraints over subdomains matching the coarse cells.
 
     Row i is the net outward flux through the boundary of coarse cell i,
     computed from the element-wise constant fluxes of the fine elements
-    inside the cell; alpha_i is the integrated source over the cell. The
-    exact fine solution does not satisfy these rows, so they carry a
+    inside the cell; alpha is zero, as there is no source. The exact fine
+    solution does not satisfy these rows, so they carry a
     learned precision.
     """
     fem._check_nested(coarse_mesh.d, fine_mesh.d)
@@ -219,14 +216,8 @@ def build_flux(
             coeff = -kappa[pix][:, None] * (normal @ fem._B_REF[kind])[None, :]
             np.add.at(gamma[i], fine_mesh.elements[elems].ravel(), coeff.ravel())
 
-    src = np.asarray(source, dtype=np.float64)
-    if src.ndim == 0:
-        alpha = np.full(n_sub, float(src) / n_sub)
-    else:
-        per_pixel = src.reshape(d_f, d_f) / (d_f * d_f)
-        alpha = per_pixel.reshape(d_c, r, d_c, r).sum(axis=(1, 3)).ravel()
     return LinearConstraintSet(
-        gamma=gamma, alpha=alpha, precision=Learned(), kind="flux"
+        gamma=gamma, alpha=np.zeros(n_sub), precision=Learned(), kind="flux"
     )
 
 
@@ -238,16 +229,14 @@ class EnergyObservable:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 def build_energy(
-    fine_mesh: fem.Mesh, kappa, bc: BoundaryCoeffs, tau: float, source=0.0
+    fine_mesh: fem.Mesh, kappa, bc: BoundaryCoeffs, tau: float
 ) -> EnergyObservable:
-    return EnergyObservable(
-        system=fem.assemble(fine_mesh, kappa, bc, source=source), tau=tau
-    )
+    return EnergyObservable(system=fem.assemble(fine_mesh, kappa, bc), tau=tau)
 
 
 def build_hybrid(
@@ -258,7 +247,6 @@ def build_hybrid(
     rng: np.random.Generator,
     m2: int = 60,
     scale: float = 0.1,
-    source=0.0,
 ) -> list[LinearConstraintSet]:
     """The hybrid bundle: coarse residuals + randomized residuals + flux rows.
 
@@ -267,11 +255,9 @@ def build_hybrid(
     """
     return _drop_dependent_exact_rows(
         [
-            build_cgr(fine_mesh, coarse_mesh, kappa, bc, source=source),
-            build_randomized(
-                fine_mesh, kappa, bc, count=m2, scale=scale, rng=rng, source=source
-            ),
-            build_flux(fine_mesh, coarse_mesh, kappa, source=source),
+            build_cgr(fine_mesh, coarse_mesh, kappa, bc),
+            build_randomized(fine_mesh, kappa, bc, count=m2, scale=scale, rng=rng),
+            build_flux(fine_mesh, coarse_mesh, kappa),
         ]
     )
 

@@ -209,6 +209,15 @@ class TestCheckpoint:
         assert np.array_equal(loaded_state.enc_mu.params, state.enc_mu.params)
         assert np.array_equal(loaded_state.enc_logvar.params, state.enc_logvar.params)
 
+    @pytest.mark.parametrize("extra", [8, -8, 3], ids=["padded", "truncated", "partial"])
+    def test_blob_of_wrong_size_rejected(self, tmp_path, extra):
+        genmodel.save_model(genmodel.GenerativeModel(4, 2), tmp_path / "ckpt")
+        path = tmp_path / "ckpt.bin"
+        data = path.read_bytes()
+        path.write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
+        with pytest.raises(ValueError, match=f"has {len(data) + extra} bytes.*{len(data)} bytes"):
+            genmodel.load_model(tmp_path / "ckpt")
+
     def test_blob_size_checked(self):
         with pytest.raises(DimensionMismatch):
             ap.Approximator((3, 4, 2), params=np.zeros(7))

@@ -9,15 +9,14 @@ from cgsur.field import BoundaryCoeffs
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
 
-def naive_assemble(mesh, kappa, source=0.0):
-    """Independent stiffness/load assembly from node coordinates.
+def naive_assemble(mesh, kappa):
+    """Independent stiffness assembly from node coordinates.
 
     Computes P1 gradients per element with the generic barycentric formula,
     without reusing any of the mesh's precomputed reference matrices.
     """
     n = mesh.n_nodes
     K = np.zeros((n, n))
-    f = np.zeros(n)
     for e in range(mesh.n_elements):
         tri = mesh.elements[e]
         pts = mesh.nodes[tri]
@@ -27,25 +26,20 @@ def naive_assemble(mesh, kappa, source=0.0):
         grads = np.linalg.inv(mat).T[:, 1:]  # row i -> grad of phi_i
         ke = kappa[mesh.pixel_of_element[e]] * area * grads @ grads.T
         for a in range(3):
-            f[tri[a]] += source * area / 3.0
             for b in range(3):
                 K[tri[a], tri[b]] += ke[a, b]
-    return K, f
+    return K
 
 
-def add_at_assemble(mesh, kappa, source):
-    """Dense K and f_vec summed with np.add.at from the same element blocks."""
+def add_at_assemble(mesh, kappa):
+    """Dense K summed with np.add.at from the same element blocks."""
     n = mesh.n_nodes
     blocks = kappa[mesh.pixel_of_element][:, None, None] * fem._K_REF[mesh.element_kind]
     K = np.zeros((n, n))
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
     np.add.at(K, (rows, cols), blocks.ravel())
-    src = np.asarray(source, dtype=np.float64)
-    f_elem = np.full(mesh.n_elements, float(src)) if src.ndim == 0 else src[mesh.pixel_of_element]
-    f = np.zeros(n)
-    np.add.at(f, mesh.elements.ravel(), np.repeat(f_elem * mesh.element_area / 3.0, 3))
-    return K, f
+    return K
 
 
 def add_at_vjp(sys, cot):
@@ -63,12 +57,12 @@ def add_at_vjp(sys, cot):
     return grad
 
 
-def random_system(d, seed, source=0.0):
+def random_system(d, seed):
     rng = np.random.default_rng(seed)
     mesh = fem.build_mesh(d)
     kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
     bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-    return mesh, kappa, bc, fem.assemble(mesh, kappa, bc, source=source)
+    return mesh, kappa, bc, fem.assemble(mesh, kappa, bc)
 
 
 class TestMesh:
@@ -76,7 +70,6 @@ class TestMesh:
         m = fem.build_mesh(1)
         assert m.n_nodes == 4
         assert m.n_elements == 2
-        assert m.n_elements * m.element_area == pytest.approx(1.0)
 
     def test_counts_d2(self):
         m = fem.build_mesh(2)
@@ -122,10 +115,8 @@ class TestMesh:
 
 class TestAssemble:
     def test_matches_naive_assembly(self):
-        mesh, kappa, bc, sys = random_system(3, 0, source=0.7)
-        K0, f0 = naive_assemble(mesh, kappa, source=0.7)
-        assert np.allclose(sys.K, K0, atol=1e-13)
-        assert np.allclose(sys.f_vec, f0, atol=1e-15)
+        mesh, kappa, bc, sys = random_system(3, 0)
+        assert np.allclose(sys.K, naive_assemble(mesh, kappa), atol=1e-13)
 
     def test_row_sums_zero(self):
         mesh = fem.build_mesh(4)
@@ -150,7 +141,7 @@ class TestAssemble:
         assert np.max(np.abs(np.sum(sys.K, axis=1))) < 1e-14
 
     def test_zero_source_zero_load(self):
-        mesh, _, _, sys = random_system(4, 1, source=0.0)
+        mesh, _, _, sys = random_system(4, 1)
         assert np.all(sys.f_vec == 0.0)
 
     def test_stiffness_linear_in_kappa(self):
@@ -166,23 +157,13 @@ class TestAssemble:
         with pytest.raises(NonPositiveConductivity):
             fem.assemble(mesh, np.array([1.0, -1.0, 1.0, 1.0]), BC_A)
 
-    def test_per_pixel_source(self):
-        mesh = fem.build_mesh(2)
-        src = np.array([1.0, 0.0, 0.0, 0.0])
-        sys = fem.assemble(mesh, np.ones(4), BC_A, source=src)
-        assert sys.f_vec.sum() == pytest.approx(0.25)
-
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
-    @pytest.mark.parametrize("per_pixel", [False, True])
-    def test_bit_equal_to_add_at(self, d, per_pixel):
+    def test_bit_equal_to_add_at(self, d):
         rng = np.random.default_rng(d)
         mesh = fem.build_mesh(d)
         kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
-        source = rng.normal(size=mesh.n_pixels) if per_pixel else 0.7
-        sys = fem.assemble(mesh, kappa, BC_A, source=source)
-        K0, f0 = add_at_assemble(mesh, kappa, source)
-        assert np.array_equal(sys.K, K0)
-        assert np.array_equal(sys.f_vec, f0)
+        sys = fem.assemble(mesh, kappa, BC_A)
+        assert np.array_equal(sys.K, add_at_assemble(mesh, kappa))
 
     def test_accepts_field_sample(self):
         spec = field.GrfSpec(grid_size=4)
@@ -217,21 +198,21 @@ class TestSolve:
         assert np.array_equal(y[mesh.dirichlet_nodes], dv[mesh.dirichlet_nodes])
 
     def test_matches_dense_lu_oracle(self):
-        mesh, kappa, bc, sys = random_system(4, 5, source=0.2)
-        K0, f0 = naive_assemble(mesh, kappa, source=0.2)
+        mesh, kappa, bc, sys = random_system(4, 5)
+        K0 = naive_assemble(mesh, kappa)
         free, cons = mesh.free_nodes, mesh.dirichlet_nodes
         y0 = mesh.dirichlet_values(bc)
-        rhs = f0[free] - K0[np.ix_(free, cons)] @ y0[cons]
+        rhs = -K0[np.ix_(free, cons)] @ y0[cons]
         y0[free] = np.linalg.solve(K0[np.ix_(free, free)], rhs)
         y = fem.solve(sys).y_vec
         assert np.max(np.abs(y - y0)) < 1e-11
 
     def test_residual_tolerance(self):
-        mesh, kappa, bc, sys = random_system(16, 6, source=1.0)
+        mesh, kappa, bc, sys = random_system(16, 6)
         y = fem.solve(sys).y_vec
         free = mesh.free_nodes
-        rhs = sys.f_vec[free] - (sys.K @ mesh.dirichlet_values(bc))[free]
-        res = (sys.K @ y - sys.f_vec)[free]
+        rhs = (sys.K @ mesh.dirichlet_values(bc))[free]
+        res = (sys.K @ y)[free]
         assert np.linalg.norm(res) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
     def test_sparse_path_matches_dense(self):
@@ -239,11 +220,11 @@ class TestSolve:
         mesh, kappa, bc, sys = random_system(32, 7)
         assert not sys.dense
         y = fem.solve(sys).y_vec
-        K0, f0 = naive_assemble(mesh, kappa)
+        K0 = naive_assemble(mesh, kappa)
         free, cons = mesh.free_nodes, mesh.dirichlet_nodes
         y0 = mesh.dirichlet_values(bc)
         y0[free] = np.linalg.solve(
-            K0[np.ix_(free, free)], f0[free] - K0[np.ix_(free, cons)] @ y0[cons]
+            K0[np.ix_(free, free)], -K0[np.ix_(free, cons)] @ y0[cons]
         )
         assert np.max(np.abs(y - y0)) < 1e-10
 
@@ -322,16 +303,16 @@ class TestSolveVjp:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     def test_bit_equal_to_add_at(self, d):
-        _, _, _, sys = random_system(d, 20 + d, source=0.3)
+        _, _, _, sys = random_system(d, 20 + d)
         cot = np.random.default_rng(d).standard_normal(sys.mesh.n_nodes)
         assert np.array_equal(fem.solve_vjp(sys, cot), add_at_vjp(sys, cot))
 
     def test_band_path_matches_dense_assembly(self, monkeypatch):
         # d = 22, 529 nodes, is the smallest grid on the band path
-        mesh, kappa, bc, sys = random_system(22, 34, source=0.3)
+        mesh, kappa, bc, sys = random_system(22, 34)
         assert not sys.dense
         monkeypatch.setattr(fem, "_DENSE_NODE_LIMIT", mesh.n_nodes)
-        dense = fem.assemble(mesh, kappa, bc, source=0.3)
+        dense = fem.assemble(mesh, kappa, bc)
         assert dense.dense
         cot = np.random.default_rng(35).standard_normal(mesh.n_nodes)
         g, g0 = fem.solve_vjp(sys, cot), fem.solve_vjp(dense, cot)
@@ -343,7 +324,7 @@ class TestSolveVjp:
         mesh = fem.build_mesh(2)
         kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
         bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-        sys = fem.assemble(mesh, kappa, bc, source=0.5)
+        sys = fem.assemble(mesh, kappa, bc)
         cot = rng.standard_normal(mesh.n_nodes)
         g = fem.solve_vjp(sys, cot)
         h = 1e-6
@@ -351,8 +332,8 @@ class TestSolveVjp:
             kp, km = kappa.copy(), kappa.copy()
             kp[p] += h
             km[p] -= h
-            yp = fem.solve(fem.assemble(mesh, kp, bc, source=0.5)).y_vec
-            ym = fem.solve(fem.assemble(mesh, km, bc, source=0.5)).y_vec
+            yp = fem.solve(fem.assemble(mesh, kp, bc)).y_vec
+            ym = fem.solve(fem.assemble(mesh, km, bc)).y_vec
             fd = cot @ (yp - ym) / (2 * h)
             assert g[p] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
@@ -368,7 +349,7 @@ class TestFluxAndEnergy:
         assert fem.energy(sys, np.zeros(sys.mesh.n_nodes)) == 0.0
 
     def test_energy_minimal_at_solution(self):
-        mesh, kappa, bc, sys = random_system(4, 14, source=0.4)
+        mesh, kappa, bc, sys = random_system(4, 14)
         y = fem.solve(sys).y_vec
         v_star = fem.energy(sys, y)
         rng = np.random.default_rng(15)
@@ -377,21 +358,12 @@ class TestFluxAndEnergy:
             delta[mesh.free_nodes] = 0.1 * rng.standard_normal(len(mesh.free_nodes))
             assert fem.energy(sys, y + delta) >= v_star - 1e-12
 
-    def test_energy_solve_duality(self):
-        mesh, kappa, bc, sys = random_system(8, 16, source=1.3)
-        y = fem.solve(sys).y_vec
-        grad = fem.energy_grad(sys, y)[mesh.free_nodes]
-        rhs = sys.f_vec[mesh.free_nodes] - (sys.K @ mesh.dirichlet_values(bc))[
-            mesh.free_nodes
-        ]
-        assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(rhs)
-
 
 class TestGalerkinAndConvergence:
     def test_galerkin_residual_nullity(self):
-        mesh, kappa, bc, sys = random_system(8, 17, source=0.9)
+        mesh, kappa, bc, sys = random_system(8, 17)
         y = fem.solve(sys).y_vec
-        resid = sys.K @ y - sys.f_vec
+        resid = sys.K @ y
         rng = np.random.default_rng(18)
         scale = np.linalg.norm(resid)
         for _ in range(20):
@@ -401,15 +373,14 @@ class TestGalerkinAndConvergence:
 
     @staticmethod
     def manufactured_error(d):
-        # kappa = 1 + s1, f = 1, u_D in the supported family: the exact
-        # solution u = (2/ln 2) ln(1 + s1) - s1 depends on s1 only, so the
-        # zero-flux condition on the top/bottom edges holds exactly.
+        # kappa = 1 + s1, u = 0 at s1 = 0 and u = 1 at s1 = 1: the exact
+        # solution u = ln(1 + s1) / ln 2 depends on s1 only, so the zero-flux
+        # condition on the top/bottom edges holds exactly.
         mesh = fem.build_mesh(d)
         s1 = field.pixel_centroids(d)[:, 0]
         kappa = 1.0 + s1
-        sys = fem.assemble(mesh, kappa, BC_A, source=1.0)
-        y = fem.solve(sys).y_vec
-        exact = (2.0 / np.log(2.0)) * np.log1p(mesh.nodes[:, 0]) - mesh.nodes[:, 0]
+        y = fem.solve(fem.assemble(mesh, kappa, BC_A)).y_vec
+        exact = np.log1p(mesh.nodes[:, 0]) / np.log(2.0)
         return np.sqrt(np.mean((y - exact) ** 2))
 
     def test_second_order_convergence(self):

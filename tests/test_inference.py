@@ -34,11 +34,11 @@ from cgsur.inference import (
 from cgsur.seeding import derive_rng
 
 
-def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), mc=1, m2=5):
+def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), m2=5):
     """Small model + labeled + hybrid virtual data for gradient tests."""
     rng = np.random.default_rng(seed)
     model = GenerativeModel(d_f, d_c, decoder_hidden=hidden, seed=seed)
-    cfg = TrainConfig(mc_samples=mc, seed=seed)
+    cfg = TrainConfig(seed=seed)
     sampler = GrfSampler(GrfSpec(grid_size=d_f, length_scale=0.3))
     lams, ys, bcs = [], [], []
     for _ in range(n_l):
@@ -271,7 +271,7 @@ class TestEnergyUpdate:
         mesh = fem.build_mesh(d)
         kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
         bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-        obs = vobs.build_energy(mesh, kappa, bc, tau=tau, source=0.2)
+        obs = vobs.build_energy(mesh, kappa, bc, tau=tau)
         sy_inv = rng.uniform(0.5, 3.0, mesh.n_nodes)
         h = rng.standard_normal(mesh.n_nodes)
         return obs, sy_inv, h, rng
@@ -292,7 +292,7 @@ class TestEnergyUpdate:
         K = obs.system.K
         K = K if isinstance(K, np.ndarray) else K.toarray()
         a_mat = np.diag(sy_inv) + tau * K
-        mu = np.linalg.solve(a_mat, tau * obs.system.f_vec + sy_inv * h)
+        mu = np.linalg.solve(a_mat, sy_inv * h)
         assert np.max(np.abs(q.mean - mu)) <= 1e-12 * np.abs(mu).max()
         assert np.allclose(q.var, 1.0 / np.diag(a_mat))
 
@@ -343,7 +343,7 @@ class TestElboUnlabeled:
         bias = model.params.decoder.params[-2 * model.dim_x :]
         bias[: model.dim_x] = 0.3
         bias[model.dim_x :] = np.log(0.7)
-        cfg = TrainConfig(mc_samples=3, seed=0)
+        cfg = TrainConfig(seed=0)
         state = init_state(
             model, cfg, None, UnlabeledData(np.zeros((2, model.dim_x))), None
         )
@@ -372,7 +372,7 @@ class TestElboUnlabeled:
         assert abs(kl - per_sample.mean()) < 3 * per_sample.std() / np.sqrt(n)
 
     def test_mu_gradient_common_random_numbers(self):
-        model, cfg, labeled, virtual, state, rng = make_problem(mc=2)
+        model, cfg, labeled, virtual, state, rng = make_problem()
         n_u = 2
         xs = labeled.lambdas[:n_u]
         state.factors["mu_z_u"] = rng.standard_normal((n_u, model.dim_z)) * 0.1
@@ -392,7 +392,7 @@ class TestElboUnlabeled:
 
     def test_amortized_encoder_gradients(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
-        cfg = TrainConfig(mc_samples=1, amortized=True, encoder_hidden=(7,), seed=0)
+        cfg = TrainConfig(amortized=True, encoder_hidden=(7,), seed=0)
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (2, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         rng = np.random.default_rng(3)
@@ -458,7 +458,7 @@ class TestElboLabeled:
         assert lp == pytest.approx(quad, rel=1e-3)  # log-det term negligible
 
     def test_theta_gradient_through_cgm(self):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=3, mc=2)
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=3)
 
         def value():
             v, th, fa = elbo_labeled(
@@ -540,7 +540,7 @@ class TestElboVirtual:
         assert abs(analytic - per.mean()) < 3 * per.std() / np.sqrt(n)
 
     def test_virtual_theta_gradients(self):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=4, mc=1)
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=4)
 
         def value():
             v, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn())
@@ -615,9 +615,9 @@ def _closed_z(mu, var):
 
 
 def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
-    """Reference for elbo_unlabeled: one decoder (and encoder) call per datum
-    and draw, noise drawn datum by datum."""
-    model, mc = state.model, state.config.mc_samples
+    """Reference for elbo_unlabeled: one decoder (and encoder) call per datum,
+    noise drawn datum by datum."""
+    model = state.model
     n, dz = lambdas.shape[0], model.dim_z
     idx = np.arange(n) if indices is None else np.asarray(indices)
     amortized = state.enc_mu is not None
@@ -630,16 +630,13 @@ def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
         else:
             mu, rho = state.factors["mu_z_u"][idx[i]], state.factors["rho_z_u"][idx[i]]
         var, std = np.exp(rho), np.exp(0.5 * rho)
-        acc_gz, acc_gz_eps = np.zeros(dz), np.zeros(dz)
-        for eps in rng.standard_normal((mc, dz)):
-            lp, gz, gdec = model.logp_x_given_z_grads(x, mu + std * eps)
-            value += scale * lp / mc
-            acc_gz += gz / mc
-            acc_gz_eps += gz * eps / mc
-            _add(theta, "decoder", scale * gdec["decoder"] / mc)
+        eps = rng.standard_normal(dz)
+        lp, gz, gdec = model.logp_x_given_z_grads(x, mu + std * eps)
+        value += scale * lp
+        _add(theta, "decoder", scale * gdec["decoder"])
         value += scale * _closed_z(mu, var)
-        d_mu = acc_gz - mu
-        d_rho = 0.5 * std * acc_gz_eps - 0.5 * var + 0.5
+        d_mu = gz - mu
+        d_rho = 0.5 * std * gz * eps - 0.5 * var + 0.5
         if amortized:
             _add(theta, "enc_mu", scale * state.enc_mu.backward(tape_mu, d_mu)[0])
             _add(theta, "enc_logvar", scale * state.enc_logvar.backward(tape_rho, d_rho)[0])
@@ -651,9 +648,8 @@ def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
 
 def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
     """Reference for the labeled/virtual body: one decoder, coarse-map and
-    coarse-solve call per datum and draw, y drawn after each datum's (z, X)
-    noise."""
-    model, mc = state.model, state.config.mc_samples
+    coarse-solve call per datum, y drawn after each datum's (z, X) noise."""
+    model = state.model
     n = lambdas.shape[0]
     idx = np.arange(n) if indices is None else np.asarray(indices)
     names = ("mu_z", "rho_z", "mu_X", "rho_X")
@@ -664,30 +660,26 @@ def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
         bc = BoundaryCoeffs.from_array(bcs[i])
         mu_z, rho_z, mu_X, rho_X = (r[i] for r in rows)
         std_z, std_X = np.exp(0.5 * rho_z), np.exp(0.5 * rho_X)
-        eps_z_blk = rng.standard_normal((mc, model.dim_z))
-        eps_X_blk = rng.standard_normal((mc, model.dim_X))
-        acc = [np.zeros(d) for d in (model.dim_z, model.dim_X) * 2]
-        lik = 0.0
-        for k in range(mc):
-            eps_z, eps_X = eps_z_blk[k], eps_X_blk[k]
-            z, X = mu_z + std_z * eps_z, mu_X + std_X * eps_X
-            lp_y, gX_y, gy = model.logp_y_given_X_grads(y_draw(i, k)[None], X[None], [bc])
-            lp_y, gX_y = lp_y[0], gX_y[0]
-            lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas[i], z)
-            lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-            for key, val in (*gy.items(), *gdec.items(), *gcm.items()):
-                _add(theta, key, val / mc)
-            lik += (lp_y + lp_x + lp_X) / mc
-            gz, gX = gz_x + gz_X, gX_y + gX_X
-            for j, term in enumerate((gz, gX, gz * eps_z, gX * eps_X)):
-                acc[j] += term / mc
+        eps_z = rng.standard_normal(model.dim_z)
+        eps_X = rng.standard_normal(model.dim_X)
+        z, X = mu_z + std_z * eps_z, mu_X + std_X * eps_X
+        lp_y, gX_y, gy = model.logp_y_given_X_grads(y_draw(i)[None], X[None], [bc])
+        lp_y, gX_y = lp_y[0], gX_y[0]
+        lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas[i], z)
+        lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
+        for key, val in (*gy.items(), *gdec.items(), *gcm.items()):
+            _add(theta, key, val)
+        gz, gX = gz_x + gz_X, gX_y + gX_X
         var_z, var_X = np.exp(rho_z), np.exp(rho_X)
-        values.append(lik + _closed_z(mu_z, var_z) + 0.5 * np.sum(np.log(var_X) + LOG_2PI + 1))
+        values.append(
+            lp_y + lp_x + lp_X
+            + _closed_z(mu_z, var_z) + 0.5 * np.sum(np.log(var_X) + LOG_2PI + 1)
+        )
         grads = (
-            acc[0] - mu_z,
-            0.5 * std_z * acc[2] - 0.5 * var_z + 0.5,
-            acc[1],
-            0.5 * std_X * acc[3] + 0.5,
+            gz - mu_z,
+            0.5 * std_z * gz * eps_z - 0.5 * var_z + 0.5,
+            gX,
+            0.5 * std_X * gX * eps_X + 0.5,
         )
         for name, g in zip(names, grads):
             factors[f"{name}_{suffix}"][i] = g
@@ -706,12 +698,11 @@ def assert_blocks_agree(batched, looped, rtol=1e-12):
 
 
 class TestBlocksAgainstLoops:
-    """Each ELBO block against its per-datum, per-draw loop: the same values
-    and gradients, and the generator left at the same stream position."""
+    """Each ELBO block against its per-datum loop: the same values and
+    gradients, and the generator left at the same stream position."""
 
-    @pytest.mark.parametrize("mc", [1, 3])
-    def test_unlabeled_factors(self, mc):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=5, mc=mc)
+    def test_unlabeled_factors(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=5)
         state.factors["mu_z_u"] = rng.standard_normal((4, model.dim_z)) * 0.3
         state.factors["rho_z_u"] = rng.uniform(-2.0, 0.0, (4, model.dim_z))
         xs, batch = labeled.lambdas[:2], np.array([3, 1])
@@ -723,7 +714,7 @@ class TestBlocksAgainstLoops:
 
     def test_unlabeled_amortized(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
-        cfg = TrainConfig(mc_samples=2, amortized=True, encoder_hidden=(7,), seed=0)
+        cfg = TrainConfig(amortized=True, encoder_hidden=(7,), seed=0)
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         rng_a, rng_b = crn(), crn()
@@ -732,28 +723,26 @@ class TestBlocksAgainstLoops:
         assert_blocks_agree(batched, looped)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
-    @pytest.mark.parametrize("mc", [1, 3])
-    def test_labeled(self, mc):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=6, mc=mc)
+    def test_labeled(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=6)
         rng_a, rng_b = crn(), crn()
         batched = elbo_labeled(
             state, labeled.lambdas[1:], labeled.ys[1:], labeled.bcs[1:], rng_a, indices=[2, 0]
         )
         values, theta, factors = looped_conditional(
             state, "l", labeled.lambdas[1:], labeled.bcs[1:],
-            lambda i, k: labeled.ys[1 + i], rng_b, indices=[2, 0],
+            lambda i: labeled.ys[1 + i], rng_b, indices=[2, 0],
         )
         assert_blocks_agree(batched, (sum(values), theta, factors))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
-    @pytest.mark.parametrize("mc", [1, 2])
-    def test_virtual_hybrid(self, mc):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=8, mc=mc)
+    def test_virtual_hybrid(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=8)
         rng_a, rng_b = crn(), crn()
         batched = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng_a)
         values, theta, factors = looped_conditional(
             state, "o", virtual.lambdas, virtual.bcs,
-            lambda i, k: state.qy[i].sample(rng_b), rng_b,
+            lambda i: state.qy[i].sample(rng_b), rng_b,
         )
         terms = [
             reference_qy_term(obs, qy, state.gamma_posteriors["flux"])
@@ -888,7 +877,7 @@ class TestGradientsOwnTheirMemory:
 
     def test_amortized_unlabeled(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
-        cfg = TrainConfig(mc_samples=2, amortized=True, encoder_hidden=(7,), seed=0)
+        cfg = TrainConfig(amortized=True, encoder_hidden=(7,), seed=0)
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         _, theta, factors = elbo_unlabeled(state, unl.lambdas, crn())
@@ -958,7 +947,6 @@ class TestTrain:
     @pytest.mark.parametrize(
         "name,value",
         [
-            ("mc_samples", 0),
             ("unlabeled_batch", 0),
             ("cadence", 0),
             ("plateau_window", 0),

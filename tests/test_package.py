@@ -5,10 +5,11 @@ import re
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgsur
-from cgsur import errors
+from cgsur import errors, fem, field, inference, predict, vobs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE_DIR = Path(cgsur.__file__).parent
@@ -63,3 +64,39 @@ def test_every_error_type_is_raised():
     }
     assert defined, "errors.py defines no error types"
     assert sorted(defined - raised_names()) == []
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: vobs.GammaPosterior(NAN, 1.0), ValueError),
+        (lambda: vobs.GammaPosterior(1.0, NAN), ValueError),
+        (lambda: inference.update_precision_gamma([NAN, 1.0], 4), ValueError),
+        (lambda: inference.update_precision_gamma([np.inf, 1.0], 4), ValueError),
+        (lambda: field.GrfSpec(grid_size=4, std=NAN), ValueError),
+        (lambda: field.GrfSpec(grid_size=4, length_scale=NAN), ValueError),
+        (lambda: vobs.EnergyObservable(system=None, tau=NAN), ValueError),
+        (
+            lambda: vobs.build_randomized(
+                fem.build_mesh(2), np.ones(4), field.BoundaryCoeffs(0, 0, 1, 1),
+                count=1, scale=NAN,
+            ),
+            ValueError,
+        ),
+        (
+            lambda: predict.logscore(np.zeros(2), np.zeros(2), np.array([1.0, NAN])),
+            errors.NonPositiveVariance,
+        ),
+    ],
+    ids=[
+        "gamma-alpha", "gamma-beta", "precision-moment-nan", "precision-moment-inf",
+        "grf-std", "grf-length-scale", "energy-tau", "randomized-scale",
+        "logscore-variance",
+    ],
+)
+def test_nan_fails_positivity_checks(call, error):
+    with pytest.raises(error):
+        call()

@@ -39,6 +39,14 @@ def test_one_ulp_is_a_difference(capsys):
     assert "1 of 2 arrays bit-identical" in out
 
 
+def test_signed_zero_is_a_difference(capsys):
+    # equal in value, not byte for byte: only a tolerance lets it pass
+    new, ref = {"x": np.array([-0.0])}, {"x": np.array([0.0])}
+    assert not trajectory.compare(new, ref)
+    assert "0 of 1 arrays bit-identical" in capsys.readouterr().out
+    assert trajectory.compare(new, ref, rtol=1e-12)
+
+
 def test_missing_key_is_a_difference(capsys):
     new = record()
     del new["uq/y"]

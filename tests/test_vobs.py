@@ -13,12 +13,12 @@ from cgsur.field import BoundaryCoeffs
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
 
-def random_problem(d_f, seed, source=0.0):
+def random_problem(d_f, seed):
     rng = np.random.default_rng(seed)
     mesh = fem.build_mesh(d_f)
     kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
     bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-    sys = fem.assemble(mesh, kappa, bc, source=source)
+    sys = fem.assemble(mesh, kappa, bc)
     return mesh, kappa, bc, sys, rng
 
 
@@ -54,16 +54,14 @@ class TestCgr:
         assert isinstance(cs.precision, vobs.Exact)
 
     def test_residual_nullity_at_exact_solution(self):
-        mesh, kappa, bc, sys, _ = random_problem(16, 1, source=0.8)
+        mesh, kappa, bc, sys, _ = random_problem(16, 1)
         ystar = fem.solve(sys).y_vec
-        cs = vobs.build_cgr(mesh, fem.build_mesh(4), kappa, bc, source=0.8)
-        scale = np.linalg.norm(sys.f_vec) + np.linalg.norm(
-            sys.K @ sys.dirichlet_values
-        )
+        cs = vobs.build_cgr(mesh, fem.build_mesh(4), kappa, bc)
+        scale = np.linalg.norm(sys.K @ sys.dirichlet_values)
         assert np.max(np.abs(vobs.eval_residual(cs, ystar))) <= 1e-9 * scale
 
     def test_lift_oracle_two_ways(self):
-        # At y = 0 with f = 0 the residual is w^T K y_D, computed here the
+        # At y = 0 the residual is w^T K y_D, computed here the
         # second way via direct assembly of the raw (unzeroed) rows.
         mesh, kappa, bc, sys, _ = random_problem(8, 2)
         coarse = fem.build_mesh(2)
@@ -94,12 +92,10 @@ class TestRandomized:
         assert cs.m == 60
 
     def test_residual_nullity(self):
-        mesh, kappa, bc, sys, rng = random_problem(16, 6, source=0.4)
+        mesh, kappa, bc, sys, rng = random_problem(16, 6)
         ystar = fem.solve(sys).y_vec
-        cs = vobs.build_randomized(mesh, kappa, bc, count=40, rng=rng, source=0.4)
-        scale = np.linalg.norm(sys.f_vec) + np.linalg.norm(
-            sys.K @ sys.dirichlet_values
-        )
+        cs = vobs.build_randomized(mesh, kappa, bc, count=40, rng=rng)
+        scale = np.linalg.norm(sys.K @ sys.dirichlet_values)
         assert np.max(np.abs(vobs.eval_residual(cs, ystar))) <= 1e-9 * scale
 
     def test_large_scale_limit(self):
@@ -158,12 +154,6 @@ class TestFlux:
                 total += h * normal @ J
             assert cs.gamma[p] @ y == pytest.approx(total, abs=1e-12)
 
-    def test_alpha_is_source_integral(self):
-        mesh = fem.build_mesh(8)
-        kappa = np.ones(mesh.n_pixels)
-        cs = vobs.build_flux(mesh, fem.build_mesh(2), kappa, source=3.0)
-        assert np.allclose(cs.alpha, 3.0 / 4.0)
-
     def test_telescoping_for_continuous_flux(self):
         # For a field with element-wise equal flux (u = s1, kappa = 1) the
         # interior-edge contributions cancel in the sum over subdomains and
@@ -190,16 +180,6 @@ class TestFlux:
         mesh = fem.build_mesh(8)
         with pytest.raises(error):
             vobs.build_flux(mesh, fem.build_mesh(2), kappa)
-
-    def test_per_pixel_source_matches_scalar(self):
-        mesh, kappa, _, _, _ = random_problem(8, 21)
-        coarse = fem.build_mesh(2)
-        scalar = vobs.build_flux(mesh, coarse, kappa, source=3.0)
-        per_pixel = vobs.build_flux(
-            mesh, coarse, kappa, source=np.full(mesh.n_pixels, 3.0)
-        )
-        assert np.array_equal(per_pixel.gamma, scalar.gamma)
-        assert np.array_equal(per_pixel.alpha, scalar.alpha)
 
     def test_learned_precision_group(self):
         mesh, kappa, bc, _, _ = random_problem(8, 11)

@@ -92,7 +92,8 @@ def compare(new: dict, ref: dict, rtol: float = 0.0) -> bool:
             continue
         diff = np.abs(a - b)
         rel = diff / np.maximum(np.abs(b), np.finfo(float).tiny)
-        close = bool(diff.max() <= rtol * np.abs(b).max())
+        # without a tolerance only byte-equal arrays pass, so -0.0 fails 0.0
+        close = rtol > 0 and bool(diff.max() <= rtol * np.abs(b).max())
         within += close
         print(
             f"{key}: max abs diff {diff.max():.3e}, max rel diff {rel.max():.3e}"
