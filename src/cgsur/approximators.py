@@ -2,9 +2,10 @@
 
 A network is described by its layer widths (n_0, ..., n_L): layer l maps
 x -> W_l x + b_l with W_l of shape (n_l, n_{l-1}), and tanh follows every
-layer but the last. All parameters live in one flat float64 vector, layer by
-layer with W_l (row-major) before b_l, so optimizers and checkpoints can
-treat a network as a single array.
+layer but the last. All parameters live in one flat float64 vector `params`,
+layer by layer with W_l (row-major) before b_l, allocated once and read anew
+on every call: a trainer may replace it by a view of a longer vector, as
+VariationalState does to step every trained array with one Adam.
 
 forward() takes a batch of inputs as rows, shape (B, n_0), runs one matmul
 per layer and returns (B, n_L) outputs with a tape; one input of shape (n_0,)
@@ -44,9 +45,13 @@ class Tape:
         self.consumed = False
 
 
-def _glorot(rng, fan_in, fan_out, shape):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _glorot(rng, w):
+    """Fill the (fan_out, fan_in) weight block w with Glorot-uniform draws, in
+    place; the same bits as rng.uniform(-limit, limit, w.shape)."""
+    limit = np.sqrt(6.0 / sum(w.shape))
+    rng.random(out=w)
+    w *= 2.0 * limit
+    w -= limit
 
 
 class Approximator:
@@ -61,18 +66,15 @@ class Approximator:
         self.sizes = sizes = tuple(int(n) for n in sizes)
         if len(sizes) < 2 or min(sizes) < 1:
             raise ValueError(f"need at least two positive layer widths, got {sizes}")
-        layers = list(zip(sizes[:-1], sizes[1:]))
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
         if params is None:
             rng = np.random.default_rng(seed)
-            self.params = np.concatenate(
-                [
-                    np.append(_glorot(rng, n_in, n_out, (n_out, n_in)), np.zeros(n_out))
-                    for n_in, n_out in layers
-                ]
-            )
+            self.params = np.empty(n_params)
+            for w, b in self._layers(self.params):
+                _glorot(rng, w)
+                b[:] = 0.0
         else:
             self.params = np.array(params, dtype=np.float64)
-        n_params = sum(n_out * (n_in + 1) for n_in, n_out in layers)
         if self.params.shape != (n_params,):
             raise DimensionMismatch(
                 f"parameter blob has shape {self.params.shape}, expected ({n_params},)"

@@ -264,14 +264,6 @@ def solve_vjp(sys: FemSystem, cotangent: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.pixel_of_element, per_elem, mesh.n_pixels)
 
 
-def energy(sys: FemSystem, y) -> float:
-    """Discrete potential 0.5 y^T K y over the full nodal vector."""
-    if isinstance(y, Solution):
-        y = y.y_vec
-    y = np.asarray(y, dtype=np.float64)
-    return 0.5 * float(y @ (sys.K @ y))
-
-
 def _locate_in_coarse(fine_nodes: np.ndarray, d_c: int):
     """Coarse cell (row, col) and local coords (xi, eta) of each fine node."""
     x, y = fine_nodes[:, 0], fine_nodes[:, 1]

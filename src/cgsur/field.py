@@ -51,29 +51,6 @@ class GrfSpec:
         return self.grid_size * self.grid_size
 
 
-def pixel_centroids(d: int) -> np.ndarray:
-    """Centroid coordinates of the d x d pixels, row-major (row = index // d).
-
-    Pixel (row r, col c) has centroid ((c + 0.5)/d, (r + 0.5)/d); the first
-    coordinate is s1, the second s2.
-    """
-    idx = np.arange(d * d)
-    col = idx % d
-    row = idx // d
-    return np.column_stack(((col + 0.5) / d, (row + 0.5) / d))
-
-
-def covariance_matrix(spec: GrfSpec) -> np.ndarray:
-    """Dense squared-exponential covariance of lambda at the pixel centroids.
-
-    C[i, j] = std^2 * exp(-0.5 * ||s_i - s_j||^2 / length_scale^2)
-    """
-    s = pixel_centroids(spec.grid_size)
-    diff = s[:, None, :] - s[None, :, :]
-    sq = np.sum(diff * diff, axis=-1)
-    return spec.std**2 * np.exp(-0.5 * sq / spec.length_scale**2)
-
-
 @dataclass(frozen=True)
 class FieldSample:
     """One realization: log-conductivity and conductivity per pixel."""

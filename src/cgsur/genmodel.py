@@ -27,7 +27,6 @@ import numpy as np
 from . import fem
 from .approximators import Approximator, load_arrays, save_arrays
 from .errors import DimensionMismatch
-from .field import BoundaryCoeffs
 from .gaussians import (
     diag_logpdf,
     diag_logpdf_grad_mean,
@@ -115,17 +114,6 @@ class GenerativeModel:
         self.prolongation = fem.bilinear_prolongation(d_c, d_f)
         self._prolongation_T = self.prolongation.T.tocsr()
 
-    # ----- prior -----
-
-    def prior_logpdf(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.dim_z,):
-            raise DimensionMismatch(f"z has shape {z.shape}, expected ({self.dim_z},)")
-        return -0.5 * float(z @ z) - 0.5 * self.dim_z * LOG_2PI
-
-    def prior_sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim_z)
-
     # ----- decoder p(x | z) -----
 
     def decode_x(self, z: np.ndarray):
@@ -162,10 +150,6 @@ class GenerativeModel:
         mean = z @ self.params.W_g.T + self.params.b_g
         var = clamp_var(np.exp(self.params.log_S_X))
         return mean, var
-
-    def logp_X_given_z(self, X: np.ndarray, z: np.ndarray) -> float:
-        mean, var = self.coarse_map(z)
-        return diag_logpdf(X, mean, var)
 
     def logp_X_given_z_grads(self, X: np.ndarray, z: np.ndarray):
         """Returns (logpdf, d/dX, d/dz, theta grads for W_g, b_g, log_S_X)."""
@@ -226,10 +210,6 @@ class GenerativeModel:
     def var_y(self) -> np.ndarray:
         return clamp_var(np.exp(self.params.log_S_y))
 
-    def logp_y_given_X(self, y: np.ndarray, X: np.ndarray, bc: BoundaryCoeffs) -> float:
-        mean, var = self.output_map(self.cgm_forward(np.asarray(X)[None], [bc])[0])
-        return diag_logpdf(y, mean, var)
-
     def logp_y_given_X_grads(self, y: np.ndarray, X: np.ndarray, bcs):
         """Returns (logpdf, d/dX, theta grads for w_h, b_h, log_S_y) for rows
         of y and X and one BoundaryCoeffs per row: values and d/dX per row,
@@ -254,29 +234,6 @@ class GenerativeModel:
         }
         cot_Y = (self._prolongation_T @ (g_mean * p.w_h).T).T
         return val, pullback(cot_Y), grads
-
-    # ----- joint sampling -----
-
-    def sample_joint(self, bc: BoundaryCoeffs, rng: np.random.Generator) -> dict:
-        """Ancestral sample of (z, x, X, Y, y)."""
-        z = self.prior_sample(rng)
-        mean_x, var_x = self.decode_x(z)
-        x = mean_x + np.sqrt(var_x) * rng.standard_normal(self.dim_x)
-        mean_X, var_X = self.coarse_map(z)
-        X = mean_X + np.sqrt(var_X) * rng.standard_normal(self.dim_X)
-        Y = self.cgm_forward(X[None], [bc])[0]
-        mean_y, var_y = self.output_map(Y)
-        y = mean_y + np.sqrt(var_y) * rng.standard_normal(self.dim_y)
-        return {"z": z, "x": x, "X": X, "Y": Y, "y": y}
-
-    def joint_logpdf(self, sample: dict, bc: BoundaryCoeffs) -> float:
-        """log p(z, x, X, y) of an ancestral sample (Y is deterministic)."""
-        return (
-            self.prior_logpdf(sample["z"])
-            + self.logp_x_given_z(sample["x"], sample["z"])
-            + self.logp_X_given_z(sample["X"], sample["z"])
-            + self.logp_y_given_X(sample["y"], sample["X"], bc)
-        )
 
     # ----- checkpoints -----
 

@@ -26,10 +26,16 @@ then makes one call of each model term, log p(y | X) with its coarse solves
 included, over the n data rows; parameter gradients come back summed over
 the rows. A q(y) refresh likewise draws the coarse inputs of every query at
 once and solves them in one call.
+
+Every array that gradient steps adapt is a view of one float64 vector owned
+by the VariationalState; the trainer gathers gradients in a second vector of
+the same layout, and one Adam steps the whole vector, with the unlabeled
+factors outside a minibatch frozen by their flat indices.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -288,7 +294,14 @@ class TrainConfig:
 
 
 class VariationalState:
-    """Everything the trainer adapts: theta_MAP, factors, q(y), precisions."""
+    """Everything the trainer adapts: theta_MAP, factors, q(y), precisions.
+
+    init_state and load_state copy the arrays of adam_arrays() -- the model's
+    decoder, W_g ... log_S_y, the encoders and every factor -- into one vector
+    `theta`, in that order, and make each a view of its slice; assign into
+    them, not over them. `grad` has the same layout, and views() gives the
+    named views of either. A deep copy views a vector of its own.
+    """
 
     def __init__(self, model: GenerativeModel, config: TrainConfig):
         self.model = model
@@ -305,6 +318,7 @@ class VariationalState:
         # started, and the tau of the latest q(y) refresh
         self.run_start = 0
         self.tau = config.tau_start
+        self.theta = self.grad = None  # set by _bind
 
     def adam_arrays(self) -> dict:
         out = self.model.params.arrays()
@@ -312,6 +326,39 @@ class VariationalState:
             out["enc_mu"] = self.enc_mu.params
             out["enc_logvar"] = self.enc_logvar.params
         return {**out, **self.factors}
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Named views of a theta-sized vector, in adam_arrays() order."""
+        ends = np.cumsum([np.prod(shape, dtype=int) for shape in self._shapes.values()])
+        parts = np.split(flat, ends[:-1])
+        return {key: p.reshape(shape) for (key, shape), p in zip(self._shapes.items(), parts)}
+
+    def _bind(self):
+        """Copy the arrays of adam_arrays() into a new theta and make each a
+        view of it; each original is released as soon as it is copied."""
+        arrays = self.adam_arrays()
+        self._shapes = {key: arr.shape for key, arr in arrays.items()}
+        self.theta = np.empty(sum(arr.size for arr in arrays.values()))
+        self.grad = np.zeros(self.theta.size)
+        for key, view in self.views(self.theta).items():
+            view[...] = arrays.pop(key)
+            if key in self.factors:
+                self.factors[key] = view
+            elif key in ("enc_mu", "enc_logvar"):
+                getattr(self, key).params = view
+            elif key == "decoder":
+                self.model.params.decoder.params = view
+            else:
+                setattr(self.model.params, key, view)
+
+    def __deepcopy__(self, memo):
+        twin = object.__new__(VariationalState)
+        memo[id(self)] = twin
+        for name, value in vars(self).items():
+            if name not in ("theta", "grad"):
+                setattr(twin, name, copy.deepcopy(value, memo))
+        twin._bind()
+        return twin
 
 
 def _block_average(lam: np.ndarray, d_f: int, d_c: int) -> np.ndarray:
@@ -375,25 +422,13 @@ def init_state(
             n = len(unlabeled)
             state.factors["mu_z_u"] = np.zeros((n, dz))
             state.factors["rho_z_u"] = np.full((n, dz), np.log(0.1))
+    state._bind()
     return state
 
 
 # ---------------------------------------------------------------------------
 # ELBO terms
 # ---------------------------------------------------------------------------
-
-
-class GradStore(dict):
-    """Gradients summed key by key over the dicts given to add(), in place
-    into the first array given for each key: pass only arrays you own."""
-
-    def add(self, *grads):
-        for g in grads:
-            for key, value in g.items():
-                if key in self:
-                    self[key] += value
-                else:
-                    self[key] = value
 
 
 def _q_draw(mu, rho, eps):
@@ -554,15 +589,17 @@ def elbo_virtual(
     return value, theta, factors
 
 
-def prior_logpdf_theta(arrays: dict, prior_scale: float):
+def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
     """Isotropic Gaussian prior over all unconstrained parameters.
 
-    Returns (value up to an additive constant, gradients)."""
+    Adds its gradient into the arrays of `grads` under the same keys, in
+    place, and returns its value up to an additive constant."""
     inv_var = 1.0 / (prior_scale * prior_scale)
     value = 0.0
-    for arr in arrays.values():
+    for key, arr in arrays.items():
         value += -0.5 * inv_var * float(np.sum(arr * arr))
-    return value, {key: -inv_var * arr for key, arr in arrays.items()}
+        grads[key] -= inv_var * arr
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -571,44 +608,59 @@ def prior_logpdf_theta(arrays: dict, prior_scale: float):
 
 
 class Adam:
-    """Ascent Adam over a dict of named arrays; supports row-subset updates."""
+    """Ascent Adam over one flat float64 vector; the entries at the flat
+    indices `frozen` of a step keep their values and moments.
+
+    m, v and two block-sized work buffers are allocated at the first step,
+    and the update runs block by block, so a step makes no vector-sized
+    temporary.
+    """
 
     # Kingma & Ba's defaults; no caller needs other moment decays.
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # Entries per block: the update's six streams stay in a 2 MB cache.
+    BLOCK = 32768
 
     def __init__(self, lr):
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None
         self.t = 0
 
-    def step(self, params: dict, grads: dict, rows: dict | None = None):
+    def step(self, theta: np.ndarray, grad: np.ndarray, frozen=None):
+        if self.m is None:
+            self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+            self._den, self._step = np.empty((2, min(theta.size, self.BLOCK)))
+            # numpy takes 0-d arrays as ufunc operands faster than floats
+            c = (self.beta1, 1 - self.beta1, self.beta2, 1 - self.beta2, self.eps, self.lr)
+            self._consts = [np.array(x) for x in c]
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for key, gradient in grads.items():
-            arr = params[key]
-            if key not in self.m:
-                self.m[key] = np.zeros_like(arr)
-                self.v[key] = np.zeros_like(arr)
-            m, v = self.m[key], self.v[key]
-            if rows and key in rows:
-                sel = rows[key]
-                m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
-                v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
-                arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
-                continue
-            m *= self.beta1
-            m += (1 - self.beta1) * gradient
-            v *= self.beta2
-            v += (1 - self.beta2) * (gradient * gradient)
-            # the row branch's update, in place where it gives the same bits
-            den = np.sqrt(v / b2c)
-            den += self.eps
-            step = m / b1c
-            step *= self.lr
-            step /= den
-            arr += step
+        # all entries are stepped, then the frozen ones get their bits back
+        kept = [] if frozen is None else [(a, a[frozen]) for a in (theta, self.m, self.v)]
+        # The order of the operations fixes the bits of the result; each is one
+        # ufunc call with its output given positionally.
+        b1, c1, b2, c2, eps, lr = self._consts
+        b1c, b2c = np.array(1.0 - self.beta1**self.t), np.array(1.0 - self.beta2**self.t)
+        mul, add, div = np.multiply, np.add, np.divide
+        for lo in range(0, theta.size, self.BLOCK):
+            hi = lo + self.BLOCK
+            th, g, mb, vb = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            den, step = self._den[: th.size], self._step[: th.size]
+            mul(mb, b1, mb)
+            mul(g, c1, step)
+            add(mb, step, mb)
+            mul(vb, b2, vb)
+            mul(g, g, step)
+            mul(step, c2, step)
+            add(vb, step, vb)
+            div(vb, b2c, den)
+            np.sqrt(den, den)
+            add(den, eps, den)
+            div(mb, b1c, step)
+            mul(step, lr, step)
+            div(step, den, step)
+            add(th, step, th)
+        for a, bits in kept:
+            a[frozen] = bits
 
 
 @dataclass
@@ -702,25 +754,43 @@ def train(
 ):
     """Run the SVI loop; returns (state, log).
 
-    Each iteration draws fresh reparametrization noise, accumulates the
-    three ELBO blocks plus the parameter prior, and takes one Adam ascent
-    step; every `cadence` iterations the q(y) factors and learned precisions
-    are refreshed in closed form. Stops on the iteration budget or when the
-    moving average of the objective plateaus.
+    Each iteration draws fresh reparametrization noise and writes the
+    gradients of the unlabeled, labeled and virtual ELBO blocks into the
+    views of state.grad, in that order: the first block to reach an array
+    assigns, later ones add, and arrays no block reaches get zeros. The
+    parameter prior adds its gradient in place, and a fresh Adam takes one
+    ascent step over state.theta, the unlabeled factors' rows outside the
+    minibatch frozen. Every `cadence` iterations the q(y) factors and
+    learned precisions are refreshed in closed form. Stops on the iteration
+    budget or when the moving average of the objective plateaus.
     """
     if labeled is None and unlabeled is None and virtual is None:
         raise ValueError("at least one dataset must be provided")
     if state is None:
         state = init_state(model, config, labeled, unlabeled, virtual)
+    if not all(np.may_share_memory(a, state.theta) for a in state.adam_arrays().values()):
+        raise ValueError("the state's arrays are not views of its theta (was its model "
+                         "bound by another init_state, or an array assigned over?)")
     log = log if log is not None else TrainLog()
     state.run_start = state.iteration
     rng = derive_rng(config.seed, "train")
     adam = Adam(LEARNING_RATE)
+    grads = state.views(state.grad)
+
+    def write(block: dict, written: set, rows=Ellipsis):
+        for key, value in block.items():
+            if key in written:
+                grads[key][rows] += value
+            else:
+                grads[key][rows] = value
+                written.add(key)
 
     n_l = len(labeled) if labeled is not None else 0
     n_u = len(unlabeled) if unlabeled is not None else 0
     # the unlabeled block weighs as much as the labeled one
     w_u = n_l / n_u if n_u and n_l else 1.0
+    if n_u > config.unlabeled_batch:
+        at = state.views(np.arange(state.theta.size))  # flat index of every entry
 
     if virtual is not None:
         refresh_qy(state, virtual, rng)
@@ -731,8 +801,8 @@ def train(
     while state.iteration < stop_iteration:
         state.iteration += 1
         f_u = f_l = f_o = 0.0
-        grads = GradStore()
-        rows = {}
+        written = set()
+        frozen = None
 
         if n_u:
             if n_u > config.unlabeled_batch:
@@ -743,20 +813,22 @@ def train(
             f_u, th, fa = elbo_unlabeled(
                 state, unlabeled.lambdas[batch], rng, indices=batch, scale=scale_u
             )
-            grads.add(th, fa)
-            rows = dict.fromkeys(fa, batch)
+            write(th, written)
+            write(fa, written, batch)
+            if fa and batch.size < n_u:
+                outside = np.setdiff1d(np.arange(n_u), batch)
+                frozen = np.concatenate([at[key][outside].ravel() for key in fa])
         if n_l:
             f_l, th, fa = elbo_labeled(
                 state, labeled.lambdas, labeled.ys, labeled.bcs, rng
             )
-            grads.add(th, fa)
+            write({**th, **fa}, written)
         if virtual is not None:
             f_o, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng)
-            grads.add(th, fa)
-        f_prior, prior_grads = prior_logpdf_theta(
-            state.model.params.arrays(), THETA_PRIOR_SCALE
-        )
-        grads.add(prior_grads)
+            write({**th, **fa}, written)
+        for key in grads.keys() - written:
+            grads[key][...] = 0.0
+        f_prior = prior_logpdf_theta(state.model.params.arrays(), grads, THETA_PRIOR_SCALE)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):
             raise NonFiniteLoss(
@@ -764,7 +836,7 @@ def train(
                 f"F_u={f_u:.3e} F_l={f_l:.3e} F_O={f_o:.3e} prior={f_prior:.3e}"
             )
 
-        adam.step(state.adam_arrays(), grads, rows=rows)
+        adam.step(state.theta, state.grad, frozen)
 
         if virtual is not None and state.iteration % config.cadence == 0:
             refresh_qy(state, virtual, rng)
@@ -817,8 +889,8 @@ def load_state(stem) -> VariationalState:
         sizes = (model.dim_x, *state.config.encoder_hidden, model.dim_z)
         state.enc_mu = Approximator(sizes, params=arrays["enc_mu"])
         state.enc_logvar = Approximator(sizes, params=arrays["enc_logvar"])
-    for key in header["factor_keys"]:
-        state.factors[key] = arrays[key]
+    # in the file's order, so that theta is laid out as the file is
+    state.factors = {key: a for key, a in arrays.items() if key in header["factor_keys"]}
     state.gamma_posteriors = {
         key: GammaPosterior(alpha=val["alpha"], beta=val["beta"])
         for key, val in header["gamma_posteriors"].items()
@@ -826,4 +898,5 @@ def load_state(stem) -> VariationalState:
     state.iteration = int(header["iteration"])
     if "mu_X_o" in state.factors:
         state.qy = [None] * state.factors["mu_X_o"].shape[0]
+    state._bind()
     return state

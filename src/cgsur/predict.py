@@ -70,7 +70,6 @@ def infer_z(
         mu[:], rho[:] = state.enc_mu(x), state.enc_logvar(x)
     else:
         mu[:], rho[:] = 0.0, np.log(0.5)
-    params, grads = {"factor": factor}, {"factor": grad}
     adam = Adam(INFER_Z_LEARNING_RATE)
     objective = []
     for eps in noise:
@@ -81,7 +80,7 @@ def infer_z(
         objective.append(lp - kl_diag_standard(mu, var))
         np.subtract(gz, mu, out=g_mu)
         g_rho[:] = gz * (0.5 * std * eps) - 0.5 * var + 0.5
-        adam.step(params, grads)
+        adam.step(factor, grad)
     tail = max(steps // 10, 2)
     if len(objective) >= 2 * tail:
         early = float(np.mean(objective[-2 * tail : -tail]))

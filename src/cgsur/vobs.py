@@ -90,15 +90,6 @@ class LinearConstraintSet:
         return np.full(self.m, 1.0 / gamma_posteriors["flux"].mean())
 
 
-def eval_residual(cs: LinearConstraintSet, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (cs.gamma.shape[1],):
-        raise DimensionMismatch(
-            f"y has shape {y.shape}, expected ({cs.gamma.shape[1]},)"
-        )
-    return cs.gamma @ y - cs.alpha
-
-
 def _weighted_residual_rows(sys: fem.FemSystem, weights: np.ndarray):
     """Rows w^T K (Dirichlet columns zeroed) and lift-adjusted right-hand side.
 

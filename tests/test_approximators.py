@@ -105,6 +105,19 @@ class TestForward:
         b = ap.Approximator((3, 4, 2), seed=11)
         assert np.array_equal(a.params, b.params)
 
+    @pytest.mark.parametrize("sizes", [(3, 2), (4, 8, 6, 5), (8, 128, 256, 512)])
+    def test_init_bit_equal_to_concatenated_layers(self, sizes):
+        # the construction that drew each layer into its own array, then
+        # appended the zero biases and concatenated the layers
+        rng = np.random.default_rng(21)
+        blocks = []
+        for n_in, n_out in zip(sizes, sizes[1:]):
+            limit = np.sqrt(6.0 / (n_in + n_out))
+            w = rng.uniform(-limit, limit, size=(n_out, n_in))
+            blocks.append(np.append(w, np.zeros(n_out)))
+        net = ap.Approximator(sizes, seed=21)
+        assert net.params.tobytes() == np.concatenate(blocks).tobytes()
+
 
 class TestBackward:
     def test_affine_closed_form(self):

@@ -6,20 +6,40 @@ from cgsur.errors import DimensionMismatch, FactorizationError
 from cgsur.field import BcScenario, BoundaryCoeffs, GrfSampler, GrfSpec
 
 
+def pixel_centroids(d: int) -> np.ndarray:
+    """Centroid coordinates of the d x d pixels, row-major (row = index // d).
+
+    Pixel (row r, col c) has centroid ((c + 0.5)/d, (r + 0.5)/d); the first
+    coordinate is s1, the second s2.
+    """
+    idx = np.arange(d * d)
+    return np.column_stack(((idx % d + 0.5) / d, (idx // d + 0.5) / d))
+
+
+def covariance_matrix(spec: GrfSpec) -> np.ndarray:
+    """Dense squared-exponential covariance of lambda at the pixel centroids,
+    C[i, j] = std^2 * exp(-0.5 * ||s_i - s_j||^2 / length_scale^2): the
+    reference for the sampler's Kronecker factor."""
+    s = pixel_centroids(spec.grid_size)
+    diff = s[:, None, :] - s[None, :, :]
+    sq = np.sum(diff * diff, axis=-1)
+    return spec.std**2 * np.exp(-0.5 * sq / spec.length_scale**2)
+
+
 def draw(spec, seed):
     return GrfSampler(spec).sample(np.random.default_rng(seed))
 
 
 def test_covariance_diagonal_is_sigma_squared():
     spec = GrfSpec(grid_size=4, std=0.8, length_scale=0.15)
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     assert np.allclose(np.diag(C), 0.64)
 
 
 def test_covariance_decays_with_distance():
     # Tiny length scale: off-diagonal entries are effectively zero.
     spec = GrfSpec(grid_size=8, std=0.8, length_scale=0.01)
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     off = C - np.diag(np.diag(C))
     assert np.max(np.abs(off)) < 1e-12 * 0.64
 
@@ -27,11 +47,11 @@ def test_covariance_decays_with_distance():
 def test_covariance_matches_kernel_formula():
     # d_f = 2: centroids at (0.25, 0.25) and (0.75, 0.25), distance 0.5.
     spec = GrfSpec(grid_size=2, std=0.8, length_scale=0.15)
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     expected = 0.64 * np.exp(-0.25 / (2 * 0.0225))
     assert C[0, 1] == pytest.approx(expected, rel=1e-12)
     # full-matrix oracle: evaluate the kernel entrywise
-    s = field.pixel_centroids(2)
+    s = pixel_centroids(2)
     for i in range(4):
         for j in range(4):
             d2 = np.sum((s[i] - s[j]) ** 2)
@@ -40,7 +60,7 @@ def test_covariance_matches_kernel_formula():
 
 def test_covariance_symmetric_psd():
     spec = GrfSpec(grid_size=6)
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     assert np.allclose(C, C.T)
     evals = np.linalg.eigvalsh(C)
     assert evals.min() > -1e-10 * evals.max()
@@ -96,7 +116,7 @@ def test_empirical_mean_and_covariance():
     se_mean = 0.8 / np.sqrt(n)
     assert np.all(np.abs(lams.mean(axis=0) - 0.4) < 3 * se_mean)
     # covariance of two fixed pixels within 5 standard errors
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     i, j = 0, 9
     c_hat = np.mean((lams[:, i] - lams[:, i].mean()) * (lams[:, j] - lams[:, j].mean()))
     se_cov = np.sqrt((C[i, i] * C[j, j] + C[i, j] ** 2) / n)
@@ -133,7 +153,7 @@ def test_kronecker_factor_matches_dense_covariance(d):
     spec = GrfSpec(grid_size=d)
     chol = field.GrfSampler(spec)._chol
     k1 = chol @ chol.T
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     err = np.max(np.abs(spec.std**2 * np.kron(k1, k1) - C))
     assert err <= 3 * field.JITTER_START * spec.std**2
 
@@ -144,7 +164,7 @@ def test_draw_matches_dense_factor_draw():
     spec = GrfSpec(grid_size=4, mean=0.4, std=0.8, length_scale=0.3)
     lam = field.GrfSampler(spec).sample(np.random.default_rng(5)).lambda_vec
     eps = np.random.default_rng(5).standard_normal(spec.dim)
-    C = field.covariance_matrix(spec)
+    C = covariance_matrix(spec)
     dense = spec.mean + np.linalg.cholesky(C + field.JITTER_START * np.eye(spec.dim)) @ eps
     assert np.linalg.norm(lam - dense) <= 1e-8 * np.linalg.norm(dense)
 

@@ -16,6 +16,47 @@ def max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+# The model's plain densities and its ancestral sampler: references for the
+# *_grads terms and the joint density, which training never calls.
+
+
+def prior_logpdf(m, z):
+    return -0.5 * float(z @ z) - 0.5 * m.dim_z * np.log(2 * np.pi)
+
+
+def logp_X_given_z(m, X, z):
+    mean, var = m.coarse_map(z)
+    return diag_logpdf(X, mean, var)
+
+
+def logp_y_given_X(m, y, X, bc):
+    mean, var = m.output_map(m.cgm_forward(np.asarray(X)[None], [bc])[0])
+    return diag_logpdf(y, mean, var)
+
+
+def sample_joint(m, bc, rng):
+    """Ancestral sample of (z, x, X, Y, y)."""
+    z = rng.standard_normal(m.dim_z)
+    mean_x, var_x = m.decode_x(z)
+    x = mean_x + np.sqrt(var_x) * rng.standard_normal(m.dim_x)
+    mean_X, var_X = m.coarse_map(z)
+    X = mean_X + np.sqrt(var_X) * rng.standard_normal(m.dim_X)
+    Y = m.cgm_forward(X[None], [bc])[0]
+    mean_y, var_y = m.output_map(Y)
+    y = mean_y + np.sqrt(var_y) * rng.standard_normal(m.dim_y)
+    return {"z": z, "x": x, "X": X, "Y": Y, "y": y}
+
+
+def joint_logpdf(m, sample, bc):
+    """log p(z, x, X, y) of an ancestral sample (Y is deterministic)."""
+    return (
+        prior_logpdf(m, sample["z"])
+        + m.logp_x_given_z(sample["x"], sample["z"])
+        + logp_X_given_z(m, sample["X"], sample["z"])
+        + logp_y_given_X(m, sample["y"], sample["X"], bc)
+    )
+
+
 def small_model(seed=0):
     # d_f = 4, d_c = 2; tiny decoder keeps finite differences cheap
     return GenerativeModel(4, 2, decoder_hidden=(6,), seed=seed)
@@ -40,11 +81,11 @@ class TestPrior:
     def test_at_zero(self):
         m = small_model()
         z = np.zeros(m.dim_z)
-        assert m.prior_logpdf(z) == pytest.approx(-0.5 * m.dim_z * np.log(2 * np.pi))
+        assert prior_logpdf(m, z) == pytest.approx(-0.5 * m.dim_z * np.log(2 * np.pi))
 
     def test_unit_vector(self):
         m = GenerativeModel(2, 2, dim_z=2, decoder_hidden=(4,))
-        assert m.prior_logpdf(np.array([1.0, 0.0])) == pytest.approx(
+        assert prior_logpdf(m, np.array([1.0, 0.0])) == pytest.approx(
             -0.5 - np.log(2 * np.pi)
         )
 
@@ -52,7 +93,6 @@ class TestPrior:
         m = small_model()
         rng = np.random.default_rng(0)
         n = 100_000
-        sq = np.array([m.prior_sample(rng) @ m.prior_sample(rng).T for _ in range(0)])
         draws = rng.standard_normal((n, m.dim_z))
         sq = np.sum(draws * draws, axis=1)
         se = np.sqrt(2.0 * m.dim_z / n)
@@ -172,9 +212,9 @@ class TestCoarseMap:
         for (i, j) in [(0, 0), (1, 1), (2, 0), (3, 1)]:
             old = m.params.W_g[i, j]
             m.params.W_g[i, j] = old + h
-            fp = m.logp_X_given_z(X, z)
+            fp = logp_X_given_z(m, X, z)
             m.params.W_g[i, j] = old - h
-            fm = m.logp_X_given_z(X, z)
+            fm = logp_X_given_z(m, X, z)
             m.params.W_g[i, j] = old
             assert grads["W_g"][i, j] == pytest.approx(
                 (fp - fm) / (2 * h), rel=1e-5, abs=1e-8
@@ -183,7 +223,7 @@ class TestCoarseMap:
             Xp, Xm = X.copy(), X.copy()
             Xp[i] += h
             Xm[i] -= h
-            fd = (m.logp_X_given_z(Xp, z) - m.logp_X_given_z(Xm, z)) / (2 * h)
+            fd = (logp_X_given_z(m, Xp, z) - logp_X_given_z(m, Xm, z)) / (2 * h)
             assert gX[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_rows_match_single_calls(self):
@@ -336,13 +376,13 @@ class TestOutputMap:
         y = rng.standard_normal(m.dim_y)
         val, gX, grads = m.logp_y_given_X_grads(y[None], X[None], [bc])
         val, gX = val[0], gX[0]
-        assert val == pytest.approx(m.logp_y_given_X(y, X, bc))
+        assert val == pytest.approx(logp_y_given_X(m, y, X, bc))
         h = 1e-6
         for i in range(m.dim_X):
             Xp, Xm = X.copy(), X.copy()
             Xp[i] += h
             Xm[i] -= h
-            fd = (m.logp_y_given_X(y, Xp, bc) - m.logp_y_given_X(y, Xm, bc)) / (2 * h)
+            fd = (logp_y_given_X(m, y, Xp, bc) - logp_y_given_X(m, y, Xm, bc)) / (2 * h)
             # inner linear solve participates: 1e-4 relative
             assert gX[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
         for key in ("w_h", "b_h", "log_S_y"):
@@ -350,9 +390,9 @@ class TestOutputMap:
             for i in (0, m.dim_y // 2):
                 old = arr[i]
                 arr[i] = old + h
-                fp = m.logp_y_given_X(y, X, bc)
+                fp = logp_y_given_X(m, y, X, bc)
                 arr[i] = old - h
-                fm = m.logp_y_given_X(y, X, bc)
+                fm = logp_y_given_X(m, y, X, bc)
                 arr[i] = old
                 assert grads[key][i] == pytest.approx(
                     (fp - fm) / (2 * h), rel=1e-5, abs=1e-8
@@ -367,7 +407,7 @@ class TestSampleJoint:
         m.params.log_S_y[:] = np.log(genmodel.VAR_MIN)
         m.params.decoder.params[-m.dim_x :] = np.log(genmodel.VAR_MIN)
         rng = np.random.default_rng(6)
-        s = m.sample_joint(BC_A, rng)
+        s = sample_joint(m, BC_A, rng)
         mean_x, _ = m.decode_x(s["z"])
         mean_X, _ = m.coarse_map(s["z"])
         assert np.allclose(s["x"], mean_x, atol=1e-3)
@@ -379,8 +419,8 @@ class TestSampleJoint:
 
     def test_seed_reproducibility(self):
         m = small_model()
-        a = m.sample_joint(BC_A, np.random.default_rng(42))
-        b = m.sample_joint(BC_A, np.random.default_rng(42))
+        a = sample_joint(m, BC_A, np.random.default_rng(42))
+        b = sample_joint(m, BC_A, np.random.default_rng(42))
         for key in a:
             assert np.array_equal(a[key], b[key])
 
@@ -401,8 +441,8 @@ class TestJointDensity:
         m = GenerativeModel(2, 1, decoder_hidden=(3,), seed=19)
         rng = np.random.default_rng(8)
         bc = BoundaryCoeffs(*rng.uniform(-0.5, 0.5, 4))
-        s = m.sample_joint(bc, rng)
-        total = m.joint_logpdf(s, bc)
+        s = sample_joint(m, bc, rng)
+        total = joint_logpdf(m, s, bc)
 
         expected = multivariate_normal.logpdf(s["z"], np.zeros(m.dim_z), np.eye(m.dim_z))
         mean_x, var_x = m.decode_x(s["z"])

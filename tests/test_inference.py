@@ -1,4 +1,5 @@
 import copy
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from cgsur.inference import (
     update_qy_energy,
 )
 from cgsur.seeding import derive_rng
+from test_genmodel import logp_X_given_z, logp_y_given_X
 
 
 def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), m2=5):
@@ -437,9 +439,9 @@ class TestElboLabeled:
         var_z = np.full(model.dim_z, np.exp(tiny))
         var_X = np.full(model.dim_X, np.exp(tiny))
         expected = (
-            model.logp_y_given_X(labeled.ys[0], X0, bc)
+            logp_y_given_X(model, labeled.ys[0], X0, bc)
             + model.logp_x_given_z(labeled.lambdas[0], z0)
-            + model.logp_X_given_z(X0, z0)
+            + logp_X_given_z(model, X0, z0)
             + (-0.5 * (model.dim_z * LOG_2PI + float(z0 @ z0 + var_z.sum())))
             + 0.5 * float(np.sum(np.log(var_z) + LOG_2PI + 1.0))
             + 0.5 * float(np.sum(np.log(var_X) + LOG_2PI + 1.0))
@@ -453,7 +455,7 @@ class TestElboLabeled:
         X = state.factors["mu_X_l"][0]
         y_far = labeled.ys[0] + 100.0
         mean_y, var_y = model.output_map(model.cgm_forward(X[None], [bc])[0])
-        lp = model.logp_y_given_X(y_far, X, bc)
+        lp = logp_y_given_X(model, y_far, X, bc)
         quad = -0.5 * float(np.sum((y_far - mean_y) ** 2 / var_y))
         assert lp == pytest.approx(quad, rel=1e-3)  # log-det term negligible
 
@@ -599,7 +601,7 @@ class TestElboVirtual:
         n = 20_000
         for o, qy, term in zip(obs, state.qy, state.qy_terms):
             draws = qy.mean + np.sqrt(qy.var) * rng.standard_normal((n, qy.mean.size))
-            per = np.array([-state.tau * fem.energy(o.system, y) for y in draws])
+            per = np.array([-state.tau * 0.5 * (y @ (o.system.K @ y)) for y in draws])
             assert abs(term - (per.mean() + qy.entropy())) < 3 * per.std() / np.sqrt(n)
 
 
@@ -827,19 +829,25 @@ class TestDatasets:
         assert len(VirtualData(d.lams, d.bcs, d.obs)) == 3
 
 
+def zero_grads(arrays):
+    return {key: np.zeros_like(arr) for key, arr in arrays.items()}
+
+
 class TestPriorTheta:
     def test_zero_is_maximum(self):
         arrays = {"a": np.zeros(5), "b": np.zeros((2, 2))}
-        v0, _ = prior_logpdf_theta(arrays, 2.0)
+        v0 = prior_logpdf_theta(arrays, zero_grads(arrays), 2.0)
         assert v0 == 0.0
         arrays["a"][0] = 1.0
-        v1, g = prior_logpdf_theta(arrays, 2.0)
+        g = zero_grads(arrays)
+        v1 = prior_logpdf_theta(arrays, g, 2.0)
         assert v1 < v0
         assert g["a"][0] == pytest.approx(-0.25)
 
     def test_flat_limit(self):
         arrays = {"a": np.ones(3)}
-        v, g = prior_logpdf_theta(arrays, 1e8)
+        g = zero_grads(arrays)
+        v = prior_logpdf_theta(arrays, g, 1e8)
         assert abs(v) < 1e-15
         assert np.max(np.abs(g["a"])) < 1e-15
 
@@ -847,13 +855,18 @@ class TestPriorTheta:
         rng = np.random.default_rng(14)
         arrays = {"a": rng.standard_normal(7)}
         scale = 1.7
-        v, _ = prior_logpdf_theta(arrays, scale)
+        g = {"a": rng.standard_normal(7)}
+        before = g["a"].copy()
+        v = prior_logpdf_theta(arrays, g, scale)
         assert v == pytest.approx(-0.5 * float(arrays["a"] @ arrays["a"]) / scale**2)
+        # the gradient is added to what the arrays of grads hold
+        assert np.array_equal(g["a"], before - (1.0 / (scale * scale)) * arrays["a"])
 
 
 class TestGradientsOwnTheirMemory:
-    """GradStore sums into the first array it gets for a key, so no block
-    may return a view of a trained array or two views of one buffer."""
+    """A block's gradients stay valid after the step they feed: no block
+    returns a view of a trained array or two views of one buffer, and the
+    prior writes only into the gradients it is given."""
 
     @staticmethod
     def assert_owned(state, *grad_dicts):
@@ -872,8 +885,11 @@ class TestGradientsOwnTheirMemory:
             elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng),
             elbo_virtual(state, virtual.lambdas, virtual.bcs, rng),
         ]
-        _, prior = prior_logpdf_theta(model.params.arrays(), 1.0)
-        self.assert_owned(state, *[g for _, th, fa in blocks for g in (th, fa)], prior)
+        self.assert_owned(state, *[g for _, th, fa in blocks for g in (th, fa)])
+        before = copy.deepcopy(state.adam_arrays())
+        prior_logpdf_theta(model.params.arrays(), zero_grads(model.params.arrays()), 1.0)
+        for key, arr in state.adam_arrays().items():
+            assert np.array_equal(arr, before[key]), key
 
     def test_amortized_unlabeled(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
@@ -912,13 +928,14 @@ class TestTrain:
             state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
         v_o1, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
-        v_p1, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
+        arrays = model.params.arrays()
+        v_p1 = prior_logpdf_theta(arrays, zero_grads(arrays), inference.THETA_PRIOR_SCALE)
         total_once = v_l1 + v_o1 + v_p1
         v_l2, _, _ = elbo_labeled(
             state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
         )
         v_o2, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
-        v_p2, _ = prior_logpdf_theta(model.params.arrays(), inference.THETA_PRIOR_SCALE)
+        v_p2 = prior_logpdf_theta(arrays, zero_grads(arrays), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
 
     def test_labeled_only_objective_improves(self):
@@ -938,6 +955,13 @@ class TestTrain:
         state, log = train(model, cfg, labeled=labeled)
         f = log.column("F")
         assert np.mean(f[-5:]) > np.mean(f[:5])
+
+    def test_state_not_viewing_its_theta_rejected(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=21)
+        # a second state takes the model's arrays into a vector of its own
+        init_state(model, cfg, labeled, None, virtual)
+        with pytest.raises(ValueError, match="not views of its theta"):
+            train(model, TrainConfig(iterations=1), labeled=labeled, state=state)
 
     def test_requires_some_data(self):
         model = GenerativeModel(4, 2, decoder_hidden=(4,), seed=9)
@@ -1008,29 +1032,103 @@ class TestTrain:
             assert np.array_equal(new[rest], old[rest])
 
 
-class TestAdam:
-    def test_full_update_matches_row_update_bits(self):
-        # the in-place full-array update against the row-subset expression
-        rng = np.random.default_rng(3)
-        start = rng.standard_normal((5, 3))
-        full, rows = {"a": start.copy()}, {"a": start.copy()}
-        adam_full, adam_rows = Adam(lr=0.01), Adam(lr=0.01)
-        for _ in range(4):
-            g = rng.standard_normal((5, 3))
-            adam_full.step(full, {"a": g})
-            adam_rows.step(rows, {"a": g}, rows={"a": np.arange(5)})
-        assert np.array_equal(full["a"], rows["a"])
-        assert np.array_equal(adam_full.m["a"], adam_rows.m["a"])
-        assert np.array_equal(adam_full.v["a"], adam_rows.v["a"])
+class DictAdam:
+    """The dict-per-key Adam that the flat one replaced, kept as the reference
+    for its bits: ascent over named arrays, the rows `rows[key]` of an array
+    updated alone when given."""
 
-    def test_full_and_row_subset_updates(self):
-        params = {"w": np.zeros(3), "rows": np.zeros((4, 2))}
-        adam = Adam(lr=0.1)
-        grads = {"w": np.ones(3), "rows": np.ones((2, 2))}
-        adam.step(params, grads, rows={"rows": np.array([1, 3])})
-        assert np.allclose(params["w"], 0.1)
-        assert np.allclose(params["rows"][[1, 3]], 0.1)
-        assert np.allclose(params["rows"][[0, 2]], 0.0)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.m, self.v = {}, {}
+        self.t = 0
+
+    def step(self, params, grads, rows=None):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for key, gradient in grads.items():
+            arr = params[key]
+            if key not in self.m:
+                self.m[key] = np.zeros_like(arr)
+                self.v[key] = np.zeros_like(arr)
+            m, v = self.m[key], self.v[key]
+            if rows and key in rows:
+                sel = rows[key]
+                m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
+                v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
+                arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
+                continue
+            m *= self.beta1
+            m += (1 - self.beta1) * gradient
+            v *= self.beta2
+            v += (1 - self.beta2) * (gradient * gradient)
+            den = np.sqrt(v / b2c)
+            den += self.eps
+            step = m / b1c
+            step *= self.lr
+            step /= den
+            arr += step
+
+
+class TestAdam:
+    """The flat Adam against DictAdam over the same named arrays, laid out
+    one after another in a flat vector."""
+
+    SHAPES = {"w": (7,), "a": (5, 3), "rows": (6, 2)}
+
+    @staticmethod
+    def views(flat):
+        out, pos = {}, 0
+        for key, shape in TestAdam.SHAPES.items():
+            size = int(np.prod(shape))
+            out[key] = flat[pos : pos + size].reshape(shape)
+            pos += size
+        return out
+
+    def assert_bit_equal(self, adam, theta, ref, ref_arrays):
+        for flat, named in ((theta, ref_arrays), (adam.m, ref.m), (adam.v, ref.v)):
+            for key, view in self.views(flat).items():
+                assert view.tobytes() == named[key].tobytes(), key
+
+    # the default takes the vector in one block; 4 in nine, the last of two
+    @pytest.mark.parametrize("block", [Adam.BLOCK, 4])
+    def test_full_update_bit_equal_to_dict_reference(self, block, monkeypatch):
+        monkeypatch.setattr(Adam, "BLOCK", block)
+        rng = np.random.default_rng(3)
+        theta = rng.standard_normal(sum(int(np.prod(s)) for s in self.SHAPES.values()))
+        ref_arrays = {key: view.copy() for key, view in self.views(theta).items()}
+        adam, ref = Adam(lr=0.01), DictAdam(lr=0.01)
+        for _ in range(5):
+            grad = rng.standard_normal(theta.size)
+            adam.step(theta, grad)
+            ref.step(ref_arrays, {key: g.copy() for key, g in self.views(grad).items()})
+            self.assert_bit_equal(adam, theta, ref, ref_arrays)
+
+    def test_row_subset_bit_equal_to_dict_reference(self):
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal(sum(int(np.prod(s)) for s in self.SHAPES.values()))
+        ref_arrays = {key: view.copy() for key, view in self.views(theta).items()}
+        adam, ref = Adam(lr=0.05), DictAdam(lr=0.05)
+        for _ in range(6):
+            sel = rng.choice(6, size=3, replace=False)
+            grad = rng.standard_normal(theta.size)
+            keep = np.ones(theta.size, dtype=bool)
+            rows = self.views(keep)["rows"]
+            rows[:] = False
+            rows[sel] = True
+            outside = np.flatnonzero(~keep)
+            # whatever the gradient holds outside the subset
+            grad[outside] = np.nan
+            frozen = [(a, a[outside].copy()) for a in (theta, adam.m, adam.v) if a is not None]
+            adam.step(theta, grad, outside)
+            ref_grads = {key: g.copy() for key, g in self.views(grad).items()}
+            ref_grads["rows"] = ref_grads["rows"][sel]
+            ref.step(ref_arrays, ref_grads, rows={"rows": sel})
+            self.assert_bit_equal(adam, theta, ref, ref_arrays)
+            for a, old in frozen:
+                assert a[outside].tobytes() == old.tobytes()
 
 
 class TestStateCopy:
@@ -1058,6 +1156,26 @@ class TestStateCopy:
         for a, b in zip(outputs(state), before):
             assert np.array_equal(a, b)
 
+    def test_deepcopy_views_a_vector_of_its_own(self):
+        state, _ = semi_supervised_state(seed=18)
+        twin = copy.deepcopy(state)
+        assert twin.theta.tobytes() == state.theta.tobytes()
+        originals = [state.theta, state.grad, *state.adam_arrays().values()]
+        for flat, views in ((twin.theta, twin.adam_arrays()), (twin.grad, twin.views(twin.grad))):
+            for key, view in views.items():
+                assert np.shares_memory(view, flat), key
+                assert not any(np.shares_memory(view, a) for a in originals), key
+
+
+def semi_supervised_state(seed, amortized=True):
+    """A state over labeled, virtual and five unlabeled data, with encoders
+    when `amortized` and unlabeled factors otherwise; returns it and the data."""
+    model, _, labeled, virtual, _, _ = make_problem(seed=seed)
+    cfg = TrainConfig(amortized=amortized, encoder_hidden=(5,), seed=seed)
+    unl = UnlabeledData(np.random.default_rng(seed).normal(0.4, 0.8, (5, model.dim_x)))
+    state = init_state(model, cfg, labeled, unl, virtual)
+    return state, SimpleNamespace(labeled=labeled, unlabeled=unl, virtual=virtual)
+
 
 class TestStateCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -1084,3 +1202,40 @@ class TestStateCheckpoint:
         loaded = load_state(tmp_path / "ckpt")
         x = np.random.default_rng(0).normal(size=model.dim_x)
         assert np.array_equal(loaded.enc_mu(x), state.enc_mu(x))
+
+    @pytest.mark.parametrize("amortized", [True, False])
+    def test_files_hold_adam_arrays_in_key_order(self, tmp_path, amortized):
+        state, _ = semi_supervised_state(seed=19, amortized=amortized)
+        save_state(state, tmp_path / "ckpt")
+        layout = json.loads((tmp_path / "ckpt.json").read_text())["arrays"]
+        arrays = state.adam_arrays()
+        offsets = np.cumsum([0] + [a.size for a in arrays.values()])
+        assert layout == {
+            key: {"offset": int(pos), "shape": list(a.shape)}
+            for (key, a), pos in zip(arrays.items(), offsets)
+        }
+        blob = np.concatenate([a.ravel() for a in arrays.values()]).astype("<f8").tobytes()
+        assert (tmp_path / "ckpt.bin").read_bytes() == blob
+
+    @pytest.mark.parametrize("amortized", [True, False])
+    def test_loaded_state_trains_like_the_saved_one(self, tmp_path, amortized):
+        state, d = semi_supervised_state(seed=20, amortized=amortized)
+        save_state(state, tmp_path / "ckpt")
+        loaded = load_state(tmp_path / "ckpt")
+        for key, view in loaded.adam_arrays().items():
+            assert np.shares_memory(view, loaded.theta), key
+        save_state(loaded, tmp_path / "again")
+        for suffix in (".json", ".bin"):
+            again = (tmp_path / "again").with_suffix(suffix).read_bytes()
+            assert again == (tmp_path / "ckpt").with_suffix(suffix).read_bytes()
+        # a minibatch of two of the five unlabeled data per iteration
+        cfg = TrainConfig(iterations=10, unlabeled_batch=2, cadence=5, plateau_window=10**9)
+        runs = [
+            train(s.model, cfg, d.labeled, d.unlabeled, d.virtual, state=s)
+            for s in (state, loaded)
+        ]
+        (a, log_a), (b, log_b) = runs
+        assert list(a.adam_arrays()) == list(b.adam_arrays())
+        for key, arr in a.adam_arrays().items():
+            assert arr.tobytes() == b.adam_arrays()[key].tobytes(), key
+        assert np.array_equal(log_a.column("F"), log_b.column("F"))

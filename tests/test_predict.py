@@ -10,7 +10,6 @@ from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.genmodel import GenerativeModel
 from cgsur.inference import (
     INFER_Z_LEARNING_RATE,
-    Adam,
     DiagGaussian,
     TrainConfig,
     UnlabeledData,
@@ -19,6 +18,7 @@ from cgsur.inference import (
     train,
 )
 from cgsur.seeding import derive_rng
+from test_inference import DictAdam
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
@@ -35,7 +35,8 @@ def encoder_state(seed=11):
 
 
 def looped_infer_z(x, state, steps, seed):
-    """infer_z's ascent drawn step by step, with Adam over a {mu, rho} dict."""
+    """infer_z's ascent drawn step by step, with the dict-per-key reference Adam
+    over {mu, rho}."""
     model = state.model
     rng = derive_rng(seed, "infer_z")
     if state.enc_mu is not None:
@@ -43,7 +44,7 @@ def looped_infer_z(x, state, steps, seed):
     else:
         mu, rho = np.zeros(model.dim_z), np.full(model.dim_z, np.log(0.5))
     params = {"mu": mu, "rho": rho}
-    adam = Adam(INFER_Z_LEARNING_RATE)
+    adam = DictAdam(INFER_Z_LEARNING_RATE)
     for _ in range(steps):
         eps = rng.standard_normal(model.dim_z)
         std = np.exp(0.5 * rho)
