@@ -3,7 +3,7 @@
 Library layout:
 
 - field: lognormal conductivity fields and randomized boundary data
-- fem: P1 finite elements, direct solves and their adjoints, potential energy
+- fem: P1 finite elements, direct solves and their adjoints
 - approximators: tanh multilayer perceptrons, described by their layer widths,
   with reverse-mode gradients, and the checkpoint format of models and
   training states

@@ -66,19 +66,31 @@ class Approximator:
         self.sizes = sizes = tuple(int(n) for n in sizes)
         if len(sizes) < 2 or min(sizes) < 1:
             raise ValueError(f"need at least two positive layer widths, got {sizes}")
-        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
         if params is None:
-            rng = np.random.default_rng(seed)
-            self.params = np.empty(n_params)
-            for w, b in self._layers(self.params):
-                _glorot(rng, w)
-                b[:] = 0.0
+            self.params = np.empty(self.n_params)
+            self._draw(seed)
         else:
             self.params = np.array(params, dtype=np.float64)
-        if self.params.shape != (n_params,):
+        if self.params.shape != (self.n_params,):
             raise DimensionMismatch(
-                f"parameter blob has shape {self.params.shape}, expected ({n_params},)"
+                f"parameter blob has shape {self.params.shape}, expected ({self.n_params},)"
             )
+
+    @classmethod
+    def _undrawn(cls, sizes):
+        """Approximator(sizes) with its params allocated but not written, for
+        an owner that makes them a view of a longer vector and calls _draw."""
+        net = cls.__new__(cls)
+        net.sizes = tuple(sizes)
+        net.params = np.empty(net.n_params)
+        return net
+
+    def _draw(self, seed):
+        """Seeded Glorot-uniform weights and zero biases, written into params."""
+        rng = np.random.default_rng(seed)
+        for w, b in self._layers(self.params):
+            _glorot(rng, w)
+            b[:] = 0.0
 
     def _layers(self, flat):
         """(W, b) views of a parameter-sized vector, layer by layer."""
@@ -99,7 +111,7 @@ class Approximator:
 
     @property
     def n_params(self) -> int:
-        return self.params.size
+        return sum(n_out * (n_in + 1) for n_in, n_out in zip(self.sizes, self.sizes[1:]))
 
     def forward(self, x: np.ndarray):
         """Evaluate the network on (B, n_0) rows or one (n_0,) input; returns

@@ -28,9 +28,10 @@ the rows. A q(y) refresh likewise draws the coarse inputs of every query at
 once and solves them in one call.
 
 Every array that gradient steps adapt is a view of one float64 vector owned
-by the VariationalState; the trainer gathers gradients in a second vector of
-the same layout, and one Adam steps the whole vector, with the unlabeled
-factors outside a minibatch frozen by their flat indices.
+by the VariationalState. The blocks and the parameter prior add their
+gradients into the named views of a second vector of that layout, zeroed by
+the trainer once per iteration, and one Adam steps the whole vector, with
+the unlabeled factors outside a minibatch frozen by their flat indices.
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ from .seeding import derive_rng
 from .vobs import EnergyObservable, GammaPosterior, LinearConstraintSet
 
 QY_ROW_CAP = 1024  # guard on the number of stacked constraint rows
-# Adam step sizes of the trainer and of infer_z, which ascends one small q(z)
-# against a fixed decoder in a few hundred steps and so takes larger ones.
-LEARNING_RATE = 1e-3
-INFER_Z_LEARNING_RATE = 0.05
+LEARNING_RATE = 1e-3  # Adam step size of the trainer
 # Std of the isotropic Gaussian prior on theta: weak against the data, but it
 # keeps weights that no datum constrains from drifting.
 THETA_PRIOR_SCALE = 10.0
@@ -291,6 +289,8 @@ class TrainConfig:
         for name in ("tau_start", "tau_end"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if min(self.encoder_hidden, default=1) < 1:
+            raise ValueError(f"encoder_hidden widths must be >= 1, got {self.encoder_hidden}")
 
 
 class VariationalState:
@@ -314,10 +314,7 @@ class VariationalState:
         self.qy_terms: list = []
         self.gamma_posteriors: dict[str, GammaPosterior] = {}
         self.iteration = 0
-        # energy tempering: the iteration at which the current train() call
-        # started, and the tau of the latest q(y) refresh
-        self.run_start = 0
-        self.tau = config.tau_start
+        self.tau = config.tau_start  # energy tempering of the latest q(y) refresh
         self.theta = self.grad = None  # set by _bind
 
     def adam_arrays(self) -> dict:
@@ -414,15 +411,19 @@ def init_state(
     if unlabeled is not None:
         if config.amortized:
             sizes = (model.dim_x, *config.encoder_hidden, dz)
-            state.enc_mu = Approximator(sizes, seed=config.seed + 1)
-            state.enc_logvar = Approximator(sizes, seed=config.seed + 2)
-            # start near the prior: zero mean head, moderate variance
-            state.enc_logvar.params[-dz:] = np.log(0.5)
+            state.enc_mu = Approximator._undrawn(sizes)
+            state.enc_logvar = Approximator._undrawn(sizes)
         else:
             n = len(unlabeled)
             state.factors["mu_z_u"] = np.zeros((n, dz))
             state.factors["rho_z_u"] = np.full((n, dz), np.log(0.1))
     state._bind()
+    if state.enc_mu is not None:
+        # drawn straight into theta: no encoder vector sits beside the decoder's copy
+        state.enc_mu._draw(config.seed + 1)
+        state.enc_logvar._draw(config.seed + 2)
+        # start near the prior: zero mean head, moderate variance
+        state.enc_logvar.params[-dz:] = np.log(0.5)
     return state
 
 
@@ -460,13 +461,17 @@ def elbo_unlabeled(
     state: VariationalState,
     lambdas: np.ndarray,
     rng: np.random.Generator,
+    grads: dict,
     indices=None,
     scale: float = 1.0,
-):
-    """Monte Carlo estimate of the unlabeled ELBO block with gradients.
+) -> float:
+    """Monte Carlo estimate of the unlabeled ELBO block, times `scale`.
 
     Likelihood terms are reparametrized MC; the prior cross term and the
-    entropy are closed forms. Returns (value, theta_grads, factor_grads).
+    entropy are closed forms. q(z) comes from the encoders or from the rows
+    `indices` of the unlabeled factors (the first n when None). Adds its
+    gradients into `grads`, the named views of a theta-sized vector, and
+    returns its value.
     """
     model = state.model
     n = lambdas.shape[0]
@@ -479,19 +484,19 @@ def elbo_unlabeled(
     eps = rng.standard_normal((n, model.dim_z))
     lp, gz, gdec = model.logp_x_given_z_grads(lambdas, _q_draw(mu, rho, eps))
     closed, g_mu, g_rho = _q_terms(mu, rho, gz, eps, prior=True)
-    value = scale * np.sum(lp + closed)
-    theta = gdec
-    theta["decoder"] *= scale
     if state.enc_mu is None:
-        return value, theta, {"mu_z_u": scale * g_mu, "rho_z_u": scale * g_rho}
-    theta["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0]
-    theta["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0]
-    theta["enc_mu"] *= scale
-    theta["enc_logvar"] *= scale
-    return value, theta, {}
+        grads["mu_z_u"][idx] += scale * g_mu
+        grads["rho_z_u"][idx] += scale * g_rho
+    else:
+        gdec["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0]
+        gdec["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0]
+    for key, g in gdec.items():
+        g *= scale  # in place: `scale * g` would make a parameter-sized temporary
+        grads[key] += g
+    return float(scale * np.sum(lp + closed))
 
 
-def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
+def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, grads):
     """Body shared by the labeled and virtual blocks.
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
@@ -499,14 +504,15 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     (z, X) entropies. They differ only in where y comes from: y_draw(i)
     returns an observation or a q(y) draw, and is called after datum i's
     (z, X) draws so the generator stream matches the block's own order.
-    Factor keys end in `suffix`. Returns (per-datum values, theta_grads,
-    factor_grads).
+    Factor keys end in `suffix`, one row per datum. Adds the gradients into
+    `grads` and returns the per-datum values.
     """
     model = state.model
     n = lambdas.shape[0]
-    idx = np.arange(n) if indices is None else np.asarray(indices)
     keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
-    mu_z, rho_z, mu_X, rho_X = (state.factors[key][idx] for key in keys)
+    mu_z, rho_z, mu_X, rho_X = (state.factors[key] for key in keys)
+    if mu_z.shape[0] != n:
+        raise DimensionMismatch(f"{n} data for {mu_z.shape[0]} rows of {keys[0]}")
     eps_z, eps_X, ys = [], [], []
     for i in range(n):
         eps_z.append(rng.standard_normal(model.dim_z))
@@ -518,12 +524,11 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, indices):
     lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs))
     lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas, z)
     lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-    theta = {**gy, **gdec, **gcm}
-
     closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
     closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
-    values = lp_y + (lp_x + lp_X) + closed_z + closed_X
-    return values, theta, dict(zip(keys, [*g_z, *g_X]))
+    for key, g in (*gy.items(), *gdec.items(), *gcm.items(), *zip(keys, [*g_z, *g_X])):
+        grads[key] += g
+    return lp_y + (lp_x + lp_X) + closed_z + closed_X
 
 
 def elbo_labeled(
@@ -532,13 +537,11 @@ def elbo_labeled(
     ys: np.ndarray,
     bcs: np.ndarray,
     rng: np.random.Generator,
-    indices=None,
-):
-    """Labeled ELBO block: the coarse solve sits inside log p(y | X)."""
-    values, theta, factors = _conditional_elbo(
-        state, "l", lambdas, bcs, lambda i: ys[i], rng, indices
-    )
-    return np.sum(values), theta, factors
+    grads: dict,
+) -> float:
+    """Labeled ELBO block: the coarse solve sits inside log p(y | X). Adds its
+    gradients into `grads`, the named views of a theta-sized vector."""
+    return float(np.sum(_conditional_elbo(state, "l", lambdas, bcs, lambda i: ys[i], rng, grads)))
 
 
 def expected_constraint_loglik(
@@ -567,26 +570,23 @@ def elbo_virtual(
     lambdas: np.ndarray,
     bcs: np.ndarray,
     rng: np.random.Generator,
-    indices=None,
-):
+    grads: dict,
+) -> float:
     """Virtual-observable ELBO block.
 
     q(y) is sampled, never reparametrized: its parameters are maintained by
     the closed-form / energy updates, so gradients here flow only to theta
-    and the (z, X) factors. Each datum's constraint or energy likelihood plus
-    its q(y) entropy is a constant of the latest q(y) refresh, which computed
-    it into state.qy_terms; the block adds it to the shared conditional body.
+    and the (z, X) factors, added into `grads` as in the labeled block. Each
+    datum's constraint or energy likelihood plus its q(y) entropy is a
+    constant of the latest q(y) refresh, which computed it into
+    state.qy_terms; the block adds it to the shared conditional body.
     """
-    idx = np.arange(lambdas.shape[0]) if indices is None else np.asarray(indices)
-    qys = [state.qy[j] for j in idx]
-
-    values, theta, factors = _conditional_elbo(
-        state, "o", lambdas, bcs, lambda i: qys[i].sample(rng), rng, indices
+    value = np.sum(
+        _conditional_elbo(state, "o", lambdas, bcs, lambda i: state.qy[i].sample(rng), rng, grads)
     )
-    value = np.sum(values)
-    for j in idx:
-        value += state.qy_terms[j]
-    return value, theta, factors
+    for term in state.qy_terms:
+        value += term
+    return float(value)
 
 
 def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
@@ -693,19 +693,19 @@ def _plateaued(history: list, w: int) -> bool:
     return abs(recent - before) / max(abs(before), 1e-12) < PLATEAU_TOL
 
 
-def refresh_qy(state: VariationalState, virtual: VirtualData, rng):
+def refresh_qy(state: VariationalState, virtual: VirtualData, rng, tau: float):
     """Closed-form / energy updates of every q(y) plus Gamma precisions.
 
     Each query's h_mean, the MC estimate of <h(Y(X))> under q(X), averages
     QY_MC draws of X, all queries' drawn at once and solved in one call.
-    Energy observables are tempered with the tau of the current train()
-    call, kept on the state; the caller's observables are not modified.
-    Each query's expected log-likelihood plus q(y) entropy, which the
-    virtual ELBO block adds until the next refresh, goes to state.qy_terms.
+    Energy observables are tempered with `tau`, which is kept on the state;
+    the caller's observables are not modified. Each query's expected
+    log-likelihood plus q(y) entropy, which the virtual ELBO block adds until
+    the next refresh, goes to state.qy_terms.
     """
     model = state.model
     sy = model.var_y()
-    state.tau = _temper_tau(state.config, state.iteration - state.run_start)
+    state.tau = tau
     n = len(virtual)
     eps = rng.standard_normal((n, QY_MC, model.dim_X))
     mu, rho = state.factors["mu_X_o"][:, None], state.factors["rho_X_o"][:, None]
@@ -754,15 +754,15 @@ def train(
 ):
     """Run the SVI loop; returns (state, log).
 
-    Each iteration draws fresh reparametrization noise and writes the
-    gradients of the unlabeled, labeled and virtual ELBO blocks into the
-    views of state.grad, in that order: the first block to reach an array
-    assigns, later ones add, and arrays no block reaches get zeros. The
-    parameter prior adds its gradient in place, and a fresh Adam takes one
-    ascent step over state.theta, the unlabeled factors' rows outside the
-    minibatch frozen. Every `cadence` iterations the q(y) factors and
-    learned precisions are refreshed in closed form. Stops on the iteration
-    budget or when the moving average of the objective plateaus.
+    Each iteration zeroes state.grad, draws fresh reparametrization noise,
+    and lets the unlabeled, labeled and virtual ELBO blocks and then the
+    parameter prior add their gradients into its views, in that order. A
+    fresh Adam takes one ascent step over state.theta, the unlabeled
+    factors' rows outside the minibatch frozen. Every `cadence` iterations
+    the q(y) factors and learned precisions are refreshed in closed form,
+    energy observables tempered on the schedule of this call's `config`.
+    Stops on the iteration budget or when the moving average of the
+    objective plateaus.
     """
     if labeled is None and unlabeled is None and virtual is None:
         raise ValueError("at least one dataset must be provided")
@@ -772,19 +772,9 @@ def train(
         raise ValueError("the state's arrays are not views of its theta (was its model "
                          "bound by another init_state, or an array assigned over?)")
     log = log if log is not None else TrainLog()
-    state.run_start = state.iteration
     rng = derive_rng(config.seed, "train")
     adam = Adam(LEARNING_RATE)
     grads = state.views(state.grad)
-
-    def write(block: dict, written: set, rows=Ellipsis):
-        for key, value in block.items():
-            if key in written:
-                grads[key][rows] += value
-            else:
-                grads[key][rows] = value
-                written.add(key)
-
     n_l = len(labeled) if labeled is not None else 0
     n_u = len(unlabeled) if unlabeled is not None else 0
     # the unlabeled block weighs as much as the labeled one
@@ -792,17 +782,18 @@ def train(
     if n_u > config.unlabeled_batch:
         at = state.views(np.arange(state.theta.size))  # flat index of every entry
 
+    first_iteration = state.iteration
+    stop_iteration = first_iteration + config.iterations
     if virtual is not None:
-        refresh_qy(state, virtual, rng)
+        refresh_qy(state, virtual, rng, config.tau_start)
 
     history = []
     start = time.monotonic()
-    stop_iteration = state.iteration + config.iterations
     while state.iteration < stop_iteration:
         state.iteration += 1
         f_u = f_l = f_o = 0.0
-        written = set()
         frozen = None
+        state.grad.fill(0.0)
 
         if n_u:
             if n_u > config.unlabeled_batch:
@@ -810,24 +801,16 @@ def train(
             else:
                 batch = np.arange(n_u)
             scale_u = w_u * n_u / batch.size
-            f_u, th, fa = elbo_unlabeled(
-                state, unlabeled.lambdas[batch], rng, indices=batch, scale=scale_u
+            f_u = elbo_unlabeled(
+                state, unlabeled.lambdas[batch], rng, grads, indices=batch, scale=scale_u
             )
-            write(th, written)
-            write(fa, written, batch)
-            if fa and batch.size < n_u:
-                outside = np.setdiff1d(np.arange(n_u), batch)
-                frozen = np.concatenate([at[key][outside].ravel() for key in fa])
+            if "mu_z_u" in state.factors and batch.size < n_u:
+                rest = np.setdiff1d(np.arange(n_u), batch)
+                frozen = np.concatenate([at[k][rest].ravel() for k in ("mu_z_u", "rho_z_u")])
         if n_l:
-            f_l, th, fa = elbo_labeled(
-                state, labeled.lambdas, labeled.ys, labeled.bcs, rng
-            )
-            write({**th, **fa}, written)
+            f_l = elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng, grads)
         if virtual is not None:
-            f_o, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng)
-            write({**th, **fa}, written)
-        for key in grads.keys() - written:
-            grads[key][...] = 0.0
+            f_o = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng, grads)
         f_prior = prior_logpdf_theta(state.model.params.arrays(), grads, THETA_PRIOR_SCALE)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):
@@ -839,7 +822,8 @@ def train(
         adam.step(state.theta, state.grad, frozen)
 
         if virtual is not None and state.iteration % config.cadence == 0:
-            refresh_qy(state, virtual, rng)
+            tau = _temper_tau(config, state.iteration - first_iteration)
+            refresh_qy(state, virtual, rng, tau)
 
         history.append(total)
         plateau = _plateaued(history, config.plateau_window)

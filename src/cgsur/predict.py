@@ -23,8 +23,11 @@ from . import fem
 from .errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from .field import BoundaryCoeffs
 from .gaussians import diag_logpdf, kl_diag_standard
-from .inference import INFER_Z_LEARNING_RATE, Adam, DiagGaussian, VariationalState
+from .inference import Adam, DiagGaussian, VariationalState
 from .seeding import derive_rng
+
+# infer_z's Adam step size: one small q(z) ascends in a few hundred steps
+INFER_Z_LEARNING_RATE = 0.05
 
 
 @dataclass

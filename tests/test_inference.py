@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cgsur import fem, field, inference, vobs
+from cgsur.approximators import Approximator
 from cgsur.errors import DimensionMismatch, IllConditioned, NonFiniteLoss
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.gaussians import LOG_2PI, diag_logpdf, kl_diag_standard
@@ -64,7 +65,7 @@ def make_problem(d_f=4, d_c=2, n_l=3, n_o=2, seed=0, hidden=(8,), m2=5):
         )
     virtual = VirtualData(np.array(vlams), np.array(vbcs), obs)
     state = init_state(model, cfg, labeled, None, virtual)
-    refresh_qy(state, virtual, rng)
+    refresh_qy(state, virtual, rng, 1.0)
     return model, cfg, labeled, virtual, state, rng
 
 
@@ -72,6 +73,13 @@ def crn(seed=99):
     """A fresh generator per call: every ELBO call draws in the same order
     whatever the parameter values, so equal seeds give common random numbers."""
     return np.random.default_rng(seed)
+
+
+def run_block(block, state, *args, **kwargs):
+    """An ELBO block's value and the named views of a zeroed theta-sized
+    vector into which it added its gradients."""
+    grads = state.views(np.zeros(state.theta.size))
+    return block(state, *args, grads, **kwargs), grads
 
 
 def learned_set(gamma, alpha, lam):
@@ -300,7 +308,9 @@ class TestEnergyUpdate:
 
 
 class TestEnergyTempering:
-    def test_train_keeps_observables_and_restarts_the_schedule(self, monkeypatch):
+    @staticmethod
+    def problem():
+        """A model and two energy queries whose observables hold tau = 2."""
         rng = np.random.default_rng(14)
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=5)
         sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
@@ -312,10 +322,11 @@ class TestEnergyTempering:
             bcs.append(bc.as_array())
             obs = vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=2.0)
             observables.append(obs)
-        virtual = VirtualData(np.array(lams), np.array(bcs), observables)
-        cfg = TrainConfig(
-            iterations=4, cadence=2, tau_start=1.0, tau_end=16.0, plateau_window=10**9
-        )
+        return model, VirtualData(np.array(lams), np.array(bcs), observables)
+
+    @staticmethod
+    def record_taus(monkeypatch):
+        """The list to which every energy q(y) update appends its tau."""
         seen = []
         update = inference.update_qy_energy
 
@@ -324,6 +335,14 @@ class TestEnergyTempering:
             return update(obs, *args, **kwargs)
 
         monkeypatch.setattr(inference, "update_qy_energy", recording_update)
+        return seen
+
+    def test_train_keeps_observables_and_restarts_the_schedule(self, monkeypatch):
+        model, virtual = self.problem()
+        cfg = TrainConfig(
+            iterations=4, cadence=2, tau_start=1.0, tau_end=16.0, plateau_window=10**9
+        )
+        seen = self.record_taus(monkeypatch)
         # refreshes after 0, 2 and 4 iterations of each call: tau 1, 4, 16 per query
         expected = [1.0, 1.0, 4.0, 4.0, 16.0, 16.0]
         state, _ = train(model, cfg, virtual=virtual)
@@ -334,6 +353,15 @@ class TestEnergyTempering:
         assert state.iteration == 8
         assert seen == pytest.approx(expected)
         assert [obs.tau for obs in virtual.observables] == [2.0, 2.0]
+
+    def test_schedule_comes_from_the_call_not_the_state(self, monkeypatch):
+        model, virtual = self.problem()
+        # the state's config runs a long schedule to tau_end = 1e4
+        state = init_state(model, TrainConfig(), None, None, virtual)
+        seen = self.record_taus(monkeypatch)
+        cfg = TrainConfig(iterations=4, cadence=2, tau_end=16.0, plateau_window=10**9)
+        train(model, cfg, virtual=virtual, state=state)
+        assert seen == pytest.approx([1.0, 1.0, 4.0, 4.0, 16.0, 16.0])
 
 
 class TestElboUnlabeled:
@@ -353,7 +381,7 @@ class TestElboUnlabeled:
         state.factors["rho_z_u"][:] = 0.0  # variance one: exactly the prior
         rng = np.random.default_rng(0)
         xs = rng.normal(0.3, 0.5, size=(2, model.dim_x))
-        value, _, _ = elbo_unlabeled(state, xs, rng)
+        value, _ = run_block(elbo_unlabeled, state, xs, rng)
         expected = sum(
             diag_logpdf(x, np.full(model.dim_x, 0.3), np.full(model.dim_x, 0.7))
             for x in xs
@@ -374,23 +402,23 @@ class TestElboUnlabeled:
         assert abs(kl - per_sample.mean()) < 3 * per_sample.std() / np.sqrt(n)
 
     def test_mu_gradient_common_random_numbers(self):
-        model, cfg, labeled, virtual, state, rng = make_problem()
-        n_u = 2
-        xs = labeled.lambdas[:n_u]
-        state.factors["mu_z_u"] = rng.standard_normal((n_u, model.dim_z)) * 0.1
-        state.factors["rho_z_u"] = np.full((n_u, model.dim_z), np.log(0.2))
-        _, _, fgrads = elbo_unlabeled(state, xs, crn())
+        state, d = semi_supervised_state(seed=0, amortized=False)
+        rng = np.random.default_rng(0)
+        xs = d.unlabeled.lambdas
+        state.factors["mu_z_u"][:] = rng.standard_normal((len(xs), state.model.dim_z)) * 0.1
+        state.factors["rho_z_u"][:] = np.log(0.2)
+        _, grads = run_block(elbo_unlabeled, state, xs, crn())
         h = 1e-6
         for (i, j) in [(0, 0), (1, 1)]:
             arr = state.factors["mu_z_u"]
             old = arr[i, j]
             arr[i, j] = old + h
-            vp, _, _ = elbo_unlabeled(state, xs, crn())
+            vp, _ = run_block(elbo_unlabeled, state, xs, crn())
             arr[i, j] = old - h
-            vm, _, _ = elbo_unlabeled(state, xs, crn())
+            vm, _ = run_block(elbo_unlabeled, state, xs, crn())
             arr[i, j] = old
             fd = (vp - vm) / (2 * h)
-            assert fgrads["mu_z_u"][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            assert grads["mu_z_u"][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_amortized_encoder_gradients(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
@@ -398,19 +426,19 @@ class TestElboUnlabeled:
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (2, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         rng = np.random.default_rng(3)
-        _, tgrads, _ = elbo_unlabeled(state, unl.lambdas, crn())
+        _, grads = run_block(elbo_unlabeled, state, unl.lambdas, crn())
         h = 1e-6
         for key, net in (("enc_mu", state.enc_mu), ("enc_logvar", state.enc_logvar)):
             idx = rng.choice(net.n_params, size=5, replace=False)
             for i in idx:
                 old = net.params[i]
                 net.params[i] = old + h
-                vp, _, _ = elbo_unlabeled(state, unl.lambdas, crn())
+                vp, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
                 net.params[i] = old - h
-                vm, _, _ = elbo_unlabeled(state, unl.lambdas, crn())
+                vm, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
                 net.params[i] = old
                 fd = (vp - vm) / (2 * h)
-                assert tgrads[key][i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+                assert grads[key][i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
 class TestElboLabeled:
@@ -418,7 +446,7 @@ class TestElboLabeled:
         # q collapsed to a near-delta at a known (z, X): the estimate equals
         # the plug-in joint log-density plus the entropies. The variance is
         # small enough that every draw rounds to the mean.
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=1)
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=1, n_l=1)
         i = 0
         z0 = rng.standard_normal(model.dim_z)
         X0 = rng.standard_normal(model.dim_X) * 0.3
@@ -427,14 +455,7 @@ class TestElboLabeled:
         state.factors["rho_z_l"][i] = tiny
         state.factors["mu_X_l"][i] = X0
         state.factors["rho_X_l"][i] = tiny
-        value, _, _ = elbo_labeled(
-            state,
-            labeled.lambdas[:1],
-            labeled.ys[:1],
-            labeled.bcs[:1],
-            rng,
-            indices=[i],
-        )
+        value, _ = run_block(elbo_labeled, state, labeled.lambdas, labeled.ys, labeled.bcs, rng)
         bc = BoundaryCoeffs.from_array(labeled.bcs[0])
         var_z = np.full(model.dim_z, np.exp(tiny))
         var_X = np.full(model.dim_X, np.exp(tiny))
@@ -463,10 +484,7 @@ class TestElboLabeled:
         model, cfg, labeled, virtual, state, rng = make_problem(seed=3)
 
         def value():
-            v, th, fa = elbo_labeled(
-                state, labeled.lambdas, labeled.ys, labeled.bcs, crn()
-            )
-            return v, th
+            return run_block(elbo_labeled, state, labeled.lambdas, labeled.ys, labeled.bcs, crn())
 
         v0, th = value()
         h = 1e-6
@@ -545,8 +563,7 @@ class TestElboVirtual:
         model, cfg, labeled, virtual, state, rng = make_problem(seed=4)
 
         def value():
-            v, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn())
-            return v, th
+            return run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, crn())
 
         v0, th = value()
         h = 1e-6
@@ -578,8 +595,8 @@ class TestElboVirtual:
             [vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=2.0)],
         )
         state = init_state(model, cfg, None, None, virtual)
-        refresh_qy(state, virtual, rng)
-        v, th, fa = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng)
+        refresh_qy(state, virtual, rng, 1.0)
+        v, _ = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, rng)
         assert np.isfinite(v)
         assert isinstance(state.qy[0], DiagGaussian)
 
@@ -597,7 +614,7 @@ class TestElboVirtual:
             obs.append(vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=1.0))
         virtual = VirtualData(np.array(lams), np.array(bcs), obs)
         state = init_state(model, TrainConfig(tau_start=3.0, seed=0), None, None, virtual)
-        refresh_qy(state, virtual, rng)
+        refresh_qy(state, virtual, rng, 3.0)
         n = 20_000
         for o, qy, term in zip(obs, state.qy, state.qy_terms):
             draws = qy.mean + np.sqrt(qy.var) * rng.standard_normal((n, qy.mean.size))
@@ -648,14 +665,13 @@ def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
     return value, theta, {} if amortized else factors
 
 
-def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
+def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng):
     """Reference for the labeled/virtual body: one decoder, coarse-map and
     coarse-solve call per datum, y drawn after each datum's (z, X) noise."""
     model = state.model
     n = lambdas.shape[0]
-    idx = np.arange(n) if indices is None else np.asarray(indices)
     names = ("mu_z", "rho_z", "mu_X", "rho_X")
-    rows = [state.factors[f"{name}_{suffix}"][idx] for name in names]
+    rows = [state.factors[f"{name}_{suffix}"] for name in names]
     factors = {f"{name}_{suffix}": np.zeros_like(r) for name, r in zip(names, rows)}
     values, theta = [], {}
     for i in range(n):
@@ -688,15 +704,25 @@ def looped_conditional(state, suffix, lambdas, bcs, y_draw, rng, indices=None):
     return values, theta, factors
 
 
-def assert_blocks_agree(batched, looped, rtol=1e-12):
-    value, theta, factors = batched
+def assert_blocks_agree(batched, looped, rows=slice(None), rtol=1e-12):
+    """`batched` is (value, grads) from run_block, `looped` (value, theta
+    gradients, factor gradients) from a loop, whose factor gradients are those
+    of the factor rows `rows`. Every entry the loop has no gradient for must
+    be zero in grads."""
+    value, grads = batched
     ref_value, ref_theta, ref_factors = looped
     assert value == pytest.approx(ref_value, rel=rtol)
-    for got, ref in ((theta, ref_theta), (factors, ref_factors)):
-        assert got.keys() == ref.keys()
-        for key, arr in ref.items():
-            assert np.shape(got[key]) == np.shape(arr)
-            assert np.max(np.abs(got[key] - arr)) <= rtol * np.max(np.abs(arr)), key
+    expected = dict(ref_theta)
+    for key, arr in ref_factors.items():
+        expected[key] = np.zeros_like(grads[key])
+        expected[key][rows] = arr
+    for key, got in grads.items():
+        if key not in expected:
+            assert not got.any(), key
+            continue
+        ref = expected[key]
+        assert got.shape == ref.shape, key
+        assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref)), key
 
 
 class TestBlocksAgainstLoops:
@@ -704,14 +730,16 @@ class TestBlocksAgainstLoops:
     gradients, and the generator left at the same stream position."""
 
     def test_unlabeled_factors(self):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=5)
-        state.factors["mu_z_u"] = rng.standard_normal((4, model.dim_z)) * 0.3
-        state.factors["rho_z_u"] = rng.uniform(-2.0, 0.0, (4, model.dim_z))
-        xs, batch = labeled.lambdas[:2], np.array([3, 1])
+        state, d = semi_supervised_state(seed=5, amortized=False)
+        rng = np.random.default_rng(5)
+        state.factors["mu_z_u"][:] = rng.standard_normal((5, state.model.dim_z)) * 0.3
+        state.factors["rho_z_u"][:] = rng.uniform(-2.0, 0.0, (5, state.model.dim_z))
+        batch = np.array([3, 1])
+        xs = d.unlabeled.lambdas[batch]
         rng_a, rng_b = crn(), crn()
-        batched = elbo_unlabeled(state, xs, rng_a, indices=batch, scale=1.7)
+        batched = run_block(elbo_unlabeled, state, xs, rng_a, indices=batch, scale=1.7)
         looped = looped_unlabeled(state, xs, rng_b, indices=batch, scale=1.7)
-        assert_blocks_agree(batched, looped)
+        assert_blocks_agree(batched, looped, rows=batch)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_unlabeled_amortized(self):
@@ -720,7 +748,7 @@ class TestBlocksAgainstLoops:
         unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
         state = init_state(model, cfg, None, unl, None)
         rng_a, rng_b = crn(), crn()
-        batched = elbo_unlabeled(state, unl.lambdas, rng_a, scale=0.6)
+        batched = run_block(elbo_unlabeled, state, unl.lambdas, rng_a, scale=0.6)
         looped = looped_unlabeled(state, unl.lambdas, rng_b, scale=0.6)
         assert_blocks_agree(batched, looped)
         assert rng_a.standard_normal() == rng_b.standard_normal()
@@ -728,12 +756,11 @@ class TestBlocksAgainstLoops:
     def test_labeled(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=6)
         rng_a, rng_b = crn(), crn()
-        batched = elbo_labeled(
-            state, labeled.lambdas[1:], labeled.ys[1:], labeled.bcs[1:], rng_a, indices=[2, 0]
+        batched = run_block(
+            elbo_labeled, state, labeled.lambdas, labeled.ys, labeled.bcs, rng_a
         )
         values, theta, factors = looped_conditional(
-            state, "l", labeled.lambdas[1:], labeled.bcs[1:],
-            lambda i: labeled.ys[1 + i], rng_b, indices=[2, 0],
+            state, "l", labeled.lambdas, labeled.bcs, lambda i: labeled.ys[i], rng_b
         )
         assert_blocks_agree(batched, (sum(values), theta, factors))
         assert rng_a.standard_normal() == rng_b.standard_normal()
@@ -741,7 +768,7 @@ class TestBlocksAgainstLoops:
     def test_virtual_hybrid(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=8)
         rng_a, rng_b = crn(), crn()
-        batched = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng_a)
+        batched = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, rng_a)
         values, theta, factors = looped_conditional(
             state, "o", virtual.lambdas, virtual.bcs,
             lambda i: state.qy[i].sample(rng_b), rng_b,
@@ -767,7 +794,7 @@ class TestBlocksAgainstLoops:
         )
         before = copy.deepcopy(state)
         rng_a, rng_b = crn(), crn()
-        refresh_qy(state, virtual, rng_a)
+        refresh_qy(state, virtual, rng_a, 1.0)
         sy, qys = model.var_y(), []
         for i, obs in enumerate(virtual.observables):
             bc = BoundaryCoeffs.from_array(virtual.bcs[i])
@@ -863,42 +890,57 @@ class TestPriorTheta:
         assert np.array_equal(g["a"], before - (1.0 / (scale * scale)) * arrays["a"])
 
 
-class TestGradientsOwnTheirMemory:
-    """A block's gradients stay valid after the step they feed: no block
-    returns a view of a trained array or two views of one buffer, and the
-    prior writes only into the gradients it is given."""
+class TestBlocksWriteOnlyIntoTheirGrads:
+    """A block adds its gradients into the grads it is given and writes
+    nowhere else: theta and state.grad keep their bits, and the arrays and
+    factor rows it does not reach stay zero."""
+
+    MODEL_KEYS = {"decoder", "W_g", "b_g", "log_S_X", "w_h", "b_h", "log_S_y"}
 
     @staticmethod
-    def assert_owned(state, *grad_dicts):
-        params = list(state.adam_arrays().values())
-        grads = [g for grad_dict in grad_dicts for g in grad_dict.values()]
-        for i, g in enumerate(grads):
-            assert not any(np.shares_memory(g, p) for p in params)
-            assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
+    def check(state, block, *args, reached, **kwargs):
+        """Runs the block and returns its grads; exactly the keys `reached`
+        hold a nonzero entry."""
+        state.grad[:] = 7.0
+        theta, grad = state.theta.tobytes(), state.grad.tobytes()
+        _, grads = run_block(block, state, *args, **kwargs)
+        assert state.theta.tobytes() == theta
+        assert state.grad.tobytes() == grad
+        assert {key for key, g in grads.items() if g.any()} == reached
+        return grads
 
     def test_factor_blocks_and_prior(self):
-        model, cfg, labeled, virtual, state, rng = make_problem(seed=5)
-        state.factors["mu_z_u"] = rng.standard_normal((4, model.dim_z)) * 0.3
-        state.factors["rho_z_u"] = rng.uniform(-2.0, 0.0, (4, model.dim_z))
-        blocks = [
-            elbo_unlabeled(state, labeled.lambdas[:2], rng, indices=np.array([3, 1])),
-            elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng),
-            elbo_virtual(state, virtual.lambdas, virtual.bcs, rng),
-        ]
-        self.assert_owned(state, *[g for _, th, fa in blocks for g in (th, fa)])
-        before = copy.deepcopy(state.adam_arrays())
-        prior_logpdf_theta(model.params.arrays(), zero_grads(model.params.arrays()), 1.0)
-        for key, arr in state.adam_arrays().items():
-            assert np.array_equal(arr, before[key]), key
+        state, d = semi_supervised_state(seed=5, amortized=False)
+        rng = np.random.default_rng(5)
+        refresh_qy(state, d.virtual, rng, 1.0)
+        batch = np.array([3, 1])
+        grads = self.check(
+            state, elbo_unlabeled, d.unlabeled.lambdas[batch], rng, indices=batch,
+            reached={"decoder", "mu_z_u", "rho_z_u"},
+        )
+        outside = np.setdiff1d(np.arange(5), batch)
+        assert not grads["mu_z_u"][outside].any() and not grads["rho_z_u"][outside].any()
+        lab, vir = d.labeled, d.virtual
+        factor_keys = {"mu_z", "rho_z", "mu_X", "rho_X"}
+        self.check(
+            state, elbo_labeled, lab.lambdas, lab.ys, lab.bcs, rng,
+            reached=self.MODEL_KEYS | {f"{key}_l" for key in factor_keys},
+        )
+        self.check(
+            state, elbo_virtual, vir.lambdas, vir.bcs, rng,
+            reached=self.MODEL_KEYS | {f"{key}_o" for key in factor_keys},
+        )
+        theta = state.theta.tobytes()
+        arrays = state.model.params.arrays()
+        prior_logpdf_theta(arrays, zero_grads(arrays), 1.0)
+        assert state.theta.tobytes() == theta
 
     def test_amortized_unlabeled(self):
-        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
-        cfg = TrainConfig(amortized=True, encoder_hidden=(7,), seed=0)
-        unl = UnlabeledData(np.random.default_rng(2).normal(0.4, 0.8, (3, model.dim_x)))
-        state = init_state(model, cfg, None, unl, None)
-        _, theta, factors = elbo_unlabeled(state, unl.lambdas, crn())
-        assert {"enc_mu", "enc_logvar"} <= theta.keys()
-        self.assert_owned(state, theta, factors)
+        state, d = semi_supervised_state(seed=6)
+        self.check(
+            state, elbo_unlabeled, d.unlabeled.lambdas, crn(),
+            reached={"decoder", "enc_mu", "enc_logvar"},
+        )
 
 
 class TestReparametrization:
@@ -924,19 +966,42 @@ class TestReparametrization:
 class TestTrain:
     def test_elbo_additivity(self):
         model, cfg, labeled, virtual, state, rng = make_problem(seed=7)
-        v_l1, _, _ = elbo_labeled(
-            state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
-        )
-        v_o1, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
+        lab = (labeled.lambdas, labeled.ys, labeled.bcs)
+        v_l1, _ = run_block(elbo_labeled, state, *lab, crn(1))
+        v_o1, _ = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, crn(2))
         arrays = model.params.arrays()
         v_p1 = prior_logpdf_theta(arrays, zero_grads(arrays), inference.THETA_PRIOR_SCALE)
         total_once = v_l1 + v_o1 + v_p1
-        v_l2, _, _ = elbo_labeled(
-            state, labeled.lambdas, labeled.ys, labeled.bcs, crn(1)
-        )
-        v_o2, _, _ = elbo_virtual(state, virtual.lambdas, virtual.bcs, crn(2))
+        v_l2, _ = run_block(elbo_labeled, state, *lab, crn(1))
+        v_o2, _ = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, crn(2))
         v_p2 = prior_logpdf_theta(arrays, zero_grads(arrays), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
+
+    def test_grad_is_the_sum_of_the_blocks_and_the_prior(self):
+        # one iteration on a minibatch of two of the five unlabeled data
+        state, d = semi_supervised_state(seed=22, amortized=False)
+        twin = copy.deepcopy(state)
+        cfg = TrainConfig(iterations=1, unlabeled_batch=2, seed=3, plateau_window=10**9)
+        train(state.model, cfg, d.labeled, d.unlabeled, d.virtual, state=state)
+        # the blocks and the prior on a zeroed vector, the generator drawn as
+        # train() draws it: the q(y) refresh, the minibatch, then each block
+        rng = derive_rng(cfg.seed, "train")
+        refresh_qy(twin, d.virtual, rng, cfg.tau_start)
+        batch = rng.choice(5, size=2, replace=False)
+        reference = np.zeros(twin.theta.size)
+        grads = twin.views(reference)
+        n_l = len(d.labeled)
+        elbo_unlabeled(
+            twin, d.unlabeled.lambdas[batch], rng, grads, indices=batch, scale=n_l / 5 * 5 / 2
+        )
+        elbo_labeled(twin, d.labeled.lambdas, d.labeled.ys, d.labeled.bcs, rng, grads)
+        elbo_virtual(twin, d.virtual.lambdas, d.virtual.bcs, rng, grads)
+        prior_logpdf_theta(twin.model.params.arrays(), grads, inference.THETA_PRIOR_SCALE)
+        assert state.grad.tobytes() == reference.tobytes()
+        outside = np.setdiff1d(np.arange(5), batch)
+        for key in ("mu_z_u", "rho_z_u"):
+            rows = state.views(state.grad)[key][outside]
+            assert rows.tobytes() == np.zeros(rows.shape).tobytes()
 
     def test_labeled_only_objective_improves(self):
         rng = np.random.default_rng(16)
@@ -977,6 +1042,7 @@ class TestTrain:
             ("log_every", 0),
             ("tau_start", 0.0),
             ("tau_end", -1.0),
+            ("encoder_hidden", (4, 0)),
         ],
     )
     def test_config_out_of_range_rejected(self, name, value):
@@ -1129,6 +1195,19 @@ class TestAdam:
             self.assert_bit_equal(adam, theta, ref, ref_arrays)
             for a, old in frozen:
                 assert a[outside].tobytes() == old.tobytes()
+
+
+class TestInitState:
+    def test_encoders_drawn_into_theta_as_approximators_draw_them(self):
+        state, _ = semi_supervised_state(seed=23)
+        cfg, dz = state.config, state.model.dim_z
+        sizes = (state.model.dim_x, *cfg.encoder_hidden, dz)
+        ref_mu = Approximator(sizes, seed=cfg.seed + 1).params
+        ref_logvar = Approximator(sizes, seed=cfg.seed + 2).params
+        ref_logvar[-dz:] = np.log(0.5)
+        for net, ref in ((state.enc_mu, ref_mu), (state.enc_logvar, ref_logvar)):
+            assert np.shares_memory(net.params, state.theta)
+            assert net.params.tobytes() == ref.tobytes()
 
 
 class TestStateCopy:

@@ -9,7 +9,6 @@ from cgsur.errors import DegenerateValidation, InvalidSize, NonPositiveVariance
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.genmodel import GenerativeModel
 from cgsur.inference import (
-    INFER_Z_LEARNING_RATE,
     DiagGaussian,
     TrainConfig,
     UnlabeledData,
@@ -17,6 +16,7 @@ from cgsur.inference import (
     init_state,
     train,
 )
+from cgsur.predict import INFER_Z_LEARNING_RATE
 from cgsur.seeding import derive_rng
 from test_inference import DictAdam
 

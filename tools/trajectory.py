@@ -8,6 +8,9 @@ and writes, to OUT.npz:
 - train-hybrid-16x4 and train-energy-16x4, after one 50-iteration train()
   call: every array the optimizer updates (`adam_arrays()`), the q(y) means
   and variances, the Gamma posteriors, and the logged F, F_u, F_l and F_O;
+- train-hybrid-16x4/batch8: the same for train-hybrid-16x4 trained with
+  unlabeled_batch = 8, so the unlabeled factors outside each minibatch are
+  frozen; the workload's 32 unlabeled data fit in the default batch;
 - predict-16x4: the samples of one predictive_posterior call, and the
   mean and variance of q(z) from infer_z at the workload's input, so the
   ascent is certified apart from the sampling that follows it;
@@ -39,16 +42,23 @@ SEED = 7
 
 
 def record() -> dict:
+    import dataclasses
+
     import numpy as np
 
     from cgsur import inference, predict
     from workloads import WORKLOADS
 
     out = {}
-    for name in ("train-hybrid-16x4", "train-energy-16x4"):
-        ctx = WORKLOADS[name].setup(SEED)
+    for name, workload, batch in (
+        ("train-hybrid-16x4", "train-hybrid-16x4", None),
+        ("train-energy-16x4", "train-energy-16x4", None),
+        ("train-hybrid-16x4/batch8", "train-hybrid-16x4", 8),
+    ):
+        ctx = WORKLOADS[workload].setup(SEED)
+        cfg = ctx.cfg if batch is None else dataclasses.replace(ctx.cfg, unlabeled_batch=batch)
         state, log = inference.train(
-            ctx.state.model, ctx.cfg, ctx.labeled, ctx.unlabeled, ctx.virtual, state=ctx.state
+            ctx.state.model, cfg, ctx.labeled, ctx.unlabeled, ctx.virtual, state=ctx.state
         )
         for key, arr in state.adam_arrays().items():
             out[f"{name}/{key}"] = arr
