@@ -10,6 +10,9 @@ s1, the second s2. Dirichlet nodes are the left/right edges (s1 in {0, 1});
 the top/bottom edges carry the natural zero-flux condition. Solution vectors
 always store all (d+1)^2 nodes, Dirichlet entries included, so constraint
 operators act on a fixed-size vector.
+
+Grids above _DENSE_NODE_LIMIT nodes keep the element blocks, which np.bincount
+sums into the band of K_ff and the lift -K_fd g; their CSR K is built on read.
 """
 
 from __future__ import annotations
@@ -103,6 +106,15 @@ class Mesh:
         self._flat = self._rows * self.n_nodes + self._cols
         self._ff = np.ix_(self.free_nodes, self.free_nodes)
         self._fd = np.ix_(self.free_nodes, self.dirichlet_nodes)
+        # In free-node order K_ff has half-bandwidth d; its upper entry (i, j) is
+        # flat entry d + i - j + j (d + 1) of the F-ordered (d + 1, n_free) LAPACK
+        # band, other entries go one bin past it. Free x Dirichlet ones form the lift.
+        free_index = np.where(dirichlet, -1, np.cumsum(~dirichlet) - 1)
+        r, c = free_index[self._rows], free_index[self._cols]
+        band_size = (d + 1) * self.free_nodes.size
+        self._band_pos = np.where((r >= 0) & (c >= r), d * (c + 1) + r, band_size)
+        self._lift_entries = np.flatnonzero((r >= 0) & (c < 0))
+        self._lift_rows = r[self._lift_entries]
         self._dirichlet_s2 = self.nodes[self.dirichlet_nodes, 1]
         self._dirichlet_left = self.nodes[self.dirichlet_nodes, 0] == 0.0
 
@@ -139,24 +151,38 @@ def _as_kappa(mesh: Mesh, kappa) -> np.ndarray:
 
 @dataclass
 class FemSystem:
-    """Assembled stiffness and Dirichlet data for one (kappa, bc)."""
+    """Assembled stiffness and Dirichlet data for one (kappa, bc), dense or band."""
 
     mesh: Mesh
-    K: object  # dense ndarray or scipy CSR, over all nodes
     f_vec: np.ndarray  # zero load (no source term); bench/checks.py reads it
     dirichlet_values: np.ndarray
     kappa: np.ndarray
+    _K: object = field(default=None, repr=False)  # dense ndarray, or CSR once K is read
+    _blocks: np.ndarray = field(default=None, repr=False)  # flat element blocks if not dense
     _solve: object = field(default=None, repr=False)
     _solution: np.ndarray = field(default=None, repr=False)
 
     @property
     def dense(self) -> bool:
-        return isinstance(self.K, np.ndarray)
+        return self._blocks is None
+
+    @property
+    def K(self):
+        """Stiffness over all nodes, a dense ndarray or (built on first read) CSR."""
+        if self._K is None:
+            self._K = sp.coo_matrix((self._blocks, (self.mesh._rows, self.mesh._cols))).tocsr()
+        return self._K
 
     def solve_free(self, rhs_f: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
         if self._solve is None:
-            self._solve = factorize(self.K[self.mesh._ff])
+            m = self.mesh
+            if self.dense:
+                self._solve = factorize(self.K[m._ff])
+            else:
+                shape = (m.free_nodes.size, m.d + 1)
+                band = np.bincount(m._band_pos, self._blocks, np.prod(shape) + 1)[:-1]
+                self._solve = _band_cholesky(band.reshape(shape).T)
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
         return self._solve(rhs_f)
 
@@ -165,10 +191,10 @@ def factorize(A):
     """Factor a symmetric positive definite matrix; returns its solve function.
 
     A dense ndarray gets an upper Cholesky factor from LAPACK (dpotrf/dpotrs).
-    A scipy sparse matrix, banded on the row-major grid (half-bandwidth d for
-    K_ff, d + 2 over all nodes), gets a band Cholesky factor (dpbtrf/dpbtrs)
-    of its upper triangle, with the bandwidth read from the nonzeros. A
-    non-finite matrix or a failed factorization raises SingularSystem.
+    A scipy sparse matrix (in practice tau K + diag(s_y^-1) over all nodes,
+    half-bandwidth d + 2) gets a band Cholesky factor (dpbtrf/dpbtrs) of its
+    upper triangle, with the bandwidth read from the nonzeros. A non-finite
+    upper triangle or a failed factorization raises SingularSystem.
     """
     if isinstance(A, np.ndarray):
         if not np.isfinite(A).all():
@@ -179,13 +205,18 @@ def factorize(A):
         return lambda rhs: lapack.dpotrs(chol, rhs)[0]
     A = A.tocoo(copy=True)  # sum_duplicates works in place
     A.sum_duplicates()
-    if not np.isfinite(A.data).all():
-        raise SingularSystem("matrix has non-finite entries")
     upper = A.col >= A.row
     rows, cols = A.row[upper], A.col[upper]
     kd = int((cols - rows).max(initial=0))
     band = np.zeros((kd + 1, A.shape[0]), order="F")
     band[kd + rows - cols, cols] = A.data[upper]
+    return _band_cholesky(band)
+
+
+def _band_cholesky(band: np.ndarray):
+    """Solve function of the SPD matrix with upper LAPACK band `band` (F-ordered)."""
+    if not np.isfinite(band).all():
+        raise SingularSystem("matrix has non-finite entries")
     chol, info = lapack.dpbtrf(band, overwrite_ab=True)
     if info != 0:
         raise SingularSystem(f"band Cholesky factorization failed (LAPACK info {info})")
@@ -205,21 +236,13 @@ def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs) -> FemSystem:
     K[a, b] = sum_e kappa_e int_e grad(phi_a) . grad(phi_b).
     """
     kappa = _as_kappa(mesh, kappa)
-    blocks = kappa[mesh.pixel_of_element][:, None, None] * mesh._k_ref
+    blocks = (kappa[mesh.pixel_of_element][:, None, None] * mesh._k_ref).ravel()
     n = mesh.n_nodes
-    if n <= _DENSE_NODE_LIMIT:
-        K = np.bincount(mesh._flat, blocks.ravel(), n * n).reshape(n, n)
-    else:
-        K = sp.coo_matrix(
-            (blocks.ravel(), (mesh._rows, mesh._cols)),
-            shape=(n, n),
-        ).tocsr()
+    dense = n <= _DENSE_NODE_LIMIT
     return FemSystem(
-        mesh=mesh,
-        K=K,
-        f_vec=np.zeros(n),
-        dirichlet_values=mesh.dirichlet_values(bc),
-        kappa=kappa,
+        mesh, np.zeros(n), mesh.dirichlet_values(bc), kappa,
+        _K=np.bincount(mesh._flat, blocks, n * n).reshape(n, n) if dense else None,
+        _blocks=None if dense else blocks,
     )
 
 
@@ -235,7 +258,11 @@ def solve(sys: FemSystem) -> Solution:
         SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
         sys._solution = y
         return Solution(y_vec=y)
-    rhs = -(sys.K[mesh._fd] @ y[cons])
+    if sys.dense:
+        rhs = -(sys.K[mesh._fd] @ y[cons])
+    else:
+        lift = sys._blocks[mesh._lift_entries] * y[mesh._cols[mesh._lift_entries]]
+        rhs = -np.bincount(mesh._lift_rows, lift, len(free))
     y[free] = sys.solve_free(rhs)
     sys._solution = y
     return Solution(y_vec=y)

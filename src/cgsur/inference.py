@@ -780,7 +780,10 @@ def train(
     # the unlabeled block weighs as much as the labeled one
     w_u = n_l / n_u if n_u and n_l else 1.0
     if n_u > config.unlabeled_batch:
-        at = state.views(np.arange(state.theta.size))  # flat index of every entry
+        # flat index in theta of every factor entry; a minibatch freezes unlabeled rows
+        sizes = [np.prod(shape, dtype=int) for shape in state._shapes.values()]
+        start = dict(zip(state._shapes, np.cumsum([0, *sizes])))
+        at = {k: start[k] + np.arange(f.size).reshape(f.shape) for k, f in state.factors.items()}
 
     first_iteration = state.iteration
     stop_iteration = first_iteration + config.iterations

@@ -162,6 +162,22 @@ class TestAssemble:
         with pytest.raises(NonPositiveConductivity):
             fem.assemble(mesh, np.array([1.0, -1.0, 1.0, 1.0]), BC_A)
 
+    def test_rejects_nan_kappa_on_a_band_grid(self):
+        mesh = fem.build_mesh(22)
+        kappa = np.ones(mesh.n_pixels)
+        kappa[100] = np.nan
+        with pytest.raises(NonPositiveConductivity):
+            fem.assemble(mesh, kappa, BC_A)
+
+    def test_band_grid_K_bit_equal_to_csr_of_the_blocks(self):
+        mesh, kappa, _, sys = random_system(22, 36)
+        assert not sys.dense
+        blocks = kappa[mesh.pixel_of_element][:, None, None] * fem._K_REF[mesh.element_kind]
+        K0 = sp.coo_matrix((blocks.ravel(), (mesh._rows, mesh._cols))).tocsr()
+        assert sys.K.format == "csr" and sys.K.shape == K0.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sys.K, part), getattr(K0, part)), part
+
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     def test_bit_equal_to_add_at(self, d):
         rng = np.random.default_rng(d)
@@ -232,6 +248,34 @@ class TestSolve:
             K0[np.ix_(free, free)], -K0[np.ix_(free, cons)] @ y0[cons]
         )
         assert np.max(np.abs(y - y0)) < 1e-10
+
+    @pytest.mark.parametrize("d", [22, 32, 64])
+    def test_band_path_matches_the_csr_path_it_replaced(self, d):
+        # the reference factors the CSR K_ff and lifts with the CSR K_fd
+        mesh, _, _, sys = random_system(d, 40 + d)
+        y = fem.solve(sys).y_vec
+        g = sys.dirichlet_values[mesh.dirichlet_nodes]
+        u0 = fem.factorize(sys.K[mesh._ff])(-(sys.K[mesh._fd] @ g))
+        assert np.max(np.abs(y[mesh.free_nodes] - u0)) <= 1e-13 * np.abs(u0).max()
+        assert np.array_equal(y[mesh.dirichlet_nodes], g)
+
+    def test_band_path_builds_no_sparse_matrix(self, monkeypatch):
+        mesh = fem.build_mesh(22)
+        kappa = np.exp(np.random.default_rng(38).normal(0.4, 0.8, mesh.n_pixels))
+        monkeypatch.setattr(fem, "sp", None)  # any scipy.sparse call in fem raises
+        sys = fem.assemble(mesh, kappa, BC_A)
+        fem.solve(sys)
+        fem.solve_vjp(sys, np.ones(mesh.n_nodes))
+        assert sys._K is None
+
+    @pytest.mark.parametrize("d", [4, 22])
+    def test_infinite_kappa_raises_singular_system(self, d):
+        mesh = fem.build_mesh(d)
+        kappa = np.ones(mesh.n_pixels)
+        kappa[mesh.n_pixels // 2 + d // 2] = np.inf  # passes the positivity check
+        # inf times the zeros of the reference blocks is NaN, which numpy warns of
+        with np.errstate(invalid="ignore"), pytest.raises(SingularSystem):
+            fem.solve(fem.assemble(mesh, kappa, BC_A))
 
     def test_solve_counter(self):
         fem.reset_solve_counts()

@@ -1082,6 +1082,19 @@ class TestTrain:
         assert state.iteration == 6
         assert list(log.column("iter")) == [4, 6]
 
+    def test_amortized_minibatch_trains_the_encoders(self):
+        # two of the five unlabeled data per iteration; an amortized state has
+        # no unlabeled factors to freeze
+        state, d = semi_supervised_state(seed=23)
+        before = state.views(state.theta.copy())
+        cfg = TrainConfig(iterations=2, unlabeled_batch=2, amortized=True,
+                          encoder_hidden=(5,), seed=23, plateau_window=10**9)
+        state, _ = train(state.model, cfg, d.labeled, d.unlabeled, d.virtual, state=state)
+        assert state.iteration == 2 and "mu_z_u" not in state.factors
+        assert np.isfinite(state.theta).all()
+        for key in ("enc_mu", "enc_logvar"):
+            assert not np.array_equal(state.views(state.theta)[key], before[key]), key
+
     def test_unlabeled_minibatch_updates_only_its_rows(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=3)
         unl = UnlabeledData(np.random.default_rng(4).normal(0.4, 0.8, (5, model.dim_x)))
