@@ -11,8 +11,8 @@ the top/bottom edges carry the natural zero-flux condition. Solution vectors
 always store all (d+1)^2 nodes, Dirichlet entries included, so constraint
 operators act on a fixed-size vector.
 
-Grids above _DENSE_NODE_LIMIT nodes keep the element blocks, which np.bincount
-sums into the band of K_ff and the lift -K_fd g; their CSR K is built on read.
+An assembled system keeps the element blocks, which np.bincount sums into the
+band of K_ff and the lift -K_fd g; its CSR K is built on read.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from scipy.linalg import lapack
 
 from .errors import GridMismatch, InvalidSize, NonPositiveConductivity, SingularSystem
 from .field import BoundaryCoeffs, FieldSample
-
-# Grids up to this node count assemble and factor K dense. Assembly plus factor,
-# dense against band (ms, one BLAS thread): 0.07/0.41 at 81 nodes, 0.38/0.72 at
-# 169, 2.0/0.85 at 289, 6.0/0.66 at 484; lowering the limit moves d = 16 results.
-_DENSE_NODE_LIMIT = 500
 
 # Number of linear solves performed, keyed by grid size d. Used to assert
 # that prediction never touches the fine grid.
@@ -98,14 +93,10 @@ class Mesh:
         self.free_nodes = np.where(~dirichlet)[0]
 
         # Assembly indexing, built once per mesh. Entry (a, b) of element e's
-        # 3x3 block goes to K[_rows, _cols], flat index _flat; np.bincount
-        # over _flat sums the blocks in the same order as np.add.at would.
+        # 3x3 block goes to K[_rows, _cols].
         self._k_ref = _K_REF[self.element_kind]
         self._rows = np.repeat(self.elements, 3, axis=1).ravel()
         self._cols = np.tile(self.elements, (1, 3)).ravel()
-        self._flat = self._rows * self.n_nodes + self._cols
-        self._ff = np.ix_(self.free_nodes, self.free_nodes)
-        self._fd = np.ix_(self.free_nodes, self.dirichlet_nodes)
         # In free-node order K_ff has half-bandwidth d; its upper entry (i, j) is
         # flat entry d + i - j + j (d + 1) of the F-ordered (d + 1, n_free) LAPACK
         # band, other entries go one bin past it. Free x Dirichlet ones form the lift.
@@ -144,31 +135,29 @@ def _as_kappa(mesh: Mesh, kappa) -> np.ndarray:
         raise GridMismatch(
             f"kappa has shape {kappa.shape}, expected ({mesh.n_pixels},)"
         )
-    if not np.all(kappa > 0.0):
-        raise NonPositiveConductivity("conductivity must be positive everywhere")
+    if not np.all((kappa > 0.0) & (kappa < np.inf)):
+        raise NonPositiveConductivity("conductivity must be positive and finite everywhere")
     return kappa
 
 
 @dataclass
 class FemSystem:
-    """Assembled stiffness and Dirichlet data for one (kappa, bc), dense or band."""
+    """Assembled stiffness and Dirichlet data for one (kappa, bc), kept as element blocks."""
 
     mesh: Mesh
     f_vec: np.ndarray  # zero load (no source term); bench/checks.py reads it
     dirichlet_values: np.ndarray
     kappa: np.ndarray
-    _K: object = field(default=None, repr=False)  # dense ndarray, or CSR once K is read
-    _blocks: np.ndarray = field(default=None, repr=False)  # flat element blocks if not dense
+    _blocks: np.ndarray = field(repr=False)  # flat element blocks
+    _K: sp.csr_matrix = field(default=None, repr=False)  # built on first read of K
     _solve: object = field(default=None, repr=False)
     _solution: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def dense(self) -> bool:
-        return self._blocks is None
+    dense = False  # read only by bench/checks.py
 
     @property
-    def K(self):
-        """Stiffness over all nodes, a dense ndarray or (built on first read) CSR."""
+    def K(self) -> sp.csr_matrix:
+        """Stiffness over all nodes as CSR, summed from the blocks on first read."""
         if self._K is None:
             self._K = sp.coo_matrix((self._blocks, (self.mesh._rows, self.mesh._cols))).tocsr()
         return self._K
@@ -177,32 +166,21 @@ class FemSystem:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
         if self._solve is None:
             m = self.mesh
-            if self.dense:
-                self._solve = factorize(self.K[m._ff])
-            else:
-                shape = (m.free_nodes.size, m.d + 1)
-                band = np.bincount(m._band_pos, self._blocks, np.prod(shape) + 1)[:-1]
-                self._solve = _band_cholesky(band.reshape(shape).T)
+            shape = (m.free_nodes.size, m.d + 1)
+            band = np.bincount(m._band_pos, self._blocks, np.prod(shape) + 1)[:-1]
+            self._solve = _band_cholesky(band.reshape(shape).T)
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
         return self._solve(rhs_f)
 
 
 def factorize(A):
-    """Factor a symmetric positive definite matrix; returns its solve function.
+    """Factor a symmetric positive definite scipy sparse matrix; returns its solve function.
 
-    A dense ndarray gets an upper Cholesky factor from LAPACK (dpotrf/dpotrs).
-    A scipy sparse matrix (in practice tau K + diag(s_y^-1) over all nodes,
-    half-bandwidth d + 2) gets a band Cholesky factor (dpbtrf/dpbtrs) of its
-    upper triangle, with the bandwidth read from the nonzeros. A non-finite
-    upper triangle or a failed factorization raises SingularSystem.
+    In practice A is tau K + diag(s_y^-1) over all nodes, half-bandwidth d + 2.
+    It gets a band Cholesky factor (dpbtrf/dpbtrs) of its upper triangle, with
+    the bandwidth read from the nonzeros. A non-finite upper triangle or a
+    failed factorization raises SingularSystem.
     """
-    if isinstance(A, np.ndarray):
-        if not np.isfinite(A).all():
-            raise SingularSystem("matrix has non-finite entries")
-        chol, info = lapack.dpotrf(A, clean=False)
-        if info != 0:
-            raise SingularSystem(f"Cholesky factorization failed (LAPACK info {info})")
-        return lambda rhs: lapack.dpotrs(chol, rhs)[0]
     A = A.tocoo(copy=True)  # sum_duplicates works in place
     A.sum_duplicates()
     upper = A.col >= A.row
@@ -237,13 +215,7 @@ def assemble(mesh: Mesh, kappa, bc: BoundaryCoeffs) -> FemSystem:
     """
     kappa = _as_kappa(mesh, kappa)
     blocks = (kappa[mesh.pixel_of_element][:, None, None] * mesh._k_ref).ravel()
-    n = mesh.n_nodes
-    dense = n <= _DENSE_NODE_LIMIT
-    return FemSystem(
-        mesh, np.zeros(n), mesh.dirichlet_values(bc), kappa,
-        _K=np.bincount(mesh._flat, blocks, n * n).reshape(n, n) if dense else None,
-        _blocks=None if dense else blocks,
-    )
+    return FemSystem(mesh, np.zeros(mesh.n_nodes), mesh.dirichlet_values(bc), kappa, blocks)
 
 
 def solve(sys: FemSystem) -> Solution:
@@ -251,18 +223,15 @@ def solve(sys: FemSystem) -> Solution:
     if sys._solution is not None:
         return Solution(y_vec=sys._solution)
     mesh = sys.mesh
-    free, cons = mesh.free_nodes, mesh.dirichlet_nodes
+    free = mesh.free_nodes
     y = sys.dirichlet_values.copy()
     if len(free) == 0:
         # d = 1: all four nodes carry Dirichlet data.
         SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
         sys._solution = y
         return Solution(y_vec=y)
-    if sys.dense:
-        rhs = -(sys.K[mesh._fd] @ y[cons])
-    else:
-        lift = sys._blocks[mesh._lift_entries] * y[mesh._cols[mesh._lift_entries]]
-        rhs = -np.bincount(mesh._lift_rows, lift, len(free))
+    lift = sys._blocks[mesh._lift_entries] * y[mesh._cols[mesh._lift_entries]]
+    rhs = -np.bincount(mesh._lift_rows, lift, len(free))
     y[free] = sys.solve_free(rhs)
     sys._solution = y
     return Solution(y_vec=y)

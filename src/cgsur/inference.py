@@ -195,7 +195,7 @@ def update_qy_energy(
     The tempered potential exp(-tau V(y)) and the Gaussian p(y | X) make the
     optimal mean the solution of one SPD system,
     (diag(sy_inv) + tau K) mu = diag(sy_inv) h_mean, which is factored
-    and solved directly (dense or band Cholesky, as fem chooses for K).
+    and solved directly (band Cholesky of the CSR K, through fem.factorize).
     Variances are the mean-field fixed point 1 / diag(Sigma^{-1}).
 
     `steps` is accepted and ignored; callers from before the exact solve

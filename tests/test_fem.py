@@ -121,7 +121,7 @@ class TestMesh:
 class TestAssemble:
     def test_matches_naive_assembly(self):
         mesh, kappa, bc, sys = random_system(3, 0)
-        assert np.allclose(sys.K, naive_assemble(mesh, kappa), atol=1e-13)
+        assert np.allclose(sys.K.toarray(), naive_assemble(mesh, kappa), atol=1e-13)
 
     def test_row_sums_zero(self):
         mesh = fem.build_mesh(4)
@@ -142,7 +142,7 @@ class TestAssemble:
                 [0.0, -0.5, -0.5, 1.0],
             ]
         )
-        assert np.allclose(sys.K, expected)
+        assert np.allclose(sys.K.toarray(), expected)
         assert np.max(np.abs(np.sum(sys.K, axis=1))) < 1e-14
 
     def test_zero_source_zero_load(self):
@@ -153,8 +153,8 @@ class TestAssemble:
         mesh = fem.build_mesh(3)
         rng = np.random.default_rng(2)
         kappa = rng.uniform(0.5, 2.0, mesh.n_pixels)
-        K1 = fem.assemble(mesh, kappa, BC_A).K
-        K2 = fem.assemble(mesh, 3.0 * kappa, BC_A).K
+        K1 = fem.assemble(mesh, kappa, BC_A).K.toarray()
+        K2 = fem.assemble(mesh, 3.0 * kappa, BC_A).K.toarray()
         assert np.allclose(K2, 3.0 * K1)
 
     def test_rejects_nonpositive_kappa(self):
@@ -170,21 +170,23 @@ class TestAssemble:
             fem.assemble(mesh, kappa, BC_A)
 
     def test_band_grid_K_bit_equal_to_csr_of_the_blocks(self):
-        mesh, kappa, _, sys = random_system(22, 36)
-        assert not sys.dense
-        blocks = kappa[mesh.pixel_of_element][:, None, None] * fem._K_REF[mesh.element_kind]
-        K0 = sp.coo_matrix((blocks.ravel(), (mesh._rows, mesh._cols))).tocsr()
-        assert sys.K.format == "csr" and sys.K.shape == K0.shape
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(sys.K, part), getattr(K0, part)), part
+        for d in (16, 22):
+            mesh, kappa, _, sys = random_system(d, 14 + d)
+            blocks = kappa[mesh.pixel_of_element][:, None, None] * fem._K_REF[mesh.element_kind]
+            K0 = sp.coo_matrix((blocks.ravel(), (mesh._rows, mesh._cols))).tocsr()
+            assert sys.K.format == "csr" and sys.K.shape == K0.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(sys.K, part), getattr(K0, part)), (d, part)
 
-    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    # beyond d = 4, CSR sums some duplicates in another order than np.add.at,
+    # so d = 16 is checked bit-equal to the CSR of the blocks above
+    @pytest.mark.parametrize("d", [1, 2, 4])
     def test_bit_equal_to_add_at(self, d):
         rng = np.random.default_rng(d)
         mesh = fem.build_mesh(d)
         kappa = np.exp(rng.normal(0.4, 0.8, mesh.n_pixels))
         sys = fem.assemble(mesh, kappa, BC_A)
-        assert np.array_equal(sys.K, add_at_assemble(mesh, kappa))
+        assert np.array_equal(sys.K.toarray(), add_at_assemble(mesh, kappa))
 
     def test_accepts_field_sample(self):
         spec = field.GrfSpec(grid_size=4)
@@ -237,9 +239,7 @@ class TestSolve:
         assert np.linalg.norm(res) <= 1e-10 * max(np.linalg.norm(rhs), 1.0)
 
     def test_sparse_path_matches_dense(self):
-        # d = 32 uses the sparse branch; compare against naive dense solve.
         mesh, kappa, bc, sys = random_system(32, 7)
-        assert not sys.dense
         y = fem.solve(sys).y_vec
         K0 = naive_assemble(mesh, kappa)
         free, cons = mesh.free_nodes, mesh.dirichlet_nodes
@@ -249,33 +249,34 @@ class TestSolve:
         )
         assert np.max(np.abs(y - y0)) < 1e-10
 
-    @pytest.mark.parametrize("d", [22, 32, 64])
-    def test_band_path_matches_the_csr_path_it_replaced(self, d):
-        # the reference factors the CSR K_ff and lifts with the CSR K_fd
-        mesh, _, _, sys = random_system(d, 40 + d)
+    @pytest.mark.parametrize("d", [4, 16, 22, 32])
+    def test_band_path_matches_a_dense_solve_of_the_naive_assembly(self, d):
+        mesh, kappa, _, sys = random_system(d, 40 + d)
         y = fem.solve(sys).y_vec
-        g = sys.dirichlet_values[mesh.dirichlet_nodes]
-        u0 = fem.factorize(sys.K[mesh._ff])(-(sys.K[mesh._fd] @ g))
-        assert np.max(np.abs(y[mesh.free_nodes] - u0)) <= 1e-13 * np.abs(u0).max()
-        assert np.array_equal(y[mesh.dirichlet_nodes], g)
+        K0 = naive_assemble(mesh, kappa)
+        free, cons = mesh.free_nodes, mesh.dirichlet_nodes
+        g = sys.dirichlet_values[cons]
+        u0 = np.linalg.solve(K0[np.ix_(free, free)], -K0[np.ix_(free, cons)] @ g)
+        assert np.max(np.abs(y[free] - u0)) <= 1e-13 * np.abs(u0).max()
+        assert np.array_equal(y[cons], g)
 
     def test_band_path_builds_no_sparse_matrix(self, monkeypatch):
-        mesh = fem.build_mesh(22)
-        kappa = np.exp(np.random.default_rng(38).normal(0.4, 0.8, mesh.n_pixels))
         monkeypatch.setattr(fem, "sp", None)  # any scipy.sparse call in fem raises
-        sys = fem.assemble(mesh, kappa, BC_A)
-        fem.solve(sys)
-        fem.solve_vjp(sys, np.ones(mesh.n_nodes))
-        assert sys._K is None
+        for d in (4, 16, 22):
+            mesh = fem.build_mesh(d)
+            kappa = np.exp(np.random.default_rng(38).normal(0.4, 0.8, mesh.n_pixels))
+            sys = fem.assemble(mesh, kappa, BC_A)
+            fem.solve(sys)
+            fem.solve_vjp(sys, np.ones(mesh.n_nodes))
+            assert sys._K is None, d
 
     @pytest.mark.parametrize("d", [4, 22])
-    def test_infinite_kappa_raises_singular_system(self, d):
+    def test_infinite_kappa_raises_nonpositive_conductivity(self, d):
         mesh = fem.build_mesh(d)
         kappa = np.ones(mesh.n_pixels)
-        kappa[mesh.n_pixels // 2 + d // 2] = np.inf  # passes the positivity check
-        # inf times the zeros of the reference blocks is NaN, which numpy warns of
-        with np.errstate(invalid="ignore"), pytest.raises(SingularSystem):
-            fem.solve(fem.assemble(mesh, kappa, BC_A))
+        kappa[mesh.n_pixels // 2 + d // 2] = np.inf
+        with pytest.raises(NonPositiveConductivity):
+            fem.assemble(mesh, kappa, BC_A)
 
     def test_solve_counter(self):
         fem.reset_solve_counts()
@@ -287,17 +288,6 @@ class TestSolve:
 
 
 class TestFactorize:
-    def test_dense_not_positive_definite_raises(self):
-        A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(SingularSystem):
-            fem.factorize(A)
-
-    def test_dense_nan_raises(self):
-        A = np.eye(3)
-        A[1, 2] = A[2, 1] = np.nan
-        with pytest.raises(SingularSystem):
-            fem.factorize(A)
-
     def test_band_not_positive_definite_raises(self):
         A = sp.csr_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SingularSystem):
@@ -312,8 +302,8 @@ class TestFactorize:
     def test_coo_duplicates_solve_like_summed_csr(self):
         # K_ff at d = 22 as a COO matrix that stores every entry twice, as a
         # quarter and three quarters of its value
-        _, _, _, sys = random_system(22, 30)
-        K = sys.K[sys.mesh._ff].tocoo()
+        mesh, _, _, sys = random_system(22, 30)
+        K = sys.K[np.ix_(mesh.free_nodes, mesh.free_nodes)].tocoo()
         dup = sp.coo_array(
             (np.concatenate([0.25 * K.data, 0.75 * K.data]),
              (np.tile(K.row, 2), np.tile(K.col, 2))),
@@ -356,15 +346,20 @@ class TestSolveVjp:
         cot = np.random.default_rng(d).standard_normal(sys.mesh.n_nodes)
         assert np.array_equal(fem.solve_vjp(sys, cot), add_at_vjp(sys, cot))
 
-    def test_band_path_matches_dense_assembly(self, monkeypatch):
-        # d = 22, 529 nodes, is the smallest grid on the band path
+    def test_band_path_matches_dense_assembly(self):
+        # the reference solves the forward and adjoint systems of the dense
+        # np.add.at K with numpy's LU
         mesh, kappa, bc, sys = random_system(22, 34)
-        assert not sys.dense
-        monkeypatch.setattr(fem, "_DENSE_NODE_LIMIT", mesh.n_nodes)
-        dense = fem.assemble(mesh, kappa, bc)
-        assert dense.dense
         cot = np.random.default_rng(35).standard_normal(mesh.n_nodes)
-        g, g0 = fem.solve_vjp(sys, cot), fem.solve_vjp(dense, cot)
+        K0 = add_at_assemble(mesh, kappa)
+        free, cons = mesh.free_nodes, mesh.dirichlet_nodes
+        y, mu = mesh.dirichlet_values(bc), np.zeros(mesh.n_nodes)
+        y[free] = np.linalg.solve(K0[np.ix_(free, free)], -K0[np.ix_(free, cons)] @ y[cons])
+        mu[free] = np.linalg.solve(K0[np.ix_(free, free)], cot[free])
+        kref = fem._K_REF[mesh.element_kind]
+        per_elem = -np.einsum("ei,eij,ej->e", mu[mesh.elements], kref, y[mesh.elements])
+        g0 = np.bincount(mesh.pixel_of_element, per_elem, mesh.n_pixels)
+        g = fem.solve_vjp(sys, cot)
         assert np.max(np.abs(g - g0)) <= 1e-12 * np.abs(g0).max()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -292,15 +292,13 @@ class TestEnergyUpdate:
         assert np.max(np.abs(q.mean - h)) < 1e-9
         assert np.max(np.abs(q.var - 1.0 / sy_inv)) < 1e-9
 
-    # d = 2 has 9 nodes and a dense K; d = 22 has 529 > 500 nodes and a sparse
-    # K, factored through its band like d = 32
+    # every grid's tau K + diag(s_y^-1) is factored through its band
     @pytest.mark.parametrize("d", [2, 22, 32], ids=["dense", "sparse", "sparse32"])
     @pytest.mark.parametrize("tau", [11.0, 1e4], ids=["tau11", "tau1e4"])
     def test_matches_dense_solve(self, d, tau):
         obs, sy_inv, h, _ = self.build(d, 7, tau=tau)
         q = update_qy_energy(obs, sy_inv, h)
-        K = obs.system.K
-        K = K if isinstance(K, np.ndarray) else K.toarray()
+        K = obs.system.K.toarray()
         a_mat = np.diag(sy_inv) + tau * K
         mu = np.linalg.solve(a_mat, sy_inv * h)
         assert np.max(np.abs(q.mean - mu)) <= 1e-12 * np.abs(mu).max()

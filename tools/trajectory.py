@@ -15,8 +15,7 @@ and writes, to OUT.npz:
   mean and variance of q(z) from infer_z at the workload's input, so the
   ascent is certified apart from the sampling that follows it;
 - uq-64x8: the surrogate QoI of one propagate_uq call, and the reference
-  QoI of its fine Monte Carlo run, the only sparse (band) fine solves
-  recorded; everything else runs on grids that are factored dense.
+  QoI of its fine Monte Carlo run.
 
 Given REF.npz, it prints the max abs/rel difference of every array that is
 not bit-identical to the reference's, and exits with status 1 unless both
