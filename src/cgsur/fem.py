@@ -97,6 +97,13 @@ class Mesh:
         self._k_ref = _K_REF[self.element_kind]
         self._rows = np.repeat(self.elements, 3, axis=1).ravel()
         self._cols = np.tile(self.elements, (1, 3)).ravel()
+        # CSR structure of K over all nodes; entry k of the blocks is summed into
+        # data slot _csr_slot[k], in element order as np.add.at would.
+        keys, self._csr_slot = np.unique(
+            self._rows * self.n_nodes + self._cols, return_inverse=True
+        )
+        self._csr_indices = keys % self.n_nodes
+        self._csr_indptr = np.searchsorted(keys // self.n_nodes, np.arange(self.n_nodes + 1))
         # In free-node order K_ff has half-bandwidth d; its upper entry (i, j) is
         # flat entry d + i - j + j (d + 1) of the F-ordered (d + 1, n_free) LAPACK
         # band, other entries go one bin past it. Free x Dirichlet ones form the lift.
@@ -159,7 +166,9 @@ class FemSystem:
     def K(self) -> sp.csr_matrix:
         """Stiffness over all nodes as CSR, summed from the blocks on first read."""
         if self._K is None:
-            self._K = sp.coo_matrix((self._blocks, (self.mesh._rows, self.mesh._cols))).tocsr()
+            m = self.mesh
+            data = np.bincount(m._csr_slot, self._blocks, m._csr_indices.size)
+            self._K = sp.csr_matrix((data, m._csr_indices, m._csr_indptr), (m.n_nodes,) * 2)
         return self._K
 
     def solve_free(self, rhs_f: np.ndarray) -> np.ndarray:
