@@ -11,14 +11,16 @@ the top/bottom edges carry the natural zero-flux condition. Solution vectors
 always store all (d+1)^2 nodes, Dirichlet entries included, so constraint
 operators act on a fixed-size vector.
 
-An assembled system keeps the element blocks, which np.bincount sums into the
-band of K_ff and the lift -K_fd g; its CSR K is built on read.
+An assembled system keeps the element blocks. Every factorization sums them
+with np.bincount into a LAPACK band: K_ff with the lift -K_fd g for solves,
+tau K + diag(shift) over all nodes for the energy q(y). The CSR K is built
+only on read, for vobs rows, the energy value, tests and bench/checks.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,20 +99,12 @@ class Mesh:
         self._k_ref = _K_REF[self.element_kind]
         self._rows = np.repeat(self.elements, 3, axis=1).ravel()
         self._cols = np.tile(self.elements, (1, 3)).ravel()
-        # CSR structure of K over all nodes; entry k of the blocks is summed into
-        # data slot _csr_slot[k], in element order as np.add.at would.
-        keys, self._csr_slot = np.unique(
-            self._rows * self.n_nodes + self._cols, return_inverse=True
-        )
-        self._csr_indices = keys % self.n_nodes
-        self._csr_indptr = np.searchsorted(keys // self.n_nodes, np.arange(self.n_nodes + 1))
-        # In free-node order K_ff has half-bandwidth d; its upper entry (i, j) is
-        # flat entry d + i - j + j (d + 1) of the F-ordered (d + 1, n_free) LAPACK
-        # band, other entries go one bin past it. Free x Dirichlet ones form the lift.
+        # Band positions of the blocks in K_ff (free-node order, half-bandwidth d)
+        # and in K over all nodes (d + 1); free x Dirichlet entries form the lift.
         free_index = np.where(dirichlet, -1, np.cumsum(~dirichlet) - 1)
         r, c = free_index[self._rows], free_index[self._cols]
-        band_size = (d + 1) * self.free_nodes.size
-        self._band_pos = np.where((r >= 0) & (c >= r), d * (c + 1) + r, band_size)
+        self._band_pos = _band_index(r, c, d, self.free_nodes.size)
+        self._node_band_pos = _band_index(self._rows, self._cols, d + 1, self.n_nodes)
         self._lift_entries = np.flatnonzero((r >= 0) & (c < 0))
         self._lift_rows = r[self._lift_entries]
         self._dirichlet_s2 = self.nodes[self.dirichlet_nodes, 1]
@@ -126,6 +120,26 @@ class Mesh:
             bc.a2 * s2 + bc.a3 * (1.0 - s2),
         )
         return vals
+
+    @cached_property
+    def _csr(self):
+        """(slot, indices, indptr) of the CSR K, built on the first read of a K. Entry k
+        of the blocks is summed into data slot slot[k] in element order, like np.add.at."""
+        keys, slot = np.unique(self._rows * self.n_nodes + self._cols, return_inverse=True)
+        indptr = np.searchsorted(keys // self.n_nodes, np.arange(self.n_nodes + 1))
+        return slot, keys % self.n_nodes, indptr
+
+
+def _band_index(r, c, kd, n):
+    """Flat index kd (c + 1) + r of entry (r, c) in the F-ordered (kd + 1, n) upper
+    LAPACK band; entries outside the band go one bin past its end."""
+    inside = (r >= 0) & (c >= r) & (c - r <= kd)
+    return np.where(inside, kd * (c + 1) + r, (kd + 1) * n)
+
+
+def _band(blocks, pos, n, kd):
+    """The (kd + 1, n) F-ordered upper band of the blocks summed at pos."""
+    return np.bincount(pos, blocks, (kd + 1) * n + 1)[:-1].reshape(n, kd + 1).T
 
 
 @lru_cache(maxsize=None)
@@ -164,40 +178,31 @@ class FemSystem:
 
     @property
     def K(self) -> sp.csr_matrix:
-        """Stiffness over all nodes as CSR, summed from the blocks on first read."""
+        """CSR stiffness over all nodes, summed from the blocks on first read; no solve reads it."""
         if self._K is None:
-            m = self.mesh
-            data = np.bincount(m._csr_slot, self._blocks, m._csr_indices.size)
-            self._K = sp.csr_matrix((data, m._csr_indices, m._csr_indptr), (m.n_nodes,) * 2)
+            (slot, indices, indptr), n = self.mesh._csr, self.mesh.n_nodes
+            data = np.bincount(slot, self._blocks, indices.size)
+            self._K = sp.csr_matrix((data, indices, indptr), (n, n))
         return self._K
 
     def solve_free(self, rhs_f: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs_f, reusing the cached factor."""
         if self._solve is None:
             m = self.mesh
-            shape = (m.free_nodes.size, m.d + 1)
-            band = np.bincount(m._band_pos, self._blocks, np.prod(shape) + 1)[:-1]
-            self._solve = _band_cholesky(band.reshape(shape).T)
+            self._solve = _band_cholesky(_band(self._blocks, m._band_pos, m.free_nodes.size, m.d))
         SOLVE_COUNTS[self.mesh.d] = SOLVE_COUNTS.get(self.mesh.d, 0) + 1
         return self._solve(rhs_f)
 
 
-def factorize(A):
-    """Factor a symmetric positive definite scipy sparse matrix; returns its solve function.
-
-    In practice A is tau K + diag(s_y^-1) over all nodes, half-bandwidth d + 2.
-    It gets a band Cholesky factor (dpbtrf/dpbtrs) of its upper triangle, with
-    the bandwidth read from the nonzeros. A non-finite upper triangle or a
-    failed factorization raises SingularSystem.
-    """
-    A = A.tocoo(copy=True)  # sum_duplicates works in place
-    A.sum_duplicates()
-    upper = A.col >= A.row
-    rows, cols = A.row[upper], A.col[upper]
-    kd = int((cols - rows).max(initial=0))
-    band = np.zeros((kd + 1, A.shape[0]), order="F")
-    band[kd + rows - cols, cols] = A.data[upper]
-    return _band_cholesky(band)
+def factorize_shifted(sys: FemSystem, tau: float, shift: np.ndarray):
+    """Solve function and diagonal of tau K + diag(shift) over all nodes, factored from the
+    band of K at half-bandwidth d + 1 (n00 and n11 couple by zero); raises SingularSystem."""
+    m = sys.mesh
+    band = _band(sys._blocks, m._node_band_pos, m.n_nodes, m.d + 1)
+    band *= tau
+    band[-1] += shift
+    diagonal = band[-1].copy()
+    return _band_cholesky(band), diagonal
 
 
 def _band_cholesky(band: np.ndarray):
@@ -234,11 +239,6 @@ def solve(sys: FemSystem) -> Solution:
     mesh = sys.mesh
     free = mesh.free_nodes
     y = sys.dirichlet_values.copy()
-    if len(free) == 0:
-        # d = 1: all four nodes carry Dirichlet data.
-        SOLVE_COUNTS[mesh.d] = SOLVE_COUNTS.get(mesh.d, 0) + 1
-        sys._solution = y
-        return Solution(y_vec=y)
     lift = sys._blocks[mesh._lift_entries] * y[mesh._cols[mesh._lift_entries]]
     rhs = -np.bincount(mesh._lift_rows, lift, len(free))
     y[free] = sys.solve_free(rhs)
@@ -259,8 +259,6 @@ def solve_vjp(sys: FemSystem, cotangent: np.ndarray) -> np.ndarray:
             f"cotangent has shape {cotangent.shape}, expected ({sys.mesh.n_nodes},)"
         )
     mesh = sys.mesh
-    if len(mesh.free_nodes) == 0:
-        return np.zeros(mesh.n_pixels)
     y = solve(sys).y_vec
     mu = np.zeros(mesh.n_nodes)
     mu[mesh.free_nodes] = sys.solve_free(cotangent[mesh.free_nodes])

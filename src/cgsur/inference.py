@@ -43,7 +43,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import fem, vobs
 from .approximators import Approximator, load_arrays, save_arrays
@@ -194,18 +193,16 @@ def update_qy_energy(
 
     The tempered potential exp(-tau V(y)) and the Gaussian p(y | X) make the
     optimal mean the solution of one SPD system,
-    (diag(sy_inv) + tau K) mu = diag(sy_inv) h_mean, which is factored
-    and solved directly (band Cholesky of the CSR K, through fem.factorize).
-    Variances are the mean-field fixed point 1 / diag(Sigma^{-1}).
+    (diag(sy_inv) + tau K) mu = diag(sy_inv) h_mean, which fem.factorize_shifted
+    factors from the band of K summed from the element blocks. Variances are
+    the mean-field fixed point 1 / diag(Sigma^{-1}).
 
     `steps` is accepted and ignored; callers from before the exact solve
     still pass it.
     """
     sy_inv = np.asarray(sy_inv_diag, dtype=np.float64)
-    K = obs.system.K
-    a_mat = obs.tau * K + scipy.sparse.diags_array(sy_inv)
-    mean = fem.factorize(a_mat)(sy_inv * h_mean)
-    return DiagGaussian(mean=mean, var=1.0 / (sy_inv + obs.tau * K.diagonal()))
+    solve, diagonal = fem.factorize_shifted(obs.system, obs.tau, sy_inv)
+    return DiagGaussian(mean=solve(sy_inv * h_mean), var=1.0 / diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +280,8 @@ class TrainConfig:
     log_every: int = 25
 
     def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("unlabeled_batch", "cadence", "plateau_window", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

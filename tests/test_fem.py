@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsur import fem, field
+from cgsur import fem, field, inference, vobs
 from cgsur.errors import GridMismatch, InvalidSize, NonPositiveConductivity, SingularSystem
 from cgsur.field import BoundaryCoeffs
 
@@ -46,8 +46,6 @@ def add_at_vjp(sys, cot):
     """solve_vjp with its per-pixel sum taken by np.add.at."""
     mesh = sys.mesh
     grad = np.zeros(mesh.n_pixels)
-    if len(mesh.free_nodes) == 0:
-        return grad
     y = fem.solve(sys).y_vec
     mu = np.zeros(mesh.n_nodes)
     mu[mesh.free_nodes] = sys.solve_free(cot[mesh.free_nodes])
@@ -188,6 +186,15 @@ class TestAssemble:
         sys = fem.assemble(mesh, kappa, BC_A)
         assert np.array_equal(sys.K.toarray(), add_at_assemble(mesh, kappa))
 
+    def test_mesh_builds_csr_structure_on_first_read_of_K(self):
+        mesh = fem.Mesh(8)  # not the memoized mesh, which other tests read K on
+        sys = fem.assemble(mesh, np.ones(mesh.n_pixels), BC_A)
+        fem.solve(sys)
+        fem.solve_vjp(sys, np.ones(mesh.n_nodes))
+        assert "_csr" not in vars(mesh)
+        assert np.array_equal(sys.K.toarray(), add_at_assemble(mesh, np.ones(mesh.n_pixels)))
+        assert "_csr" in vars(mesh)
+
     def test_accepts_field_sample(self):
         spec = field.GrfSpec(grid_size=4)
         s = field.GrfSampler(spec).sample(np.random.default_rng(0))
@@ -268,7 +275,18 @@ class TestSolve:
             sys = fem.assemble(mesh, kappa, BC_A)
             fem.solve(sys)
             fem.solve_vjp(sys, np.ones(mesh.n_nodes))
+            obs = vobs.EnergyObservable(system=sys, tau=1e3)
+            inference.update_qy_energy(obs, np.full(mesh.n_nodes, 2.0), np.zeros(mesh.n_nodes))
             assert sys._K is None, d
+
+    def test_all_dirichlet_grid_runs_the_band_path(self):
+        # d = 1: all four nodes carry Dirichlet data, so K_ff is 0 x 0
+        fem.reset_solve_counts()
+        mesh, _, bc, sys = random_system(1, 39)
+        assert mesh.free_nodes.size == 0
+        assert np.array_equal(fem.solve(sys).y_vec, mesh.dirichlet_values(bc))
+        assert fem.solve_count(1) == 1
+        assert np.array_equal(fem.solve_vjp(sys, np.ones(mesh.n_nodes)), np.zeros(1))
 
     @pytest.mark.parametrize("d", [4, 22])
     def test_infinite_kappa_raises_nonpositive_conductivity(self, d):
@@ -287,41 +305,61 @@ class TestSolve:
         assert fem.solve_count(4) == 1
 
 
+def coo_energy_band(sys, tau, shift):
+    """Band of tau K + diag(shift) filled as the deleted fem.factorize did it.
+
+    The CSR sum prunes K's zero n00-n11 entries, so the half-bandwidth read off
+    the nonzeros is d + 1.
+    """
+    A = (tau * sys.K + sp.diags_array(shift)).tocoo()
+    A.sum_duplicates()
+    upper = A.col >= A.row
+    rows, cols = A.row[upper], A.col[upper]
+    kd = int((cols - rows).max())
+    band = np.zeros((kd + 1, A.shape[0]), order="F")
+    band[kd + rows - cols, cols] = A.data[upper]
+    return band
+
+
 class TestFactorize:
     def test_band_not_positive_definite_raises(self):
-        A = sp.csr_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # K is singular (constants span its null space), so K - I is indefinite
+        _, _, _, sys = random_system(4, 36)
         with pytest.raises(SingularSystem):
-            fem.factorize(A)
+            fem.factorize_shifted(sys, 1.0, -np.ones(sys.mesh.n_nodes))
 
     def test_band_nan_raises(self):
-        A = np.eye(3)
-        A[1, 2] = A[2, 1] = np.nan
+        _, _, _, sys = random_system(4, 37)
+        shift = np.ones(sys.mesh.n_nodes)
+        shift[7] = np.nan
         with pytest.raises(SingularSystem):
-            fem.factorize(sp.csr_array(A))
+            fem.factorize_shifted(sys, 1.0, shift)
 
-    def test_coo_duplicates_solve_like_summed_csr(self):
-        # K_ff at d = 22 as a COO matrix that stores every entry twice, as a
-        # quarter and three quarters of its value
-        mesh, _, _, sys = random_system(22, 30)
-        K = sys.K[np.ix_(mesh.free_nodes, mesh.free_nodes)].tocoo()
-        dup = sp.coo_array(
-            (np.concatenate([0.25 * K.data, 0.75 * K.data]),
-             (np.tile(K.row, 2), np.tile(K.col, 2))),
-            shape=K.shape,
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_band_and_solution_bit_equal_to_the_coo_fill(self, d, monkeypatch):
+        mesh, _, _, sys = random_system(d, 50 + d)
+        rng = np.random.default_rng(51 + d)
+        tau, shift = 1e3, rng.uniform(0.5, 3.0, mesh.n_nodes)
+        rhs = rng.standard_normal(mesh.n_nodes)
+        band0 = coo_energy_band(sys, tau, shift)
+        x0 = fem._band_cholesky(band0.copy(order="F"))(rhs)
+        bands, band_cholesky = [], fem._band_cholesky
+        monkeypatch.setattr(
+            fem, "_band_cholesky", lambda band: bands.append(band.copy()) or band_cholesky(band)
         )
-        rhs = np.random.default_rng(31).standard_normal(K.shape[0])
-        x = fem.factorize(dup)(rhs)
-        assert dup.nnz == 2 * K.nnz  # the caller's COO is left as given
-        assert np.max(np.abs(x - fem.factorize(K.tocsr())(rhs))) <= 1e-13 * np.abs(x).max()
+        solve, diagonal = fem.factorize_shifted(sys, tau, shift)
+        assert band0.shape == (d + 2, mesh.n_nodes)
+        assert np.array_equal(bands[0], band0)
+        assert np.array_equal(diagonal, shift + tau * sys.K.diagonal())
+        assert np.array_equal(solve(rhs), x0)
 
     def test_energy_matrix_band_matches_dense_solve(self):
-        # tau K + diag(s_y^-1) over all nodes has half-bandwidth d + 2
         mesh, _, _, sys = random_system(32, 32)
         rng = np.random.default_rng(33)
-        A = 1e3 * sys.K + sp.diags_array(rng.uniform(0.5, 3.0, mesh.n_nodes))
+        shift = rng.uniform(0.5, 3.0, mesh.n_nodes)
         rhs = rng.standard_normal(mesh.n_nodes)
-        x = fem.factorize(A)(rhs)
-        x0 = np.linalg.solve(A.toarray(), rhs)
+        x = fem.factorize_shifted(sys, 1e3, shift)[0](rhs)
+        x0 = np.linalg.solve(1e3 * add_at_assemble(mesh, sys.kappa) + np.diag(shift), rhs)
         assert np.max(np.abs(x - x0)) <= 1e-12 * np.abs(x0).max()
 
 

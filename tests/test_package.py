@@ -66,6 +66,28 @@ def test_every_error_type_is_raised():
     assert sorted(defined - raised_names()) == []
 
 
+def imported_modules(path):
+    """Dotted names of every module `path` imports, and of every name it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_fem_imports_scipy_sparse():
+    # the band and CSR formats stay behind one module
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if any(name.split(".")[:2] == ["scipy", "sparse"] for name in imported_modules(path))
+    ]
+    assert importers == ["fem"]
+
+
 NAN = float("nan")
 
 
@@ -90,11 +112,12 @@ NAN = float("nan")
             lambda: predict.logscore(np.zeros(2), np.zeros(2), np.array([1.0, NAN])),
             errors.NonPositiveVariance,
         ),
+        (lambda: inference.TrainConfig(iterations=-3), ValueError),
     ],
     ids=[
         "gamma-alpha", "gamma-beta", "precision-moment-nan", "precision-moment-inf",
         "grf-std", "grf-length-scale", "energy-tau", "randomized-scale",
-        "logscore-variance",
+        "logscore-variance", "train-iterations",
     ],
 )
 def test_nan_fails_positivity_checks(call, error):
