@@ -242,6 +242,7 @@ def solve(sys: FemSystem) -> Solution:
     lift = sys._blocks[mesh._lift_entries] * y[mesh._cols[mesh._lift_entries]]
     rhs = -np.bincount(mesh._lift_rows, lift, len(free))
     y[free] = sys.solve_free(rhs)
+    y.flags.writeable = False  # cached: every later solve of sys returns it
     sys._solution = y
     return Solution(y_vec=y)
 
@@ -267,16 +268,6 @@ def solve_vjp(sys: FemSystem, cotangent: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.pixel_of_element, per_elem, mesh.n_pixels)
 
 
-def _locate_in_coarse(fine_nodes: np.ndarray, d_c: int):
-    """Coarse cell (row, col) and local coords (xi, eta) of each fine node."""
-    x, y = fine_nodes[:, 0], fine_nodes[:, 1]
-    col = np.minimum((x * d_c).astype(np.int64), d_c - 1)
-    row = np.minimum((y * d_c).astype(np.int64), d_c - 1)
-    xi = x * d_c - col
-    eta = y * d_c - row
-    return row, col, xi, eta
-
-
 def _check_nested(d_c: int, d_f: int):
     if d_f % d_c != 0:
         raise GridMismatch(f"fine size {d_f} is not a multiple of coarse size {d_c}")
@@ -285,26 +276,23 @@ def _check_nested(d_c: int, d_f: int):
 def bilinear_prolongation(d_c: int, d_f: int) -> sp.csr_matrix:
     """Coarse-to-fine nodal interpolation with tensor-product hat weights.
 
-    Rows sum to one, and globally linear fields are reproduced exactly.
+    The Kronecker square of the 1-D hat interpolation P1 (node n = iy (d + 1) + ix
+    takes P1[iy] x P1[ix]), with no zero weight stored. Rows sum to one, and
+    globally linear fields are reproduced exactly.
     """
     _check_nested(d_c, d_f)
-    fine = build_mesh(d_f)
-    row, col, xi, eta = _locate_in_coarse(fine.nodes, d_c)
-    n00 = row * (d_c + 1) + col
-    corners = np.column_stack((n00, n00 + 1, n00 + d_c + 1, n00 + d_c + 2))
-    weights = np.column_stack(
-        ((1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta)
-    )
-    rows = np.repeat(np.arange(fine.n_nodes), 4)
-    mat = sp.coo_matrix(
-        (weights.ravel(), (rows, corners.ravel())),
-        shape=(fine.n_nodes, (d_c + 1) ** 2),
-    )
-    return mat.tocsr()
+    t = np.arange(d_f + 1) / d_f * d_c
+    col = np.minimum(t.astype(np.int64), d_c - 1)
+    xi = t - col
+    p1 = np.zeros((d_f + 1, d_c + 1))
+    p1[np.arange(d_f + 1), col] = 1 - xi
+    p1[np.arange(d_f + 1), col + 1] = xi
+    p1 = sp.csr_matrix(p1)  # stores the nonzeros only
+    return sp.kron(p1, p1, format="csr")
 
 
-def p1_prolongation(d_c: int, d_f: int) -> sp.csr_matrix:
-    """Coarse P1 shape functions evaluated at fine nodes.
+def p1_prolongation(d_c: int, d_f: int) -> np.ndarray:
+    """Coarse P1 shape functions evaluated at fine nodes, as a dense matrix.
 
     Column m is the fine-mesh nodal interpolant of the coarse hat function at
     coarse node m. Because the grids are nested and share the diagonal split,
@@ -312,8 +300,10 @@ def p1_prolongation(d_c: int, d_f: int) -> sp.csr_matrix:
     """
     _check_nested(d_c, d_f)
     fine = build_mesh(d_f)
-    row, col, xi, eta = _locate_in_coarse(fine.nodes, d_c)
-    n00 = row * (d_c + 1) + col
+    s = fine.nodes * d_c  # coordinates in coarse cells
+    cell = np.minimum(s.astype(np.int64), d_c - 1)
+    xi, eta = (s - cell).T
+    n00 = cell[:, 1] * (d_c + 1) + cell[:, 0]
     lower = eta <= xi
     # Lower triangle barycentrics: (1-xi, xi-eta, eta) on (n00, n10, n11);
     # upper: (1-eta, xi, eta-xi) on (n00, n11, n01). They agree on the diagonal.
@@ -327,9 +317,6 @@ def p1_prolongation(d_c: int, d_f: int) -> sp.csr_matrix:
         np.column_stack((1 - xi, xi - eta, eta)),
         np.column_stack((1 - eta, xi, eta - xi)),
     )
-    rows = np.repeat(np.arange(fine.n_nodes), 3)
-    mat = sp.coo_matrix(
-        (weights.ravel(), (rows, cols.ravel())),
-        shape=(fine.n_nodes, (d_c + 1) ** 2),
-    )
-    return mat.tocsr()
+    W = np.zeros((fine.n_nodes, (d_c + 1) ** 2))
+    W[np.arange(fine.n_nodes)[:, None], cols] = weights
+    return W

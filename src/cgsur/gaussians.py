@@ -17,14 +17,13 @@ def diag_logpdf(x, mean, var):
     return -0.5 * np.sum(r * r / var + np.log(var) + LOG_2PI, axis=-1)
 
 
-def diag_logpdf_grad_mean(x, mean, var) -> np.ndarray:
-    """d logpdf / d mean; the gradient w.r.t. x is its negative."""
-    return (x - mean) / var
-
-
-def diag_logpdf_grad_var(x, mean, var) -> np.ndarray:
+def diag_logpdf_grads(x, mean, var):
+    """diag_logpdf and its gradients w.r.t. mean and var, from one residual; the
+    gradient w.r.t. x is the negative of the mean's."""
     r = x - mean
-    return 0.5 * (r * r / (var * var) - 1.0 / var)
+    rr = r * r
+    value = -0.5 * np.sum(rr / var + np.log(var) + LOG_2PI, axis=-1)
+    return value, r / var, 0.5 * (rr / (var * var) - 1.0 / var)
 
 
 def entropy_diag(var):

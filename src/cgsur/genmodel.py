@@ -27,12 +27,7 @@ import numpy as np
 from . import fem
 from .approximators import Approximator, load_arrays, save_arrays
 from .errors import DimensionMismatch
-from .gaussians import (
-    diag_logpdf,
-    diag_logpdf_grad_mean,
-    diag_logpdf_grad_var,
-    LOG_2PI,
-)
+from .gaussians import diag_logpdf, diag_logpdf_grads
 
 # Clamp bounds for every diagonal variance in the model.
 VAR_MIN = 1e-8
@@ -132,15 +127,8 @@ class GenerativeModel:
         mean = out[..., : self.dim_x]
         raw_exp = np.exp(out[..., self.dim_x :])
         var = clamp_var(raw_exp)
-        # diag_logpdf and its mean and variance gradients, sharing r and r*r
-        r = x - mean
-        rr = r * r
-        val = -0.5 * np.sum(rr / var + np.log(var) + LOG_2PI, axis=-1)
-        cot = np.empty_like(out)
-        np.divide(r, var, out=cot[..., : self.dim_x])
-        cot[..., self.dim_x :] = (
-            0.5 * (rr / (var * var) - 1.0 / var) * clamp_gate(raw_exp) * raw_exp
-        )
+        val, g_mean, g_var = diag_logpdf_grads(x, mean, var)
+        cot = np.concatenate([g_mean, g_var * clamp_gate(raw_exp) * raw_exp], axis=-1)
         gdec, gz = self.params.decoder.backward(tape, cot, params=theta)
         return val, gz, ({"decoder": gdec} if theta else {})
 
@@ -156,9 +144,7 @@ class GenerativeModel:
         p = self.params
         mean, var = self.coarse_map(z)
         raw_exp = np.exp(p.log_S_X)
-        val = diag_logpdf(X, mean, var)
-        g_mean = diag_logpdf_grad_mean(X, mean, var)
-        g_var = diag_logpdf_grad_var(X, mean, var)
+        val, g_mean, g_var = diag_logpdf_grads(X, mean, var)
         g_rows = g_mean.reshape(-1, self.dim_X)
         grads = {
             "W_g": g_rows.T @ np.reshape(z, (-1, self.dim_z)),
@@ -224,13 +210,11 @@ class GenerativeModel:
         raw_exp = np.exp(p.log_S_y)
         var = clamp_var(raw_exp)
         mean = p.w_h * PY + p.b_h
-        val = diag_logpdf(y, mean, var)
-        g_mean = diag_logpdf_grad_mean(y, mean, var)
-        g_var = diag_logpdf_grad_var(y, mean, var) * clamp_gate(raw_exp) * raw_exp
+        val, g_mean, g_var = diag_logpdf_grads(y, mean, var)
         grads = {
             "w_h": (g_mean * PY).sum(axis=0),
             "b_h": g_mean.sum(axis=0),
-            "log_S_y": g_var.sum(axis=0),
+            "log_S_y": (g_var * clamp_gate(raw_exp) * raw_exp).sum(axis=0),
         }
         cot_Y = (self._prolongation_T @ (g_mean * p.w_h).T).T
         return val, pullback(cot_Y), grads

@@ -21,11 +21,12 @@ draws its noise from the generator it is given, in an order that does not
 depend on the parameter values, so two identically seeded generators give
 common random numbers for finite differences.
 
-A block first draws all its noise, one reparametrized draw per datum, and
-then makes one call of each model term, log p(y | X) with its coarse solves
-included, over the n data rows; parameter gradients come back summed over
-the rows. A q(y) refresh likewise draws the coarse inputs of every query at
-once and solves them in one call.
+A block first draws all its noise in one call, row i holding what a
+per-datum loop would draw for datum i (a q(y) draw takes its standard normals
+from that row too), and then makes one call of each model term, log p(y | X)
+with its coarse solves included, over the n data rows; parameter gradients
+come back summed over the rows. A q(y) refresh likewise draws the coarse
+inputs of every query at once and solves them in one call.
 
 Every array that gradient steps adapt is a view of one float64 vector owned
 by the VariationalState. The blocks and the parameter prior add their
@@ -80,8 +81,9 @@ class DiagGaussian:
     mean: np.ndarray
     var: np.ndarray
 
-    def sample(self, rng):
-        return self.mean + np.sqrt(self.var) * rng.standard_normal(self.mean.size)
+    def sample(self, eps):
+        """The draw that the standard normal vector eps maps to."""
+        return self.mean + np.sqrt(self.var) * eps
 
     def var_diag(self):
         return self.var
@@ -117,9 +119,9 @@ class LowRankGaussian:
             self._sqrt_parts = (vt, scale, s)
         return self._sqrt_parts
 
-    def sample(self, rng):
+    def sample(self, eps):
+        """The draw that the standard normal vector eps maps to."""
         vt, scale, _ = self._sqrt()
-        eps = rng.standard_normal(self.mean.size)
         w = eps + vt.T @ (scale * (vt @ eps))
         return self.mean + np.sqrt(self.sbar) * w
 
@@ -211,14 +213,14 @@ def update_qy_energy(
 
 
 class _Dataset:
-    """Every given field holds one row per lambda; bcs rows hold four values."""
+    """Every field holds one row per lambda; bcs rows hold four values."""
 
     def __post_init__(self):
         n = len(self)
         for name, rows in vars(self).items():
-            if rows is not None and len(rows) != n:
+            if len(rows) != n:
                 raise DimensionMismatch(f"{name} has {len(rows)} rows for {n} lambdas")
-        if self.bcs is not None and np.shape(self.bcs) != (n, 4):
+        if hasattr(self, "bcs") and np.shape(self.bcs) != (n, 4):
             raise DimensionMismatch(f"bcs has shape {np.shape(self.bcs)}, expected ({n}, 4)")
 
     def __len__(self):
@@ -235,7 +237,6 @@ class LabeledData(_Dataset):
 @dataclass
 class UnlabeledData(_Dataset):
     lambdas: np.ndarray
-    bcs: np.ndarray | None = None
 
 
 @dataclass
@@ -357,9 +358,10 @@ class VariationalState:
         return twin
 
 
-def _block_average(lam: np.ndarray, d_f: int, d_c: int) -> np.ndarray:
+def _block_average(lams: np.ndarray, d_f: int, d_c: int) -> np.ndarray:
+    """Each row's means over the r x r fine pixels of every coarse pixel."""
     r = d_f // d_c
-    return lam.reshape(d_c, r, d_c, r).mean(axis=(1, 3)).ravel()
+    return lams.reshape(-1, d_c, r, d_c, r).mean(axis=(2, 4)).reshape(-1, d_c * d_c)
 
 
 def init_state(
@@ -380,10 +382,7 @@ def init_state(
 
     all_lams = [d.lambdas for d in (labeled, unlabeled, virtual) if d is not None]
     if all_lams:
-        stacked = np.vstack(all_lams)
-        blocks = np.array(
-            [_block_average(lam, model.d_f, model.d_c) for lam in stacked]
-        )
+        blocks = _block_average(np.vstack(all_lams), model.d_f, model.d_c)
         model.params.b_g[:] = blocks.mean(axis=0)
     if labeled is not None and len(labeled) >= 2:
         var_y = labeled.ys.var(axis=0) + 1e-6
@@ -395,9 +394,7 @@ def init_state(
         n = len(data)
         state.factors[f"mu_z_{suffix}"] = np.zeros((n, dz))
         state.factors[f"rho_z_{suffix}"] = np.full((n, dz), np.log(0.1))
-        state.factors[f"mu_X_{suffix}"] = np.array(
-            [_block_average(lam, model.d_f, model.d_c) for lam in data.lambdas]
-        )
+        state.factors[f"mu_X_{suffix}"] = _block_average(data.lambdas, model.d_f, model.d_c)
         state.factors[f"rho_X_{suffix}"] = np.full((n, dX), np.log(0.01))
     if virtual is not None:
         state.qy = [None] * len(virtual)
@@ -495,16 +492,17 @@ def elbo_unlabeled(
     return float(scale * np.sum(lp + closed))
 
 
-def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, grads):
+def _conditional_elbo(state, suffix, lambdas, bcs, ys, rng, grads):
     """Body shared by the labeled and virtual blocks.
 
     Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
     solve inside log p(y|X), plus the closed-form z prior cross term and the
-    (z, X) entropies. They differ only in where y comes from: y_draw(i)
-    returns an observation or a q(y) draw, and is called after datum i's
-    (z, X) draws so the generator stream matches the block's own order.
-    Factor keys end in `suffix`, one row per datum. Adds the gradients into
-    `grads` and returns the per-datum values.
+    (z, X) entropies. They differ only in where y comes from: `ys` holds the
+    observations, or is None for the virtual block, whose y are draws of each
+    datum's q(y). One standard normal draw of n rows holds the noise, row i
+    datum i's (z, X) and, for q(y), y noise, as a per-datum loop would draw
+    it. Factor keys end in `suffix`, one row per datum. Adds the gradients
+    into `grads` and returns the per-datum values.
     """
     model = state.model
     n = lambdas.shape[0]
@@ -512,15 +510,14 @@ def _conditional_elbo(state, suffix, lambdas, bcs, y_draw, rng, grads):
     mu_z, rho_z, mu_X, rho_X = (state.factors[key] for key in keys)
     if mu_z.shape[0] != n:
         raise DimensionMismatch(f"{n} data for {mu_z.shape[0]} rows of {keys[0]}")
-    eps_z, eps_X, ys = [], [], []
-    for i in range(n):
-        eps_z.append(rng.standard_normal(model.dim_z))
-        eps_X.append(rng.standard_normal(model.dim_X))
-        ys.append(y_draw(i))
-    eps_z, eps_X = np.array(eps_z), np.array(eps_X)
+    dz, dX = model.dim_z, model.dim_X
+    noise = rng.standard_normal((n, dz + dX + (model.dim_y if ys is None else 0)))
+    eps_z, eps_X = noise[:, :dz], noise[:, dz : dz + dX]
     z, X = _q_draw(mu_z, rho_z, eps_z), _q_draw(mu_X, rho_X, eps_X)
+    if ys is None:
+        ys = np.array([qy.sample(eps) for qy, eps in zip(state.qy, noise[:, dz + dX :])])
 
-    lp_y, gX_y, gy = model.logp_y_given_X_grads(np.array(ys), X, _row_bcs(bcs))
+    lp_y, gX_y, gy = model.logp_y_given_X_grads(ys, X, _row_bcs(bcs))
     lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas, z)
     lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
     closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
@@ -540,7 +537,7 @@ def elbo_labeled(
 ) -> float:
     """Labeled ELBO block: the coarse solve sits inside log p(y | X). Adds its
     gradients into `grads`, the named views of a theta-sized vector."""
-    return float(np.sum(_conditional_elbo(state, "l", lambdas, bcs, lambda i: ys[i], rng, grads)))
+    return float(np.sum(_conditional_elbo(state, "l", lambdas, bcs, ys, rng, grads)))
 
 
 def expected_constraint_loglik(
@@ -580,9 +577,7 @@ def elbo_virtual(
     constant of the latest q(y) refresh, which computed it into
     state.qy_terms; the block adds it to the shared conditional body.
     """
-    value = np.sum(
-        _conditional_elbo(state, "o", lambdas, bcs, lambda i: state.qy[i].sample(rng), rng, grads)
-    )
+    value = np.sum(_conditional_elbo(state, "o", lambdas, bcs, None, rng, grads))
     for term in state.qy_terms:
         value += term
     return float(value)
@@ -778,11 +773,11 @@ def train(
     n_u = len(unlabeled) if unlabeled is not None else 0
     # the unlabeled block weighs as much as the labeled one
     w_u = n_l / n_u if n_u and n_l else 1.0
-    if n_u > config.unlabeled_batch:
-        # flat index in theta of every factor entry; a minibatch freezes unlabeled rows
-        sizes = [np.prod(shape, dtype=int) for shape in state._shapes.values()]
-        start = dict(zip(state._shapes, np.cumsum([0, *sizes])))
-        at = {k: start[k] + np.arange(f.size).reshape(f.shape) for k, f in state.factors.items()}
+    if n_u > config.unlabeled_batch and "mu_z_u" in state.factors:
+        # flat index in theta of each unlabeled datum's factor entries, one row per
+        # datum; a minibatch freezes the rows outside it
+        at = state.views(np.arange(state.theta.size))
+        at = np.hstack([at["mu_z_u"], at["rho_z_u"]])
 
     first_iteration = state.iteration
     stop_iteration = first_iteration + config.iterations
@@ -807,8 +802,7 @@ def train(
                 state, unlabeled.lambdas[batch], rng, grads, indices=batch, scale=scale_u
             )
             if "mu_z_u" in state.factors and batch.size < n_u:
-                rest = np.setdiff1d(np.arange(n_u), batch)
-                frozen = np.concatenate([at[k][rest].ravel() for k in ("mu_z_u", "rho_z_u")])
+                frozen = at[np.setdiff1d(np.arange(n_u), batch)].ravel()
         if n_l:
             f_l = elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng, grads)
         if virtual is not None:

@@ -28,6 +28,8 @@ from .seeding import derive_rng
 
 # infer_z's Adam step size: one small q(z) ascends in a few hundred steps
 INFER_Z_LEARNING_RATE = 0.05
+# Histogram bins of propagate_uq's QoI densities
+UQ_BINS = 64
 
 
 @dataclass
@@ -188,7 +190,6 @@ def propagate_uq(
     rng: np.random.Generator,
     mode: str = "amortized",
     with_reference: bool = True,
-    bins: int = 64,
 ):
     """Push input randomness through the surrogate and read off the QoI.
 
@@ -222,7 +223,7 @@ def propagate_uq(
         series["reference"] = qoi_ref
     pooled = np.concatenate(list(series.values()))
     lo, hi = float(pooled.min()), float(pooled.max())
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, UQ_BINS + 1)
     grid = np.linspace(lo, hi, 256)
     result = {**series, "bin_edges": edges, "kde_grid": grid}
     if with_reference:

@@ -122,7 +122,7 @@ def build_cgr(
     in the degenerate d_f = d_c case and are removed).
     """
     sys = fem.assemble(fine_mesh, kappa, bc)
-    W = np.asarray(fem.p1_prolongation(coarse_mesh.d, fine_mesh.d).todense())
+    W = fem.p1_prolongation(coarse_mesh.d, fine_mesh.d)
     W[fine_mesh.dirichlet_nodes, :] = 0.0
     gamma, alpha = _weighted_residual_rows(sys, W)
     gamma, alpha = _drop_zero_rows(gamma, alpha)
@@ -176,36 +176,24 @@ def build_flux(
     d_f, d_c = fine_mesh.d, coarse_mesh.d
     r = d_f // d_c
     n_sub = d_c * d_c
+    # Sides bottom/top/left/right: (normal, element kind); bottom/right edges
+    # abut the lower triangle of a pixel, top/left edges the upper one.
+    normals = np.array([[0.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+    kinds = np.array([0, 1, 1, 0])
+    # Edge pixels as (cell, side, pixel along the edge)
+    R, C = np.divmod(np.arange(n_sub), d_c)
+    k, first, last = np.arange(r), np.zeros(r, dtype=np.int64), np.full(r, r - 1)
+    pr = R[:, None, None] * r + np.array([first, last, k, k])
+    pc = C[:, None, None] * r + np.array([k, k, first, last])
+    pix = pr * d_f + pc
+    # |edge| * n^T J_e = -kappa_e n^T B_ref y_e  (the 1/h in B cancels
+    # against the edge length h)
+    coeff = -kappa[pix][..., None] * (normals[:, None] @ fem._B_REF[kinds])
+    nodes = fine_mesh.elements[2 * pix + kinds[:, None]]
+    # np.add.at sums in the order (cell, side, pixel, vertex), that of a loop
     gamma = np.zeros((n_sub, fine_mesh.n_nodes))
-
-    # (normal, element kind) per side; bottom/right edges abut the lower
-    # triangle of a pixel, top/left edges the upper one.
-    sides = {
-        "bottom": (np.array([0.0, -1.0]), 0),
-        "top": (np.array([0.0, 1.0]), 1),
-        "left": (np.array([-1.0, 0.0]), 1),
-        "right": (np.array([1.0, 0.0]), 0),
-    }
-
-    def edge_pixels(R, C, side):
-        if side == "bottom":
-            return R * r, np.arange(C * r, (C + 1) * r)
-        if side == "top":
-            return (R + 1) * r - 1, np.arange(C * r, (C + 1) * r)
-        if side == "left":
-            return np.arange(R * r, (R + 1) * r), C * r
-        return np.arange(R * r, (R + 1) * r), (C + 1) * r - 1
-
-    for i in range(n_sub):
-        R, C = i // d_c, i % d_c
-        for side, (normal, kind) in sides.items():
-            pr, pc = edge_pixels(R, C, side)
-            pix = np.atleast_1d(pr * d_f + pc)
-            elems = 2 * pix + kind
-            # |edge| * n^T J_e = -kappa_e n^T B_ref y_e  (the 1/h in B cancels
-            # against the edge length h)
-            coeff = -kappa[pix][:, None] * (normal @ fem._B_REF[kind])[None, :]
-            np.add.at(gamma[i], fine_mesh.elements[elems].ravel(), coeff.ravel())
+    at = nodes + fine_mesh.n_nodes * np.arange(n_sub)[:, None, None, None]
+    np.add.at(gamma.reshape(-1), at.ravel(), coeff.ravel())
 
     return LinearConstraintSet(
         gamma=gamma, alpha=np.zeros(n_sub), precision=Learned(), kind="flux"

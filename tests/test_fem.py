@@ -116,6 +116,69 @@ class TestMesh:
             assert interp[n_f] == pytest.approx(Yc[m], abs=1e-14)
 
 
+def locate_in_coarse(fine_nodes, d_c):
+    """Coarse cell (row, col) and local coords (xi, eta) of each fine node."""
+    x, y = fine_nodes[:, 0], fine_nodes[:, 1]
+    col = np.minimum((x * d_c).astype(np.int64), d_c - 1)
+    row = np.minimum((y * d_c).astype(np.int64), d_c - 1)
+    return row, col, x * d_c - col, y * d_c - row
+
+
+def coo_bilinear_prolongation(d_c, d_f):
+    """Reference: four corner weights per fine node, summed COO -> CSR."""
+    fine = fem.build_mesh(d_f)
+    row, col, xi, eta = locate_in_coarse(fine.nodes, d_c)
+    n00 = row * (d_c + 1) + col
+    corners = np.column_stack((n00, n00 + 1, n00 + d_c + 1, n00 + d_c + 2))
+    weights = np.column_stack(
+        ((1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta)
+    )
+    rows = np.repeat(np.arange(fine.n_nodes), 4)
+    shape = (fine.n_nodes, (d_c + 1) ** 2)
+    return sp.coo_matrix((weights.ravel(), (rows, corners.ravel())), shape).tocsr()
+
+
+def coo_p1_prolongation(d_c, d_f):
+    """Reference: three barycentric weights per fine node, COO -> CSR -> dense."""
+    fine = fem.build_mesh(d_f)
+    row, col, xi, eta = locate_in_coarse(fine.nodes, d_c)
+    n00 = row * (d_c + 1) + col
+    lower = (eta <= xi)[:, None]
+    cols = np.where(
+        lower,
+        np.column_stack((n00, n00 + 1, n00 + d_c + 2)),
+        np.column_stack((n00, n00 + d_c + 2, n00 + d_c + 1)),
+    )
+    weights = np.where(
+        lower,
+        np.column_stack((1 - xi, xi - eta, eta)),
+        np.column_stack((1 - eta, xi, eta - xi)),
+    )
+    rows = np.repeat(np.arange(fine.n_nodes), 3)
+    shape = (fine.n_nodes, (d_c + 1) ** 2)
+    return np.asarray(sp.coo_matrix((weights.ravel(), (rows, cols.ravel())), shape).todense())
+
+
+GRID_PAIRS = [(4, 2), (8, 4), (16, 4), (16, 16), (12, 3), (3, 1), (32, 4), (64, 8)]
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("d_f,d_c", GRID_PAIRS)
+    def test_bilinear_bit_equal_to_coo(self, d_f, d_c):
+        P, ref = fem.bilinear_prolongation(d_c, d_f), coo_bilinear_prolongation(d_c, d_f)
+        assert P.toarray().tobytes() == ref.toarray().tobytes()
+        assert np.all(P.data != 0.0)  # the reference stores its zero weights
+        rng = np.random.default_rng(d_f)
+        Y, cot = rng.standard_normal((P.shape[1], 5)), rng.standard_normal((P.shape[0], 3))
+        assert (P @ Y).tobytes() == (ref @ Y).tobytes()
+        assert (P.T.tocsr() @ cot).tobytes() == (ref.T.tocsr() @ cot).tobytes()
+
+    @pytest.mark.parametrize("d_f,d_c", GRID_PAIRS)
+    def test_p1_bit_equal_to_coo(self, d_f, d_c):
+        W = fem.p1_prolongation(d_c, d_f)
+        assert W.tobytes() == coo_p1_prolongation(d_c, d_f).tobytes()
+
+
 class TestAssemble:
     def test_matches_naive_assembly(self):
         mesh, kappa, bc, sys = random_system(3, 0)
@@ -236,6 +299,17 @@ class TestSolve:
         y0[free] = np.linalg.solve(K0[np.ix_(free, free)], rhs)
         y = fem.solve(sys).y_vec
         assert np.max(np.abs(y - y0)) < 1e-11
+
+    def test_cached_solution_is_read_only(self):
+        # an in-place edit of the cached solution would change every later
+        # solve of the system and its adjoint gradients
+        _, _, _, sys = random_system(8, 36)
+        cot = np.random.default_rng(37).standard_normal(sys.mesh.n_nodes)
+        with pytest.raises(ValueError):
+            fem.solve(sys).y_vec *= 2.0
+        _, _, _, fresh = random_system(8, 36)
+        assert np.array_equal(fem.solve(sys).y_vec, fem.solve(fresh).y_vec)
+        assert np.array_equal(fem.solve_vjp(sys, cot), fem.solve_vjp(fresh, cot))
 
     def test_residual_tolerance(self):
         mesh, kappa, bc, sys = random_system(16, 6)

@@ -5,7 +5,7 @@ from scipy.stats import multivariate_normal
 from cgsur import fem, genmodel
 from cgsur.field import BoundaryCoeffs
 from cgsur.errors import DimensionMismatch
-from cgsur.gaussians import diag_logpdf, diag_logpdf_grad_mean, diag_logpdf_grad_var
+from cgsur.gaussians import diag_logpdf, diag_logpdf_grads
 from cgsur.genmodel import GenerativeModel, clamp_gate, clamp_var
 
 BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
@@ -167,8 +167,11 @@ class TestDecoder:
         out, tape = m.params.decoder.forward(zs)
         mean, raw_exp = out[:, : m.dim_x], np.exp(out[:, m.dim_x :])
         var = clamp_var(raw_exp)
-        g_var = diag_logpdf_grad_var(x, mean, var) * clamp_gate(raw_exp) * raw_exp
-        cot = np.concatenate([diag_logpdf_grad_mean(x, mean, var), g_var], axis=-1)
+        _, g_mean, g_var = diag_logpdf_grads(x, mean, var)
+        r = x - mean
+        assert np.array_equal(g_mean, r / var)
+        assert np.array_equal(g_var, 0.5 * (r * r / (var * var) - 1.0 / var))
+        cot = np.concatenate([g_mean, g_var * clamp_gate(raw_exp) * raw_exp], axis=-1)
         gdec, gz0 = m.params.decoder.backward(tape, cot)
         assert np.array_equal(val, diag_logpdf(x, mean, var))
         assert np.array_equal(gz, gz0)

@@ -147,7 +147,7 @@ class TestClosedFormQy:
         sign, logdet = np.linalg.slogdet(2 * np.pi * np.e * sigma)
         assert sign == 1.0
         assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
-        q.sample(rng)  # entropy and sampling share one factorization
+        q.sample(rng.standard_normal(d_y))  # entropy and sampling share one factorization
         assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
 
     def test_exact_constraint_conditioning(self):
@@ -164,7 +164,7 @@ class TestClosedFormQy:
         assert g1 @ q.mean == pytest.approx(a1, abs=1e-9)
         # gamma Sigma gamma^T == 0: samples satisfy the constraint exactly
         assert q.second_moment(g1[None, :], np.array([g1 @ q.mean])) < 1e-9
-        draws = np.array([q.sample(rng) for _ in range(50)])
+        draws = np.array([q.sample(rng.standard_normal(d_y)) for _ in range(50)])
         assert np.max(np.abs(draws @ g1 - a1)) < 1e-7
 
     def test_dependent_exact_rows_hold(self):
@@ -210,7 +210,7 @@ class TestClosedFormQy:
         cs, posts = learned_set(gamma, alpha, 3.0)
         h = rng.standard_normal(d_y)
         q = update_qy_closedform([cs], sbar, h, posts)
-        draws = np.array([q.sample(rng) for _ in range(60000)])
+        draws = np.array([q.sample(rng.standard_normal(d_y)) for _ in range(60000)])
         assert np.max(np.abs(draws.mean(axis=0) - q.mean)) < 0.03
         assert np.max(np.abs(draws.var(axis=0) - q.var_diag())) < 0.03
 
@@ -269,7 +269,7 @@ class TestGammaUpdate:
         q = update_qy_closedform([cs], sbar, rng.standard_normal(d_y), posts)
         analytic = q.second_moment(gamma, alpha)
         n = 40000
-        draws = np.array([q.sample(rng) for _ in range(n)])
+        draws = np.array([q.sample(rng.standard_normal(d_y)) for _ in range(n)])
         sq = np.sum((draws @ gamma.T - alpha) ** 2, axis=1)
         assert abs(analytic - sq.mean()) < 3 * sq.std() / np.sqrt(n)
 
@@ -602,22 +602,27 @@ class TestElboVirtual:
         # E_q[-tau V(y)] + H[q], scored once per refresh, against draws of q(y)
         rng = np.random.default_rng(14)
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=6)
-        sampler = GrfSampler(GrfSpec(grid_size=4, length_scale=0.3))
-        lams, bcs, obs = [], [], []
-        for _ in range(2):
-            s = sampler.sample(rng)
-            bc = field.sample_bc(rng)
-            lams.append(s.lambda_vec)
-            bcs.append(bc.as_array())
-            obs.append(vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=1.0))
-        virtual = VirtualData(np.array(lams), np.array(bcs), obs)
+        virtual = energy_virtual(model, rng, 2)
         state = init_state(model, TrainConfig(tau_start=3.0, seed=0), None, None, virtual)
         refresh_qy(state, virtual, rng, 3.0)
         n = 20_000
-        for o, qy, term in zip(obs, state.qy, state.qy_terms):
+        for o, qy, term in zip(virtual.observables, state.qy, state.qy_terms):
             draws = qy.mean + np.sqrt(qy.var) * rng.standard_normal((n, qy.mean.size))
             per = np.array([-state.tau * 0.5 * (y @ (o.system.K @ y)) for y in draws])
             assert abs(term - (per.mean() + qy.entropy())) < 3 * per.std() / np.sqrt(n)
+
+
+def energy_virtual(model, rng, n):
+    """n queries on the model's fine grid, each with an energy observable."""
+    sampler = GrfSampler(GrfSpec(grid_size=model.d_f, length_scale=0.3))
+    lams, bcs, obs = [], [], []
+    for _ in range(n):
+        s = sampler.sample(rng)
+        bc = field.sample_bc(rng)
+        lams.append(s.lambda_vec)
+        bcs.append(bc.as_array())
+        obs.append(vobs.build_energy(model.fine_mesh, s.kappa_vec, bc, tau=1.0))
+    return VirtualData(np.array(lams), np.array(bcs), obs)
 
 
 def _add(grads, key, value):
@@ -769,7 +774,7 @@ class TestBlocksAgainstLoops:
         batched = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, rng_a)
         values, theta, factors = looped_conditional(
             state, "o", virtual.lambdas, virtual.bcs,
-            lambda i: state.qy[i].sample(rng_b), rng_b,
+            lambda i: state.qy[i].sample(rng_b.standard_normal(model.dim_y)), rng_b,
         )
         terms = [
             reference_qy_term(obs, qy, state.gamma_posteriors["flux"])
@@ -777,6 +782,22 @@ class TestBlocksAgainstLoops:
         ]
         assert state.qy_terms == terms
         assert_blocks_agree(batched, (sum(values) + sum(terms), theta, factors))
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_virtual_energy(self):
+        rng = np.random.default_rng(15)
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=7)
+        virtual = energy_virtual(model, rng, 3)
+        state = init_state(model, TrainConfig(seed=0), None, None, virtual)
+        refresh_qy(state, virtual, rng, 2.0)
+        assert all(isinstance(qy, DiagGaussian) for qy in state.qy)
+        rng_a, rng_b = crn(), crn()
+        batched = run_block(elbo_virtual, state, virtual.lambdas, virtual.bcs, rng_a)
+        values, theta, factors = looped_conditional(
+            state, "o", virtual.lambdas, virtual.bcs,
+            lambda i: state.qy[i].sample(rng_b.standard_normal(model.dim_y)), rng_b,
+        )
+        assert_blocks_agree(batched, (sum(values) + sum(state.qy_terms), theta, factors))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_refresh_qy(self):
@@ -827,7 +848,6 @@ BAD_DATASETS = {
     "fewer-ys": lambda d: LabeledData(d.lams, d.ys[:2], d.bcs),
     "labeled-bcs": lambda d: LabeledData(d.lams, d.ys, d.bcs[:2]),
     "three-coeffs": lambda d: LabeledData(d.lams, d.ys, d.bcs[:, :3]),
-    "unlabeled-bcs": lambda d: UnlabeledData(d.lams, d.bcs[:1]),
     "virtual-bcs": lambda d: VirtualData(d.lams[:2], d.bcs, d.obs[:2]),
     "observables": lambda d: VirtualData(d.lams[:2], d.bcs[:2], d.obs),
 }
@@ -850,7 +870,6 @@ class TestDatasets:
         d = self.arrays()
         assert len(LabeledData(d.lams, d.ys, d.bcs)) == 3
         assert len(UnlabeledData(d.lams)) == 3
-        assert len(UnlabeledData(d.lams, d.bcs)) == 3
         assert len(VirtualData(d.lams, d.bcs, d.obs)) == 3
 
 
@@ -1209,6 +1228,14 @@ class TestAdam:
 
 
 class TestInitState:
+    @pytest.mark.parametrize("d_f,d_c", [(4, 2), (8, 4), (16, 4), (12, 3), (64, 8)])
+    def test_block_average_bit_equal_to_rows(self, d_f, d_c):
+        lams = np.random.default_rng(d_f).normal(0.4, 0.8, (5, d_f * d_f))
+        r = d_f // d_c
+        rows = [lam.reshape(d_c, r, d_c, r).mean(axis=(1, 3)).ravel() for lam in lams]
+        blocks = inference._block_average(lams, d_f, d_c)
+        assert blocks.tobytes() == np.array(rows).tobytes()
+
     def test_encoders_drawn_into_theta_as_approximators_draw_them(self):
         state, _ = semi_supervised_state(seed=23)
         cfg, dz = state.config, state.model.dim_z

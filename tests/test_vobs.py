@@ -75,7 +75,7 @@ class TestCgr:
         coarse = fem.build_mesh(2)
         cs = vobs.build_cgr(mesh, coarse, kappa, bc)
         res = eval_residual(cs, np.zeros(mesh.n_nodes))
-        W = np.asarray(fem.p1_prolongation(2, 8).todense())
+        W = fem.p1_prolongation(2, 8)
         W[mesh.dirichlet_nodes, :] = 0.0
         expected = W.T @ (sys.K @ sys.dirichlet_values)
         assert np.allclose(res, expected, atol=1e-12)
@@ -124,7 +124,49 @@ class TestRandomized:
             vobs.build_randomized(mesh, kappa, bc, count=4, scale=0.0, rng=rng)
 
 
+def looped_flux_gamma(fine_mesh, coarse_mesh, kappa):
+    """Reference for build_flux's gamma: one np.add.at per coarse cell and
+    side, the pixels of each side in turn."""
+    d_f, d_c = fine_mesh.d, coarse_mesh.d
+    r = d_f // d_c
+    gamma = np.zeros((d_c * d_c, fine_mesh.n_nodes))
+    sides = {
+        "bottom": (np.array([0.0, -1.0]), 0),
+        "top": (np.array([0.0, 1.0]), 1),
+        "left": (np.array([-1.0, 0.0]), 1),
+        "right": (np.array([1.0, 0.0]), 0),
+    }
+
+    def edge_pixels(R, C, side):
+        if side == "bottom":
+            return R * r, np.arange(C * r, (C + 1) * r)
+        if side == "top":
+            return (R + 1) * r - 1, np.arange(C * r, (C + 1) * r)
+        if side == "left":
+            return np.arange(R * r, (R + 1) * r), C * r
+        return np.arange(R * r, (R + 1) * r), (C + 1) * r - 1
+
+    for i in range(d_c * d_c):
+        R, C = i // d_c, i % d_c
+        for side, (normal, kind) in sides.items():
+            pr, pc = edge_pixels(R, C, side)
+            pix = np.atleast_1d(pr * d_f + pc)
+            elems = 2 * pix + kind
+            coeff = -kappa[pix][:, None] * (normal @ fem._B_REF[kind])[None, :]
+            np.add.at(gamma[i], fine_mesh.elements[elems].ravel(), coeff.ravel())
+    return gamma
+
+
 class TestFlux:
+    @pytest.mark.parametrize(
+        "d_f,d_c", [(4, 2), (8, 4), (16, 4), (16, 16), (12, 3), (3, 1), (32, 4), (64, 8)]
+    )
+    def test_bit_equal_to_per_side_loop(self, d_f, d_c):
+        mesh, kappa, _, _, _ = random_problem(d_f, d_f + d_c)
+        coarse = fem.build_mesh(d_c)
+        gamma = vobs.build_flux(mesh, coarse, kappa).gamma
+        assert gamma.tobytes() == looped_flux_gamma(mesh, coarse, kappa).tobytes()
+
     def test_divergence_free_constant_flux(self):
         mesh = fem.build_mesh(8)
         kappa = np.ones(mesh.n_pixels)

@@ -8,6 +8,9 @@ and writes, to OUT.npz:
 - train-hybrid-16x4 and train-energy-16x4, after one 50-iteration train()
   call: every array the optimizer updates (`adam_arrays()`), the q(y) means
   and variances, the Gamma posteriors, and the logged F, F_u, F_l and F_O;
+- train-hybrid-16x4/query<i>: each hybrid query's constraint rows Γ and
+  right-hand side α, stacked over its sets as built at set-up, so a change
+  to a constraint builder is certified directly, not only through training;
 - train-hybrid-16x4/batch8: the same for train-hybrid-16x4 trained with
   unlabeled_batch = 8, so the unlabeled factors outside each minibatch are
   frozen; the workload's 32 unlabeled data fit in the default batch;
@@ -55,6 +58,10 @@ def record() -> dict:
         ("train-hybrid-16x4/batch8", "train-hybrid-16x4", 8),
     ):
         ctx = WORKLOADS[workload].setup(SEED)
+        if name == "train-hybrid-16x4":
+            for i, sets in enumerate(ctx.virtual.observables):
+                out[f"{name}/query{i}/gamma"] = np.vstack([cs.gamma for cs in sets])
+                out[f"{name}/query{i}/alpha"] = np.concatenate([cs.alpha for cs in sets])
         cfg = ctx.cfg if batch is None else dataclasses.replace(ctx.cfg, unlabeled_batch=batch)
         state, log = inference.train(
             ctx.state.model, cfg, ctx.labeled, ctx.unlabeled, ctx.virtual, state=ctx.state
