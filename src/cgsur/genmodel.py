@@ -120,15 +120,19 @@ class GenerativeModel:
         mean, var = self.decode_x(z)
         return diag_logpdf(x, mean, var)
 
-    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray, theta: bool = True):
-        """Returns (logpdf, d/dz, {"decoder": d/dtheta_x}); with theta=False
-        the decoder gradient is not computed and the dict is empty."""
+    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray, weights=1.0):
+        """Returns (logpdf, d/dz, {"decoder": d/dtheta_x}): values per row, and
+        gradients of sum_r w_r log p(x_r | z_r) for `weights` w, a scalar or one
+        per row. weights=None gives d/dz unweighted and an empty dict."""
         out, tape = self.params.decoder.forward(z)
         mean = out[..., : self.dim_x]
         raw_exp = np.exp(out[..., self.dim_x :])
         var = clamp_var(raw_exp)
         val, g_mean, g_var = diag_logpdf_grads(x, mean, var)
         cot = np.concatenate([g_mean, g_var * clamp_gate(raw_exp) * raw_exp], axis=-1)
+        theta = weights is not None
+        if theta:
+            cot *= np.expand_dims(weights, -1)
         gdec, gz = self.params.decoder.backward(tape, cot, params=theta)
         return val, gz, ({"decoder": gdec} if theta else {})
 

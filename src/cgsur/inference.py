@@ -11,22 +11,18 @@ Monte Carlo ELBO with Adam.
 
 Gradients of the Monte Carlo objective are chained by hand through the
 model's *_grads methods; the coarse solve contributes through its adjoint.
-The labeled and virtual blocks are the same model term log p(y | X) and run
-one conditional-ELBO body; they differ only in where y comes from (an
-observation or a q(y) draw) and in the virtual block's likelihood and q(y)
-entropy terms. Those terms depend only on q(y), the flux Gamma posterior and
-the tempering tau, which change only when q(y) is refreshed; each refresh
-computes every query's term once, and the virtual block adds them. Each block
-draws its noise from the generator it is given, in an order that does not
-depend on the parameter values, so two identically seeded generators give
-common random numbers for finite differences.
-
-A block first draws all its noise in one call, row i holding what a
-per-datum loop would draw for datum i (a q(y) draw takes its standard normals
-from that row too), and then makes one call of each model term, log p(y | X)
-with its coarse solves included, over the n data rows; parameter gradients
-come back summed over the rows. A q(y) refresh likewise draws the coarse
-inputs of every query at once and solves them in one call.
+The unlabeled, labeled and virtual ELBO blocks sum the same model densities
+over their data, and one body evaluates them together. Each block draws its
+noise in one call, row i holding datum i's (a virtual row also the standard
+normals of its q(y) draw), in an order that does not depend on the parameter
+values, so two identically seeded generators give common random numbers for
+finite differences. The rows of all blocks then make one call of each model
+term: the decoder over every z row, the unlabeled ones weighted by the
+minibatch scale, and log p(X | z) and log p(y | X), coarse solves included,
+over the labeled and virtual rows, where y is an observation or a q(y) draw.
+The virtual block also adds each query's likelihood and q(y) entropy term,
+which changes only when q(y) is refreshed; each refresh computes it once and
+draws the coarse inputs of every query in one call.
 
 Every array that gradient steps adapt is a view of one float64 vector owned
 by the VariationalState. The blocks and the parameter prior add their
@@ -438,19 +434,91 @@ def _row_bcs(bcs):
     return [BoundaryCoeffs.from_array(bc) for bc in bcs]
 
 
-def _q_terms(mu, rho, g, eps, prior: bool):
+def _q_terms(mu, rho, g, eps, prior: bool, weights=1.0):
     """Closed forms of q = N(mu, diag exp(rho)) per datum: its entropy, plus
-    E_q[log N(0, I)] when `prior`. Returns their values and their (mu, rho)
-    gradients plus those of a term whose gradients at the draws
+    E_q[log N(0, I)] when `prior`. Returns their values and the (mu, rho)
+    gradients of their sum weighted by `weights` (a scalar or a column, one
+    weight per row), plus those of a term whose gradients at the draws
     _q_draw(mu, rho, eps) are the rows g."""
     var = np.exp(rho)
     value = entropy_diag(var)
     d_mu = g
-    d_rho = 0.5 * np.exp(0.5 * rho) * (g * eps) + 0.5
+    d_rho = 0.5 * np.exp(0.5 * rho) * (g * eps) + 0.5 * weights
     if prior:
         value = value + standard_logpdf_expectation(mu, var)
-        d_mu, d_rho = d_mu - mu, d_rho - 0.5 * var
+        d_mu, d_rho = d_mu - weights * mu, d_rho - 0.5 * weights * var
     return value, d_mu, d_rho
+
+
+def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
+    """One Monte Carlo pass over the ELBO blocks it is given: `unlabeled` =
+    (lambdas, indices, scale), `labeled` = (lambdas, bcs, ys) and `virtual` =
+    (lambdas, bcs, None). Adds the gradients into `grads`, the named views of a
+    theta-sized vector, and returns (F_u, F_l, F_O), 0.0 for a block not given;
+    F_u is times `scale` and F_O includes state.qy_terms."""
+    model = state.model
+    dz, dX = model.dim_z, model.dim_X
+    z_rows, X_rows, blocks = [], [], []  # blocks: (slot in F, factor keys, factor rows, scale)
+    if unlabeled is not None:
+        x_u, indices, scale = unlabeled
+        idx = np.arange(len(x_u)) if indices is None else np.asarray(indices)
+        if state.enc_mu is not None:
+            mu, tape_mu = state.enc_mu.forward(x_u)
+            rho, tape_rho = state.enc_logvar.forward(x_u)
+        else:
+            mu, rho = state.factors["mu_z_u"][idx], state.factors["rho_z_u"][idx]
+        eps_u = rng.standard_normal((len(x_u), dz))
+    for slot, suffix, data in ((1, "l", labeled), (2, "o", virtual)):
+        if data is None:
+            continue
+        lambdas, bcs, ys = data
+        n = lambdas.shape[0]
+        keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
+        mu_z, rho_z, mu_X, rho_X = (state.factors[key] for key in keys)
+        if mu_z.shape[0] != n:
+            raise DimensionMismatch(f"{n} data for {mu_z.shape[0]} rows of {keys[0]}")
+        noise = rng.standard_normal((n, dz + dX + (model.dim_y if ys is None else 0)))
+        if ys is None:
+            ys = np.array([qy.sample(eps) for qy, eps in zip(state.qy, noise[:, dz + dX :])])
+        z_rows.append((lambdas, mu_z, rho_z, noise[:, :dz], np.ones(n)))
+        X_rows.append((mu_X, rho_X, noise[:, dz : dz + dX], bcs, ys))
+        blocks.append((slot, keys, np.arange(n), 1.0))
+    # The unlabeled rows go last, so that the X rows are the first rows of z.
+    n_c = sum(len(rows) for _, _, rows, _ in blocks)
+    if unlabeled is not None:
+        z_rows.append((x_u, mu, rho, eps_u, np.full(len(x_u), scale)))
+        blocks.append((0, [] if state.enc_mu is not None else ["mu_z_u", "rho_z_u"], idx, scale))
+
+    x, mu_z, rho_z, eps_z, w = (np.concatenate(a) for a in zip(*z_rows))
+    z = _q_draw(mu_z, rho_z, eps_z)
+    value, gz, gdec = model.logp_x_given_z_grads(x, z, weights=w)
+    g_X, gy, gcm = [], {}, {}
+    if X_rows:
+        mu_X, rho_X, eps_X, bcs, ys = (np.concatenate(a) for a in zip(*X_rows))
+        X = _q_draw(mu_X, rho_X, eps_X)
+        lp_y, gX, gy = model.logp_y_given_X_grads(ys, X, _row_bcs(bcs))
+        lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z[:n_c])
+        gz[:n_c] += gz_X
+        gX += gX_X
+        value_X, *g_X = _q_terms(mu_X, rho_X, gX, eps_X, prior=False)
+        value[:n_c] += lp_y + lp_X + value_X
+    for key, g in (*gdec.items(), *gy.items(), *gcm.items()):
+        grads[key] += g
+    value_z, *g_z = _q_terms(mu_z, rho_z, gz, eps_z, prior=True, weights=w[:, None])
+    value += value_z
+    f, lo = [0.0, 0.0, 0.0], 0
+    for slot, keys, idx, scale in blocks:
+        rows = slice(lo, lo + len(idx))
+        f[slot] = float(scale * np.sum(value[rows]))
+        for key, g in zip(keys, g_z + g_X):
+            np.add.at(grads[key], idx, g[rows])  # an index drawn twice gets both rows
+        lo += len(idx)
+    if unlabeled is not None and state.enc_mu is not None:
+        grads["enc_mu"] += state.enc_mu.backward(tape_mu, g_z[0][n_c:])[0]
+        grads["enc_logvar"] += state.enc_logvar.backward(tape_rho, g_z[1][n_c:])[0]
+    if virtual is not None:
+        f[2] = sum(state.qy_terms, f[2])
+    return tuple(f)
 
 
 def elbo_unlabeled(
@@ -461,70 +529,10 @@ def elbo_unlabeled(
     indices=None,
     scale: float = 1.0,
 ) -> float:
-    """Monte Carlo estimate of the unlabeled ELBO block, times `scale`.
-
-    Likelihood terms are reparametrized MC; the prior cross term and the
-    entropy are closed forms. q(z) comes from the encoders or from the rows
-    `indices` of the unlabeled factors (the first n when None). Adds its
-    gradients into `grads`, the named views of a theta-sized vector, and
-    returns its value.
-    """
-    model = state.model
-    n = lambdas.shape[0]
-    if state.enc_mu is not None:
-        mu, tape_mu = state.enc_mu.forward(lambdas)
-        rho, tape_rho = state.enc_logvar.forward(lambdas)
-    else:
-        idx = np.arange(n) if indices is None else np.asarray(indices)
-        mu, rho = state.factors["mu_z_u"][idx], state.factors["rho_z_u"][idx]
-    eps = rng.standard_normal((n, model.dim_z))
-    lp, gz, gdec = model.logp_x_given_z_grads(lambdas, _q_draw(mu, rho, eps))
-    closed, g_mu, g_rho = _q_terms(mu, rho, gz, eps, prior=True)
-    if state.enc_mu is None:
-        grads["mu_z_u"][idx] += scale * g_mu
-        grads["rho_z_u"][idx] += scale * g_rho
-    else:
-        gdec["enc_mu"] = state.enc_mu.backward(tape_mu, g_mu)[0]
-        gdec["enc_logvar"] = state.enc_logvar.backward(tape_rho, g_rho)[0]
-    for key, g in gdec.items():
-        g *= scale  # in place: `scale * g` would make a parameter-sized temporary
-        grads[key] += g
-    return float(scale * np.sum(lp + closed))
-
-
-def _conditional_elbo(state, suffix, lambdas, bcs, ys, rng, grads):
-    """Body shared by the labeled and virtual blocks.
-
-    Both estimate E_q[log p(x|z) + log p(X|z) + log p(y|X)] with the coarse
-    solve inside log p(y|X), plus the closed-form z prior cross term and the
-    (z, X) entropies. They differ only in where y comes from: `ys` holds the
-    observations, or is None for the virtual block, whose y are draws of each
-    datum's q(y). One standard normal draw of n rows holds the noise, row i
-    datum i's (z, X) and, for q(y), y noise, as a per-datum loop would draw
-    it. Factor keys end in `suffix`, one row per datum. Adds the gradients
-    into `grads` and returns the per-datum values.
-    """
-    model = state.model
-    n = lambdas.shape[0]
-    keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
-    mu_z, rho_z, mu_X, rho_X = (state.factors[key] for key in keys)
-    if mu_z.shape[0] != n:
-        raise DimensionMismatch(f"{n} data for {mu_z.shape[0]} rows of {keys[0]}")
-    dz, dX = model.dim_z, model.dim_X
-    noise = rng.standard_normal((n, dz + dX + (model.dim_y if ys is None else 0)))
-    eps_z, eps_X = noise[:, :dz], noise[:, dz : dz + dX]
-    z, X = _q_draw(mu_z, rho_z, eps_z), _q_draw(mu_X, rho_X, eps_X)
-    if ys is None:
-        ys = np.array([qy.sample(eps) for qy, eps in zip(state.qy, noise[:, dz + dX :])])
-
-    lp_y, gX_y, gy = model.logp_y_given_X_grads(ys, X, _row_bcs(bcs))
-    lp_x, gz_x, gdec = model.logp_x_given_z_grads(lambdas, z)
-    lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z)
-    closed_z, *g_z = _q_terms(mu_z, rho_z, gz_x + gz_X, eps_z, prior=True)
-    closed_X, *g_X = _q_terms(mu_X, rho_X, gX_y + gX_X, eps_X, prior=False)
-    for key, g in (*gy.items(), *gdec.items(), *gcm.items(), *zip(keys, [*g_z, *g_X])):
-        grads[key] += g
-    return lp_y + (lp_x + lp_X) + closed_z + closed_X
+    """Unlabeled ELBO block alone, times `scale`: q(z) comes from the encoders
+    or from the rows `indices` of the unlabeled factors (the first n when
+    None). Adds its gradients into `grads`; see _elbo."""
+    return _elbo(state, rng, grads, unlabeled=(lambdas, indices, scale))[0]
 
 
 def elbo_labeled(
@@ -535,9 +543,9 @@ def elbo_labeled(
     rng: np.random.Generator,
     grads: dict,
 ) -> float:
-    """Labeled ELBO block: the coarse solve sits inside log p(y | X). Adds its
-    gradients into `grads`, the named views of a theta-sized vector."""
-    return float(np.sum(_conditional_elbo(state, "l", lambdas, bcs, ys, rng, grads)))
+    """Labeled ELBO block alone: the coarse solve sits inside log p(y | X).
+    Adds its gradients into `grads`; see _elbo."""
+    return _elbo(state, rng, grads, labeled=(lambdas, bcs, ys))[1]
 
 
 def expected_constraint_loglik(
@@ -568,19 +576,10 @@ def elbo_virtual(
     rng: np.random.Generator,
     grads: dict,
 ) -> float:
-    """Virtual-observable ELBO block.
-
-    q(y) is sampled, never reparametrized: its parameters are maintained by
-    the closed-form / energy updates, so gradients here flow only to theta
-    and the (z, X) factors, added into `grads` as in the labeled block. Each
-    datum's constraint or energy likelihood plus its q(y) entropy is a
-    constant of the latest q(y) refresh, which computed it into
-    state.qy_terms; the block adds it to the shared conditional body.
-    """
-    value = np.sum(_conditional_elbo(state, "o", lambdas, bcs, None, rng, grads))
-    for term in state.qy_terms:
-        value += term
-    return float(value)
+    """Virtual-observable ELBO block alone: q(y) is sampled, never
+    reparametrized, so gradients flow only to theta and the (z, X) factors,
+    and each query's term of the latest refresh (state.qy_terms) is added."""
+    return _elbo(state, rng, grads, virtual=(lambdas, bcs, None))[2]
 
 
 def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
@@ -591,7 +590,7 @@ def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
     inv_var = 1.0 / (prior_scale * prior_scale)
     value = 0.0
     for key, arr in arrays.items():
-        value += -0.5 * inv_var * float(np.sum(arr * arr))
+        value += -0.5 * inv_var * float(np.vdot(arr, arr))
         grads[key] -= inv_var * arr
     return value
 
@@ -748,9 +747,9 @@ def train(
 ):
     """Run the SVI loop; returns (state, log).
 
-    Each iteration zeroes state.grad, draws fresh reparametrization noise,
-    and lets the unlabeled, labeled and virtual ELBO blocks and then the
-    parameter prior add their gradients into its views, in that order. A
+    Each iteration zeroes state.grad, and one pass of the ELBO body over the
+    unlabeled minibatch, the labeled and the virtual data, with fresh noise,
+    and then the parameter prior add their gradients into its views. A
     fresh Adam takes one ascent step over state.theta, the unlabeled
     factors' rows outside the minibatch frozen. Every `cadence` iterations
     the q(y) factors and learned precisions are refreshed in closed form,
@@ -758,8 +757,9 @@ def train(
     Stops on the iteration budget or when the moving average of the
     objective plateaus.
     """
-    if labeled is None and unlabeled is None and virtual is None:
-        raise ValueError("at least one dataset must be provided")
+    given = [data for data in (labeled, unlabeled, virtual) if data is not None]
+    if not given or not all(len(data) for data in given):
+        raise ValueError("train needs at least one dataset, each with rows")
     if state is None:
         state = init_state(model, config, labeled, unlabeled, virtual)
     if not all(np.may_share_memory(a, state.theta) for a in state.adam_arrays().values()):
@@ -778,6 +778,8 @@ def train(
         # datum; a minibatch freezes the rows outside it
         at = state.views(np.arange(state.theta.size))
         at = np.hstack([at["mu_z_u"], at["rho_z_u"]])
+    labeled_rows = (labeled.lambdas, labeled.bcs, labeled.ys) if n_l else None
+    virtual_rows = (virtual.lambdas, virtual.bcs, None) if virtual is not None else None
 
     first_iteration = state.iteration
     stop_iteration = first_iteration + config.iterations
@@ -788,8 +790,7 @@ def train(
     start = time.monotonic()
     while state.iteration < stop_iteration:
         state.iteration += 1
-        f_u = f_l = f_o = 0.0
-        frozen = None
+        frozen = unlabeled_rows = None
         state.grad.fill(0.0)
 
         if n_u:
@@ -797,16 +798,10 @@ def train(
                 batch = rng.choice(n_u, size=config.unlabeled_batch, replace=False)
             else:
                 batch = np.arange(n_u)
-            scale_u = w_u * n_u / batch.size
-            f_u = elbo_unlabeled(
-                state, unlabeled.lambdas[batch], rng, grads, indices=batch, scale=scale_u
-            )
+            unlabeled_rows = (unlabeled.lambdas[batch], batch, w_u * n_u / batch.size)
             if "mu_z_u" in state.factors and batch.size < n_u:
                 frozen = at[np.setdiff1d(np.arange(n_u), batch)].ravel()
-        if n_l:
-            f_l = elbo_labeled(state, labeled.lambdas, labeled.ys, labeled.bcs, rng, grads)
-        if virtual is not None:
-            f_o = elbo_virtual(state, virtual.lambdas, virtual.bcs, rng, grads)
+        f_u, f_l, f_o = _elbo(state, rng, grads, unlabeled_rows, labeled_rows, virtual_rows)
         f_prior = prior_logpdf_theta(state.model.params.arrays(), grads, THETA_PRIOR_SCALE)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):

@@ -80,7 +80,7 @@ def infer_z(
     for eps in noise:
         std = np.exp(0.5 * rho)
         z = mu + std * eps
-        lp, gz, _ = model.logp_x_given_z_grads(x, z, theta=False)
+        lp, gz, _ = model.logp_x_given_z_grads(x, z, weights=None)
         var = np.exp(rho)
         objective.append(lp - kl_diag_standard(mu, var))
         np.subtract(gz, mu, out=g_mu)

@@ -182,8 +182,33 @@ class TestDecoder:
         rng = np.random.default_rng(7)
         z, x = rng.standard_normal(m.dim_z), rng.normal(0.4, 0.8, m.dim_x)
         val, gz, _ = m.logp_x_given_z_grads(x, z)
-        val2, gz2, grads = m.logp_x_given_z_grads(x, z, theta=False)
+        val2, gz2, grads = m.logp_x_given_z_grads(x, z, weights=None)
         assert grads == {} and val2 == val and np.array_equal(gz2, gz)
+
+    def test_row_weights_weigh_the_gradients_not_the_values(self):
+        m = GenerativeModel(4, 2, decoder_hidden=(6, 5), seed=3)
+        rng = np.random.default_rng(9)
+        zs = rng.standard_normal((4, m.dim_z))
+        xs = rng.normal(0.4, 0.8, (4, m.dim_x))
+        w = np.array([0.3, 2.5, 1.0, 0.0])
+        val, gz, grads = m.logp_x_given_z_grads(xs, zs, weights=w)
+        singles = [m.logp_x_given_z_grads(x, z) for x, z in zip(xs, zs)]
+        assert max_rel(val, [v for v, _, _ in singles]) <= 1e-13
+        assert max_rel(gz, [wi * g for wi, (_, g, _) in zip(w, singles)]) <= 1e-13
+        ref = np.sum([wi * g["decoder"] for wi, (_, _, g) in zip(w, singles)], axis=0)
+        assert max_rel(grads["decoder"], ref) <= 1e-13
+        # a scalar weighs every row alike
+        _, gz2, _ = m.logp_x_given_z_grads(xs, zs, weights=2.5)
+        assert max_rel(gz2, 2.5 * m.logp_x_given_z_grads(xs, zs)[1]) <= 1e-13
+
+    def test_unit_row_weights_bit_equal_to_the_default(self):
+        m = GenerativeModel(4, 2, decoder_hidden=(6, 5), seed=4)
+        rng = np.random.default_rng(10)
+        zs, xs = rng.standard_normal((3, m.dim_z)), rng.normal(0.4, 0.8, (3, m.dim_x))
+        val, gz, grads = m.logp_x_given_z_grads(xs, zs)
+        val1, gz1, grads1 = m.logp_x_given_z_grads(xs, zs, weights=np.ones(3))
+        assert val.tobytes() == val1.tobytes() and gz.tobytes() == gz1.tobytes()
+        assert grads["decoder"].tobytes() == grads1["decoder"].tobytes()
 
 
 class TestCoarseMap:

@@ -418,6 +418,21 @@ class TestElboUnlabeled:
             fd = (vp - vm) / (2 * h)
             assert grads["mu_z_u"][i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    def test_an_index_drawn_twice_gets_the_gradients_of_both_rows(self):
+        state, d = semi_supervised_state(seed=5, amortized=False)
+        xs = d.unlabeled.lambdas[[0, 0]]
+        rng_a, rng_b = crn(), crn()
+        value, grads = run_block(elbo_unlabeled, state, xs, rng_a, indices=[0, 0])
+        # the same two rows' noise, one row per call
+        ref = state.views(np.zeros(state.theta.size))
+        ref_value = sum(
+            elbo_unlabeled(state, xs[:1], rng_b, ref, indices=[0]) for _ in range(2)
+        )
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for key in ("decoder", "mu_z_u", "rho_z_u"):
+            assert np.max(np.abs(grads[key] - ref[key])) <= 1e-12 * np.max(np.abs(ref[key]))
+        assert not grads["mu_z_u"][1:].any()
+
     def test_amortized_encoder_gradients(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=1)
         cfg = TrainConfig(amortized=True, encoder_hidden=(7,), seed=0)
@@ -728,6 +743,36 @@ def assert_blocks_agree(batched, looped, rows=slice(None), rtol=1e-12):
         assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref)), key
 
 
+class TestOnePass:
+    """The ELBO body over all three blocks at once against the three
+    single-block calls drawn from one generator in the same order."""
+
+    @pytest.mark.parametrize("amortized", [False, True])
+    def test_equals_the_sum_of_the_single_blocks(self, amortized):
+        state, d = semi_supervised_state(seed=23, amortized=amortized)
+        refresh_qy(state, d.virtual, np.random.default_rng(23), 1.0)
+        lab, vir = d.labeled, d.virtual
+        batch = np.array([4, 1, 2])
+        xs = d.unlabeled.lambdas[batch]
+        rng_a, rng_b = crn(), crn()
+        grads = state.views(np.zeros(state.theta.size))
+        values = inference._elbo(
+            state, rng_a, grads, (xs, batch, 1.9),
+            (lab.lambdas, lab.bcs, lab.ys), (vir.lambdas, vir.bcs, None),
+        )
+        ref = state.views(np.zeros(state.theta.size))
+        singles = (
+            elbo_unlabeled(state, xs, rng_b, ref, indices=batch, scale=1.9),
+            elbo_labeled(state, lab.lambdas, lab.ys, lab.bcs, rng_b, ref),
+            elbo_virtual(state, vir.lambdas, vir.bcs, rng_b, ref),
+        )
+        assert values == pytest.approx(singles, rel=1e-12)
+        for key, got in grads.items():
+            assert ref[key].any(), key
+            assert np.max(np.abs(got - ref[key])) <= 1e-12 * np.max(np.abs(ref[key])), key
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
 class TestBlocksAgainstLoops:
     """Each ELBO block against its per-datum loop: the same values and
     gradients, and the generator left at the same stream position."""
@@ -1000,19 +1045,19 @@ class TestTrain:
         twin = copy.deepcopy(state)
         cfg = TrainConfig(iterations=1, unlabeled_batch=2, seed=3, plateau_window=10**9)
         train(state.model, cfg, d.labeled, d.unlabeled, d.virtual, state=state)
-        # the blocks and the prior on a zeroed vector, the generator drawn as
-        # train() draws it: the q(y) refresh, the minibatch, then each block
+        # one pass of the ELBO body over the three blocks, then the prior, on a
+        # zeroed vector, the generator drawn as train() draws it: the q(y)
+        # refresh, the minibatch, then the body
         rng = derive_rng(cfg.seed, "train")
         refresh_qy(twin, d.virtual, rng, cfg.tau_start)
         batch = rng.choice(5, size=2, replace=False)
         reference = np.zeros(twin.theta.size)
         grads = twin.views(reference)
-        n_l = len(d.labeled)
-        elbo_unlabeled(
-            twin, d.unlabeled.lambdas[batch], rng, grads, indices=batch, scale=n_l / 5 * 5 / 2
+        lab, vir, n_l = d.labeled, d.virtual, len(d.labeled)
+        inference._elbo(
+            twin, rng, grads, (d.unlabeled.lambdas[batch], batch, n_l / 5 * 5 / 2),
+            (lab.lambdas, lab.bcs, lab.ys), (vir.lambdas, vir.bcs, None),
         )
-        elbo_labeled(twin, d.labeled.lambdas, d.labeled.ys, d.labeled.bcs, rng, grads)
-        elbo_virtual(twin, d.virtual.lambdas, d.virtual.bcs, rng, grads)
         prior_logpdf_theta(twin.model.params.arrays(), grads, inference.THETA_PRIOR_SCALE)
         assert state.grad.tobytes() == reference.tobytes()
         outside = np.setdiff1d(np.arange(5), batch)
@@ -1049,6 +1094,17 @@ class TestTrain:
         model = GenerativeModel(4, 2, decoder_hidden=(4,), seed=9)
         with pytest.raises(ValueError):
             train(model, TrainConfig(iterations=1))
+
+    @pytest.mark.parametrize("kind", ["labeled", "unlabeled", "virtual"])
+    def test_a_dataset_without_rows_rejected(self, kind):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=22)
+        empty = {
+            "labeled": LabeledData(labeled.lambdas[:0], labeled.ys[:0], labeled.bcs[:0]),
+            "unlabeled": UnlabeledData(labeled.lambdas[:0]),
+            "virtual": VirtualData(virtual.lambdas[:0], virtual.bcs[:0], []),
+        }
+        with pytest.raises(ValueError, match="each with rows"):
+            train(model, TrainConfig(iterations=1), state=state, **{kind: empty[kind]})
 
     @pytest.mark.parametrize(
         "name,value",

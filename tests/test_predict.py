@@ -49,7 +49,7 @@ def looped_infer_z(x, state, steps, seed):
         eps = rng.standard_normal(model.dim_z)
         std = np.exp(0.5 * rho)
         z = mu + std * eps
-        _, gz, _ = model.logp_x_given_z_grads(x, z, theta=False)
+        _, gz, _ = model.logp_x_given_z_grads(x, z, weights=None)
         var = np.exp(rho)
         adam.step(params, {"mu": gz - mu, "rho": gz * (0.5 * std * eps) - 0.5 * var + 0.5})
     return mu, np.exp(rho)
