@@ -4,10 +4,11 @@ The variational family is a structured mean field: a point estimate for the
 model parameters, diagonal Gaussians for every per-datum latent, and for
 query points a Gaussian over the fine solution y that is never updated by
 gradient steps. Linear virtual observables give q(y) in closed form through
-a low-rank (Woodbury) update; energy observables give one SPD linear system,
-solved exactly with a direct factorization; learned constraint precisions
-get conjugate Gamma updates. Everything else follows the reparametrized
-Monte Carlo ELBO with Adam.
+a low-rank (Woodbury) update, whose one Cholesky factor serves the mean, the
+variances, the draws and the entropy; energy observables give one SPD linear
+system, solved exactly with a direct factorization; learned constraint
+precisions get conjugate Gamma updates. Everything else follows the
+reparametrized Monte Carlo ELBO with Adam.
 
 Gradients of the Monte Carlo objective are chained by hand through the
 model's *_grads methods; the coarse solve contributes through its adjoint.
@@ -93,33 +94,30 @@ class LowRankGaussian:
 
     The result of conditioning N(h_mean, diag(sbar)) on Gamma y = alpha
     observed with noise precision Lambda; L is the Cholesky factor of
-    Xi = Gamma diag(sbar) Gamma^T + Lambda^{-1}. Exactly enforced rows
-    (Lambda^{-1} = 0) leave a singular covariance whose null directions are
-    pinned to the constraint manifold.
+    Xi = Gamma diag(sbar) Gamma^T + Lambda^{-1}, and this one factor serves
+    the mean, the variances, the draws and the entropy. With
+    B = A diag(sbar)^{-1/2} and C = (L + Lambda^{-1/2})^{-1} L, the root
+    R = I - B^T C B has R R^T = I - B^T B, so a draw is
+    mean + diag(sbar)^{1/2} R eps, and `logdet`, log det Sigma, is
+    sum log sbar + sum log Lambda^{-1} - 2 sum log diag L. Exactly enforced
+    rows (Lambda^{-1} = 0) leave a singular covariance, whose null
+    directions are pinned to the constraint manifold, and logdet = -inf.
     """
 
-    def __init__(self, mean, sbar, a_mat):
+    def __init__(self, mean, sbar, a_mat, c_mat, logdet):
         self.mean = mean
         self.sbar = sbar
         self._a = a_mat
-        self._sqrt_parts = None
+        self._c = c_mat
+        self.logdet = logdet
 
     def var_diag(self):
         return np.maximum(self.sbar - np.sum(self._a**2, axis=0), 0.0)
 
-    def _sqrt(self):
-        if self._sqrt_parts is None:
-            b = self._a / np.sqrt(self.sbar)[None, :]
-            _, s, vt = np.linalg.svd(b, full_matrices=False)
-            scale = np.sqrt(np.clip(1.0 - s**2, 0.0, None)) - 1.0
-            self._sqrt_parts = (vt, scale, s)
-        return self._sqrt_parts
-
     def sample(self, eps):
         """The draw that the standard normal vector eps maps to."""
-        vt, scale, _ = self._sqrt()
-        w = eps + vt.T @ (scale * (vt @ eps))
-        return self.mean + np.sqrt(self.sbar) * w
+        root = np.sqrt(self.sbar)
+        return self.mean + root * eps - self._a.T @ (self._c @ (self._a @ (eps / root)))
 
     def second_moment(self, gamma_rows, alpha_rows):
         """E || gamma_rows y - alpha_rows ||^2 under this Gaussian."""
@@ -129,12 +127,8 @@ class LowRankGaussian:
         return float(r @ r) + max(trace, 0.0)
 
     def entropy(self):
-        """Differential entropy; meaningful only without exact rows."""
-        _, _, s = self._sqrt()
-        logdet = float(np.sum(np.log(self.sbar))) + float(
-            np.sum(np.log(np.clip(1.0 - s**2, 1e-300, None)))
-        )
-        return 0.5 * (self.mean.size * (LOG_2PI + 1.0) + logdet)
+        """Differential entropy; -inf with exact rows."""
+        return 0.5 * (self.mean.size * (LOG_2PI + 1.0) + self.logdet)
 
 
 def update_qy_closedform(
@@ -166,7 +160,12 @@ def update_qy_closedform(
     a_mat = scipy.linalg.solve_triangular(low, gs, lower=True)
     u = scipy.linalg.solve_triangular(low, alpha - gamma @ h_mean, lower=True)
     mean = h_mean + a_mat.T @ u
-    return LowRankGaussian(mean=mean, sbar=sbar, a_mat=a_mat)
+    c_mat = scipy.linalg.solve_triangular(low + np.diag(np.sqrt(lam_inv)), low, lower=True)
+    logdet = -np.inf  # an exact row has Lambda^{-1} = 0
+    if np.all(lam_inv > 0):
+        logdet = float(np.sum(np.log(sbar)) + np.sum(np.log(lam_inv)))
+        logdet -= 2.0 * float(np.sum(np.log(np.diag(low))))
+    return LowRankGaussian(mean, sbar, a_mat, c_mat, logdet)
 
 
 def update_precision_gamma(second_moments, m: int) -> GammaPosterior:
@@ -558,8 +557,7 @@ def expected_constraint_loglik(
     -0.5 E[lambda] E||o||^2 + 0.5 M E[log lambda] - (M/2) log 2pi.
     """
     weighted_sq = post.mean() * second_moment
-    elog = np.full(cs.m, post.expected_log())
-    return -0.5 * weighted_sq + 0.5 * float(np.sum(elog)) - 0.5 * cs.m * LOG_2PI
+    return -0.5 * weighted_sq + 0.5 * cs.m * post.expected_log() - 0.5 * cs.m * LOG_2PI
 
 
 def _energy_likelihood_value(system: fem.FemSystem, qy: DiagGaussian, tau: float):

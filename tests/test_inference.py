@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,8 +93,9 @@ def learned_set(gamma, alpha, lam):
 
 
 def diagonal_qy(mean, var):
-    """A q(y) with diagonal covariance (no conditioning rows)."""
-    return LowRankGaussian(mean, var, np.zeros((0, mean.size)))
+    """A q(y) with diagonal covariance (no conditioning rows); its callers
+    read no entropy, so it carries no log-determinant."""
+    return LowRankGaussian(mean, var, np.zeros((0, mean.size)), np.zeros((0, 0)), None)
 
 
 def reference_qy_term(obs, qy, post):
@@ -147,7 +149,7 @@ class TestClosedFormQy:
         sign, logdet = np.linalg.slogdet(2 * np.pi * np.e * sigma)
         assert sign == 1.0
         assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
-        q.sample(rng.standard_normal(d_y))  # entropy and sampling share one factorization
+        q.sample(rng.standard_normal(d_y))  # a draw leaves the factor it reads as it was
         assert q.entropy() == pytest.approx(0.5 * logdet, rel=1e-12)
 
     def test_exact_constraint_conditioning(self):
@@ -166,6 +168,58 @@ class TestClosedFormQy:
         assert q.second_moment(g1[None, :], np.array([g1 @ q.mean])) < 1e-9
         draws = np.array([q.sample(rng.standard_normal(d_y)) for _ in range(50)])
         assert np.max(np.abs(draws @ g1 - a1)) < 1e-7
+        # the singular covariance has log-determinant -inf, reached without a log(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.entropy() == -np.inf
+
+    def test_draws_hold_exact_rows(self):
+        # five (16, 4) hybrid bundles: exact coarse and randomized rows, learned flux rows
+        rng = np.random.default_rng(22)
+        mesh, coarse = fem.build_mesh(16), fem.build_mesh(4)
+        sampler = GrfSampler(GrfSpec(grid_size=16))
+        posts = {"flux": vobs.GammaPosterior(alpha=2.0, beta=1.0)}
+        n = mesh.n_nodes
+        for _ in range(5):
+            kappa = sampler.sample(rng).kappa_vec
+            sets = vobs.build_hybrid(mesh, coarse, kappa, field.sample_bc(rng), rng, m2=60)
+            exact = [cs for cs in sets if isinstance(cs.precision, vobs.Exact)]
+            assert exact and len(exact) < len(sets)
+            q = update_qy_closedform(
+                sets, rng.uniform(1e-3, 1e-2, n), 0.1 * rng.standard_normal(n), posts
+            )
+            for _ in range(10):
+                y = q.sample(rng.standard_normal(n))
+                for cs in exact:
+                    scale = np.abs(cs.gamma) @ np.abs(y) + np.abs(cs.alpha)
+                    assert np.max(np.abs(cs.gamma @ y - cs.alpha) / scale) < 1e-12
+
+    @pytest.mark.parametrize("with_exact", [True, False])
+    def test_draws_have_the_covariance(self, with_exact):
+        # a draw is linear in eps: its images of the unit vectors give a root
+        rng = np.random.default_rng(23)
+        d_y = 9
+        sbar = rng.uniform(0.5, 2.0, d_y)
+        gamma = rng.standard_normal((3, d_y))
+        cs, posts = learned_set(gamma, rng.standard_normal(3), 2.5)
+        sets = [cs]
+        if with_exact:
+            gamma = np.vstack([rng.standard_normal((2, d_y)), gamma])
+            sets.insert(0, vobs.LinearConstraintSet(
+                gamma=gamma[:2], alpha=rng.standard_normal(2), precision=vobs.Exact(),
+                kind="cgr",
+            ))
+        q = update_qy_closedform(sets, sbar, rng.standard_normal(d_y), posts)
+        root = np.array([q.sample(e) - q.mean for e in np.eye(d_y)]).T
+        if with_exact:
+            # diag(sbar) - A^T A, formed densely from Xi
+            lam_inv = np.r_[0.0, 0.0, np.full(3, 1 / 2.5)]
+            xi = gamma @ np.diag(sbar) @ gamma.T + np.diag(lam_inv)
+            gs = gamma * sbar
+            sigma = np.diag(sbar) - gs.T @ np.linalg.solve(xi, gs)
+        else:
+            sigma = np.linalg.inv(2.5 * gamma.T @ gamma + np.diag(1.0 / sbar))
+        assert np.max(np.abs(root @ root.T - sigma)) < 1e-12 * np.abs(sigma).max()
 
     def test_dependent_exact_rows_hold(self):
         # at (8, 4) the 25 coarse-residual and 60 randomized exact rows act on

@@ -1,5 +1,6 @@
-"""tools/quality.py on a tiny configuration: the record's schema, and a gate
-that fails when semi-supervised training loses or drifts from a reference."""
+"""tools/quality.py on a tiny configuration: the record's schema, a gate that
+fails when semi-supervised training loses or drifts from a reference, and the
+report of the largest moves from that reference."""
 
 import copy
 import importlib.util
@@ -49,10 +50,20 @@ def test_gate_fails_on_a_loss_or_a_drift(record):
         r["r2"], r["logscore"] = (0.9, 400.0) if r["model"] == "semi" else (0.8, 300.0)
     assert quality.gate(rec) == []
     assert quality.gate(rec, rec) == []
+    assert quality.moves(rec, rec)[-1] == "infer_z warning counts: all equal (4 of 4 runs equal)"
     ref = copy.deepcopy(rec)
     semi = next(r for r in ref["runs"] if r["model"] == "semi" and r["scenario"] == "uniform")
     semi["r2"] += 1.5 * quality.R2_BOUND
     assert len(quality.gate(rec, ref)) == 1
+    semi_d = next(r for r in ref["runs"] if r["model"] == "semi" and r["scenario"] == "D")
+    semi_d["logscore"] -= 2.5
+    semi_d["infer_z_warnings"] += 1
+    report = quality.moves(rec, ref)
+    assert len(report) == 2 * len(quality.MODELS) + 1
+    assert "largest semi r2 move -0.03 at data seed 1, training seed 7, scenario uniform" in report
+    assert "largest semi logscore move +2.5 at data seed 1, training seed 7, scenario D" in report
+    assert report[-1] == "infer_z warning counts: differ (3 of 4 runs equal)"
+    assert len(quality.gate(rec, ref)) == 1  # the moves report gates nothing new
     lab = next(r for r in rec["runs"] if r["model"] == "labeled" and r["scenario"] == "uniform")
     lab["logscore"] = 500.0
     assert len(quality.gate(rec)) == 1

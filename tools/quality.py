@@ -22,7 +22,10 @@ when, in distribution, semi-supervised beats labeled-only in both R^2 and
 log-score for every data seed and training seed, and, given REF.json (the
 OUT.json of another commit), no in-distribution semi-supervised R^2 moved
 from the reference's by more than R2_BOUND. Scenario D is reported, not
-gated. Exits with status 1 unless the gate passes.
+gated. Exits with status 1 unless the gate passes. Given REF.json, it also
+prints, per model, the largest move from the reference in R^2 and in
+log-score over all runs and where it occurred, and whether every infer_z
+warning count equals the reference's; these are reported, not gated.
 
 The program is imported from the `src/` next to this file and the set-up
 helpers from `bench/workloads.py`, which is only read. To score another
@@ -193,6 +196,34 @@ def gate(record: dict, ref: dict | None = None) -> list[str]:
     return failures
 
 
+def moves(record: dict, ref: dict) -> list[str]:
+    """Per model, the largest |change| from `ref` of R^2 and of log-score over
+    the runs both records hold, with its place, and a line saying whether
+    every infer_z warning count is equal."""
+    runs, ref_runs = _by_key(record), _by_key(ref)
+    common = sorted(runs.keys() & ref_runs.keys())
+    lines = []
+    for model_kind in MODELS:
+        keys = [key for key in common if key[2] == model_kind]
+        for metric in ("r2", "logscore"):
+            key = max(keys, key=lambda k: abs(runs[k][metric] - ref_runs[k][metric]))
+            data_seed, train_seed, _, scenario = key
+            lines.append(
+                f"largest {model_kind} {metric} move "
+                f"{runs[key][metric] - ref_runs[key][metric]:+.3g} at data seed "
+                f"{data_seed}, training seed {train_seed}, scenario {scenario}"
+            )
+    differ = [
+        key for key in common
+        if runs[key]["infer_z_warnings"] != ref_runs[key]["infer_z_warnings"]
+    ]
+    lines.append(
+        f"infer_z warning counts: {'all equal' if not differ else 'differ'} "
+        f"({len(common) - len(differ)} of {len(common)} runs equal)"
+    )
+    return lines
+
+
 def table(record: dict) -> str:
     """One line per (scenario, training seed, data seed): both models side by side."""
     runs = _by_key(record)
@@ -229,6 +260,8 @@ def main(argv: list[str]) -> int:
     print(f"infer_z budget {record['protocol']['infer_z_steps']} steps")
     print(table(record))
     ref = json.loads(Path(opts.ref).read_text()) if opts.ref else None
+    if ref is not None:
+        print("\n".join(moves(record, ref)))
     failures = gate(record, ref)
     for line in failures:
         print(f"FAIL {line}")
