@@ -14,27 +14,16 @@ the tape once with a cotangent of the output's shape and returns exact
 gradients of sum_rows cotangent . output: the parameter gradient summed over
 the rows, and the input gradient row by row.
 
-Checkpoints of generative models and training states share one on-disk
-format, written by save_arrays and read by load_arrays: <stem>.json holds a
-versioned header with the layout of the arrays, and <stem>.bin holds the
-arrays as one little-endian float64 blob.
+A network is stored by its widths and its `params`; Approximator(sizes,
+params=...) rebuilds it without drawing an initialization, as
+inference.load_state does.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .errors import DimensionMismatch, TapeConsumed
-
-# Version 1 files have a separate layout per checkpoint kind, which
-# load_arrays cannot read; state files of versions 2 and 3 carry TrainConfig
-# fields that are now constants; files of version 4 describe networks by
-# lists of layer kinds instead of their widths; state files of version 5 carry
-# TrainConfig's per-datum Monte Carlo draw count, which is now one.
-CHECKPOINT_VERSION = 6
 
 
 class Tape:
@@ -166,39 +155,4 @@ class Approximator:
                 # x = tanh(a), so d tanh / da = 1 - x^2
                 rows *= 1.0 - x**2
         return gparams, (rows if cot.ndim == 2 else rows[0])
-
-
-def save_arrays(stem, header: dict, arrays: dict) -> None:
-    """Write <stem>.json (header, version and array layout) and <stem>.bin."""
-    stem = Path(stem)
-    layout, pos = {}, 0
-    for key, arr in arrays.items():
-        layout[key] = {"offset": pos, "shape": list(np.shape(arr))}
-        pos += int(np.size(arr))
-    full = {"version": CHECKPOINT_VERSION, **header, "arrays": layout}
-    stem.with_suffix(".json").write_text(json.dumps(full, indent=2))
-    blob = np.concatenate([np.asarray(a, dtype="<f8").ravel() for a in arrays.values()])
-    stem.with_suffix(".bin").write_bytes(blob.tobytes())
-
-
-def load_arrays(stem) -> tuple[dict, dict]:
-    """Inverse of save_arrays; returns (header, arrays) as owned float64 copies."""
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    data = stem.with_suffix(".bin").read_bytes()
-    total = sum(int(np.prod(info["shape"])) for info in header["arrays"].values())
-    if len(data) != 8 * total:
-        raise ValueError(
-            f"{stem.with_suffix('.bin')} has {len(data)} bytes; its header lays out "
-            f"{total} float64 values ({8 * total} bytes)"
-        )
-    blob = np.frombuffer(data, dtype="<f8")
-    arrays = {}
-    for key, info in header["arrays"].items():
-        size = int(np.prod(info["shape"]))
-        chunk = blob[info["offset"] : info["offset"] + size]
-        arrays[key] = chunk.astype(np.float64).reshape(info["shape"])
-    return header, arrays
 

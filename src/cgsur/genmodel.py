@@ -16,6 +16,9 @@ Every term takes a batch as rows (the decoder and coarse map also one vector
 each), the coarse solve one BoundaryCoeffs per row of X: values and latent
 gradients come per row, parameter gradients summed over the rows. One private
 loop assembles, solves and differentiates the coarse systems row by row.
+
+A model is saved inside a training state (inference.save_state) as metadata()
+and params.arrays(), which model_from_checkpoint turns back into a model.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .approximators import Approximator, load_arrays, save_arrays
+from .approximators import Approximator
 from .errors import DimensionMismatch
 from .gaussians import diag_logpdf, diag_logpdf_grads
 
@@ -234,14 +237,8 @@ class GenerativeModel:
         }
 
 
-def model_checkpoint(model: GenerativeModel) -> tuple[dict, dict]:
-    """The header entries and named arrays that describe a model on disk."""
-    return {"model": model.metadata()}, model.params.arrays()
-
-
-def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
-    """Inverse of model_checkpoint; draws no random initialization."""
-    meta = header["model"]
+def model_from_checkpoint(meta: dict, arrays: dict) -> GenerativeModel:
+    """Inverse of metadata() and params.arrays(); draws no random initialization."""
     model = GenerativeModel.__new__(GenerativeModel)
     model._set_sizes(meta["d_f"], meta["d_c"], meta["dim_z"])
     model.params = ModelParams(
@@ -249,11 +246,3 @@ def model_from_checkpoint(header: dict, arrays: dict) -> GenerativeModel:
         **{key: arrays[key] for key in _BLOB_KEYS},
     )
     return model
-
-
-def save_model(model: GenerativeModel, stem) -> None:
-    save_arrays(stem, *model_checkpoint(model))
-
-
-def load_model(stem) -> GenerativeModel:
-    return model_from_checkpoint(*load_arrays(stem))

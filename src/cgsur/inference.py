@@ -30,20 +30,26 @@ by the VariationalState. The blocks and the parameter prior add their
 gradients into the named views of a second vector of that layout, zeroed by
 the trainer once per iteration, and one Adam steps the whole vector, with
 the unlabeled factors outside a minibatch frozen by their flat indices.
+
+save_state and load_state write and read the one checkpoint format: <stem>.json
+holds a versioned header with the networks' sizes and the layout of the
+arrays, and <stem>.bin the arrays as one little-endian float64 blob.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import time
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from . import fem, vobs
-from .approximators import Approximator, load_arrays, save_arrays
+from .approximators import Approximator
 from .errors import DimensionMismatch, IllConditioned, NonFiniteLoss
 from .field import BoundaryCoeffs
 from .gaussians import (
@@ -51,7 +57,7 @@ from .gaussians import (
     entropy_diag,
     standard_logpdf_expectation,
 )
-from .genmodel import GenerativeModel, model_checkpoint, model_from_checkpoint
+from .genmodel import GenerativeModel, model_from_checkpoint
 from .seeding import derive_rng
 from .vobs import EnergyObservable, GammaPosterior, LinearConstraintSet
 
@@ -66,6 +72,10 @@ PLATEAU_TOL = 1e-4
 QY_MC = 8
 # Shape and rate of the vague Gamma prior on the flux precision.
 GAMMA_PRIOR = 1e-6
+# Files of version 1 have a layout per checkpoint kind, and those of version 4
+# describe networks by lists of layer kinds; state files up to version 6 carry
+# TrainConfig fields, where version 7 records the encoders' layer widths.
+CHECKPOINT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +305,13 @@ class VariationalState:
     decoder, W_g ... log_S_y, the encoders and every factor -- into one vector
     `theta`, in that order, and make each a view of its slice; assign into
     them, not over them. `grad` has the same layout, and views() gives the
-    named views of either. A deep copy views a vector of its own.
+    named views of either. A deep copy views a vector of its own. No
+    TrainConfig is kept: train() runs on that of its call, and refresh_qy
+    sets q(y), its terms and `tau`, which save_state does not write.
     """
 
-    def __init__(self, model: GenerativeModel, config: TrainConfig):
+    def __init__(self, model: GenerativeModel):
         self.model = model
-        self.config = config
         self.factors: dict[str, np.ndarray] = {}
         self.enc_mu: Approximator | None = None
         self.enc_logvar: Approximator | None = None
@@ -309,7 +320,6 @@ class VariationalState:
         self.qy_terms: list = []
         self.gamma_posteriors: dict[str, GammaPosterior] = {}
         self.iteration = 0
-        self.tau = config.tau_start  # energy tempering of the latest q(y) refresh
         self.theta = self.grad = None  # set by _bind
 
     def adam_arrays(self) -> dict:
@@ -372,7 +382,7 @@ def init_state(
     the observed log-conductivity, and the output variance starts at the
     empirical variance of the labeled solutions.
     """
-    state = VariationalState(model, config)
+    state = VariationalState(model)
     dz, dX = model.dim_z, model.dim_X
 
     all_lams = [d.lambdas for d in (labeled, unlabeled, virtual) if d is not None]
@@ -741,9 +751,8 @@ def train(
     unlabeled: UnlabeledData | None = None,
     virtual: VirtualData | None = None,
     state: VariationalState | None = None,
-    log: TrainLog | None = None,
 ):
-    """Run the SVI loop; returns (state, log).
+    """Run the SVI loop on `model` (that of `state`, if given); returns (state, log).
 
     Each iteration zeroes state.grad, and one pass of the ELBO body over the
     unlabeled minibatch, the labeled and the virtual data, with fresh noise,
@@ -760,10 +769,12 @@ def train(
         raise ValueError("train needs at least one dataset, each with rows")
     if state is None:
         state = init_state(model, config, labeled, unlabeled, virtual)
+    if model is not state.model:
+        raise ValueError("train was given a model that is not the state's")
     if not all(np.may_share_memory(a, state.theta) for a in state.adam_arrays().values()):
         raise ValueError("the state's arrays are not views of its theta (was its model "
                          "bound by another init_state, or an array assigned over?)")
-    log = log if log is not None else TrainLog()
+    log = TrainLog()
     rng = derive_rng(config.seed, "train")
     adam = Adam(LEARNING_RATE)
     grads = state.views(state.grad)
@@ -830,43 +841,60 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# full-state checkpoints
+# checkpoints
 # ---------------------------------------------------------------------------
 
 def save_state(state: VariationalState, stem) -> None:
-    """The model checkpoint plus encoder, factors, precisions and config;
-    q(y) is derived data and is rebuilt from the virtual dataset."""
-    header, _ = model_checkpoint(state.model)
+    """Write <stem>.json and <stem>.bin: the model, encoders, factors,
+    precisions and iteration; q(y) is derived data, rebuilt by refresh_qy."""
+    stem = Path(stem)
     arrays = state.adam_arrays()
-    cfg = dataclasses.asdict(state.config)
-    cfg["encoder_hidden"] = list(cfg["encoder_hidden"])
-    header.update(
-        factor_keys=sorted(state.factors.keys()),
-        gamma_posteriors={
-            key: {"alpha": post.alpha, "beta": post.beta}
-            for key, post in state.gamma_posteriors.items()
+    layout, pos = {}, 0
+    for key, arr in arrays.items():
+        layout[key] = {"offset": pos, "shape": list(arr.shape)}
+        pos += arr.size
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "model": state.model.metadata(),
+        "encoder_sizes": None if state.enc_mu is None else list(state.enc_mu.sizes),
+        "factor_keys": sorted(state.factors.keys()),
+        "gamma_posteriors": {
+            key: dataclasses.asdict(post) for key, post in state.gamma_posteriors.items()
         },
-        iteration=state.iteration,
-        config=cfg,
-    )
-    save_arrays(stem, header, arrays)
+        "iteration": state.iteration,
+        "arrays": layout,
+    }
+    stem.with_suffix(".json").write_text(json.dumps(header, indent=2))
+    blob = np.concatenate([np.asarray(a, dtype="<f8").ravel() for a in arrays.values()])
+    stem.with_suffix(".bin").write_bytes(blob.tobytes())
 
 
 def load_state(stem) -> VariationalState:
-    header, arrays = load_arrays(stem)
-    cfg_dict = dict(header["config"])
-    cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
-    model = model_from_checkpoint(header, arrays)
-    state = VariationalState(model, TrainConfig(**cfg_dict))
-    if "enc_mu" in arrays:
-        sizes = (model.dim_x, *state.config.encoder_hidden, model.dim_z)
-        state.enc_mu = Approximator(sizes, params=arrays["enc_mu"])
-        state.enc_logvar = Approximator(sizes, params=arrays["enc_logvar"])
+    """Inverse of save_state; draws no random initialization."""
+    stem = Path(stem)
+    header = json.loads(stem.with_suffix(".json").read_text())
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    data = stem.with_suffix(".bin").read_bytes()
+    total = sum(int(np.prod(info["shape"])) for info in header["arrays"].values())
+    if len(data) != 8 * total:
+        raise ValueError(
+            f"{stem.with_suffix('.bin')} has {len(data)} bytes; its header lays out "
+            f"{total} float64 values ({8 * total} bytes)"
+        )
+    blob = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    arrays = {}
+    for key, info in header["arrays"].items():
+        size = int(np.prod(info["shape"]))
+        arrays[key] = blob[info["offset"] : info["offset"] + size].reshape(info["shape"])
+    state = VariationalState(model_from_checkpoint(header["model"], arrays))
+    if header["encoder_sizes"] is not None:
+        state.enc_mu = Approximator(header["encoder_sizes"], params=arrays["enc_mu"])
+        state.enc_logvar = Approximator(header["encoder_sizes"], params=arrays["enc_logvar"])
     # in the file's order, so that theta is laid out as the file is
     state.factors = {key: a for key, a in arrays.items() if key in header["factor_keys"]}
     state.gamma_posteriors = {
-        key: GammaPosterior(alpha=val["alpha"], beta=val["beta"])
-        for key, val in header["gamma_posteriors"].items()
+        key: GammaPosterior(**val) for key, val in header["gamma_posteriors"].items()
     }
     state.iteration = int(header["iteration"])
     if "mu_X_o" in state.factors:

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from cgsur import approximators as ap
-from cgsur import genmodel, inference
 from cgsur.errors import DimensionMismatch, TapeConsumed
 
 
@@ -95,6 +92,10 @@ class TestForward:
         with pytest.raises(ValueError, match="layer widths"):
             ap.Approximator(sizes)
 
+    def test_blob_size_checked(self):
+        with pytest.raises(DimensionMismatch):
+            ap.Approximator((3, 4, 2), params=np.zeros(7))
+
     def test_deterministic(self):
         net = ap.Approximator((3, 4, 2), seed=9)
         x = np.array([0.1, 0.2, 0.3])
@@ -170,70 +171,6 @@ class TestBackward:
         assert np.max(np.abs(gp - gp0)) / scale < 1e-5
         scale_x = max(np.abs(gx0).max(), 1e-8)
         assert np.max(np.abs(gx - gx0)) / scale_x < 1e-5
-
-
-class TestCheckpoint:
-    @pytest.mark.parametrize(
-        "save,load,make",
-        [
-            (
-                genmodel.save_model,
-                genmodel.load_model,
-                lambda: genmodel.GenerativeModel(4, 2),
-            ),
-            (
-                inference.save_state,
-                inference.load_state,
-                lambda: inference.VariationalState(
-                    genmodel.GenerativeModel(4, 2), inference.TrainConfig()
-                ),
-            ),
-        ],
-        ids=["model", "state"],
-    )
-    def test_other_version_rejected(self, tmp_path, save, load, make):
-        save(make(), tmp_path / "ckpt")
-        path = tmp_path / "ckpt.json"
-        header = json.loads(path.read_text())
-        # files of the previous version and of a later one
-        for version in (ap.CHECKPOINT_VERSION - 1, ap.CHECKPOINT_VERSION + 1):
-            header["version"] = version
-            path.write_text(json.dumps(header))
-            with pytest.raises(ValueError, match=f"version {version}"):
-                load(tmp_path / "ckpt")
-
-    def test_loading_draws_no_init(self, tmp_path, monkeypatch):
-        model = genmodel.GenerativeModel(4, 2, decoder_hidden=(5,), seed=4)
-        cfg = inference.TrainConfig(amortized=True, encoder_hidden=(3,))
-        unlabeled = inference.UnlabeledData(np.zeros((2, model.dim_x)))
-        state = inference.init_state(model, cfg, None, unlabeled, None)
-        genmodel.save_model(model, tmp_path / "model")
-        inference.save_state(state, tmp_path / "state")
-
-        def no_draw(*args):
-            raise AssertionError("loading drew a random initialization")
-
-        monkeypatch.setattr(ap, "_glorot", no_draw)
-        loaded_state = inference.load_state(tmp_path / "state")
-        for loaded in (genmodel.load_model(tmp_path / "model"), loaded_state.model):
-            arrays = loaded.params.arrays()
-            for key, arr in model.params.arrays().items():
-                assert np.array_equal(arrays[key], arr)
-        assert np.array_equal(loaded_state.enc_mu.params, state.enc_mu.params)
-        assert np.array_equal(loaded_state.enc_logvar.params, state.enc_logvar.params)
-
-    @pytest.mark.parametrize("extra", [8, -8, 3], ids=["padded", "truncated", "partial"])
-    def test_blob_of_wrong_size_rejected(self, tmp_path, extra):
-        genmodel.save_model(genmodel.GenerativeModel(4, 2), tmp_path / "ckpt")
-        path = tmp_path / "ckpt.bin"
-        data = path.read_bytes()
-        path.write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
-        with pytest.raises(ValueError, match=f"has {len(data) + extra} bytes.*{len(data)} bytes"):
-            genmodel.load_model(tmp_path / "ckpt")
-
-    def test_blob_size_checked(self):
-        with pytest.raises(DimensionMismatch):
-            ap.Approximator((3, 4, 2), params=np.zeros(7))
 
 
 def per_row(net, xs, cots):

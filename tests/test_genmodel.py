@@ -480,19 +480,3 @@ class TestJointDensity:
         mean_y, var_y = m.output_map(m.cgm_forward(s["X"][None], [bc])[0])
         expected += multivariate_normal.logpdf(s["y"], mean_y, np.diag(var_y))
         assert total == pytest.approx(expected, rel=1e-12)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        m = small_model(seed=23)
-        rng = np.random.default_rng(9)
-        m.params.W_g[:] = rng.standard_normal(m.params.W_g.shape)
-        genmodel.save_model(m, tmp_path / "model")
-        loaded = genmodel.load_model(tmp_path / "model")
-        assert loaded.metadata() == m.metadata()
-        z = rng.standard_normal(m.dim_z)
-        a_mean, a_var = m.decode_x(z)
-        b_mean, b_var = loaded.decode_x(z)
-        assert np.array_equal(a_mean, b_mean)
-        assert np.array_equal(a_var, b_var)
-        assert np.array_equal(loaded.params.W_g, m.params.W_g)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cgsur import fem, field, inference, vobs
+from cgsur import approximators, fem, field, inference, vobs
 from cgsur.approximators import Approximator
 from cgsur.errors import DimensionMismatch, IllConditioned, NonFiniteLoss
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
@@ -408,7 +408,7 @@ class TestEnergyTempering:
 
     def test_schedule_comes_from_the_call_not_the_state(self, monkeypatch):
         model, virtual = self.problem()
-        # the state's config runs a long schedule to tau_end = 1e4
+        # the state was made with a config whose schedule runs to tau_end = 1e4
         state = init_state(model, TrainConfig(), None, None, virtual)
         seen = self.record_taus(monkeypatch)
         cfg = TrainConfig(iterations=4, cadence=2, tau_end=16.0, plateau_window=10**9)
@@ -1144,6 +1144,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="not views of its theta"):
             train(model, TrainConfig(iterations=1), labeled=labeled, state=state)
 
+    def test_model_other_than_the_states_rejected(self):
+        model, cfg, labeled, virtual, state, rng = make_problem(seed=21)
+        other = GenerativeModel(4, 2, decoder_hidden=(8,), seed=21)
+        before = state.theta.copy()
+        with pytest.raises(ValueError, match="not the state's"):
+            train(other, TrainConfig(iterations=1), labeled=labeled, state=state)
+        assert state.iteration == 0
+        assert state.theta.tobytes() == before.tobytes()
+
     def test_requires_some_data(self):
         model = GenerativeModel(4, 2, decoder_hidden=(4,), seed=9)
         with pytest.raises(ValueError):
@@ -1347,11 +1356,12 @@ class TestInitState:
         assert blocks.tobytes() == np.array(rows).tobytes()
 
     def test_encoders_drawn_into_theta_as_approximators_draw_them(self):
+        # the state's config has seed 23 and encoder_hidden (5,)
         state, _ = semi_supervised_state(seed=23)
-        cfg, dz = state.config, state.model.dim_z
-        sizes = (state.model.dim_x, *cfg.encoder_hidden, dz)
-        ref_mu = Approximator(sizes, seed=cfg.seed + 1).params
-        ref_logvar = Approximator(sizes, seed=cfg.seed + 2).params
+        dz = state.model.dim_z
+        sizes = (state.model.dim_x, 5, dz)
+        ref_mu = Approximator(sizes, seed=23 + 1).params
+        ref_logvar = Approximator(sizes, seed=23 + 2).params
         ref_logvar[-dz:] = np.log(0.5)
         for net, ref in ((state.enc_mu, ref_mu), (state.enc_logvar, ref_logvar)):
             assert np.shares_memory(net.params, state.theta)
@@ -1402,6 +1412,61 @@ def semi_supervised_state(seed, amortized=True):
     unl = UnlabeledData(np.random.default_rng(seed).normal(0.4, 0.8, (5, model.dim_x)))
     state = init_state(model, cfg, labeled, unl, virtual)
     return state, SimpleNamespace(labeled=labeled, unlabeled=unl, virtual=virtual)
+
+
+class TestCheckpoint:
+    """The file format, on states that hold a model alone or with encoders."""
+
+    def test_roundtrip(self, tmp_path):
+        model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=23)
+        rng = np.random.default_rng(9)
+        model.params.W_g[:] = rng.standard_normal(model.params.W_g.shape)
+        save_state(inference.VariationalState(model), tmp_path / "ckpt")
+        loaded = load_state(tmp_path / "ckpt").model
+        assert loaded.metadata() == model.metadata()
+        z = rng.standard_normal(model.dim_z)
+        for a, b in zip(model.decode_x(z), loaded.decode_x(z)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.params.W_g, model.params.W_g)
+
+    def test_other_version_rejected(self, tmp_path):
+        save_state(inference.VariationalState(GenerativeModel(4, 2)), tmp_path / "ckpt")
+        path = tmp_path / "ckpt.json"
+        header = json.loads(path.read_text())
+        # version 6, whose files carry TrainConfig fields, the previous version
+        # and a later one
+        version = inference.CHECKPOINT_VERSION
+        for other in sorted({6, version - 1, version + 1}):
+            header["version"] = other
+            path.write_text(json.dumps(header))
+            with pytest.raises(ValueError, match=f"version {other}"):
+                load_state(tmp_path / "ckpt")
+
+    def test_loading_draws_no_init(self, tmp_path, monkeypatch):
+        model = GenerativeModel(4, 2, decoder_hidden=(5,), seed=4)
+        cfg = TrainConfig(amortized=True, encoder_hidden=(3,))
+        state = init_state(model, cfg, None, UnlabeledData(np.zeros((2, model.dim_x))), None)
+        save_state(state, tmp_path / "ckpt")
+
+        def no_draw(*args):
+            raise AssertionError("loading drew a random initialization")
+
+        monkeypatch.setattr(approximators, "_glorot", no_draw)
+        loaded = load_state(tmp_path / "ckpt")
+        arrays = loaded.model.params.arrays()
+        for key, arr in model.params.arrays().items():
+            assert np.array_equal(arrays[key], arr)
+        assert np.array_equal(loaded.enc_mu.params, state.enc_mu.params)
+        assert np.array_equal(loaded.enc_logvar.params, state.enc_logvar.params)
+
+    @pytest.mark.parametrize("extra", [8, -8, 3], ids=["padded", "truncated", "partial"])
+    def test_blob_of_wrong_size_rejected(self, tmp_path, extra):
+        save_state(inference.VariationalState(GenerativeModel(4, 2)), tmp_path / "ckpt")
+        path = tmp_path / "ckpt.bin"
+        data = path.read_bytes()
+        path.write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
+        with pytest.raises(ValueError, match=f"has {len(data) + extra} bytes.*{len(data)} bytes"):
+            load_state(tmp_path / "ckpt")
 
 
 class TestStateCheckpoint:

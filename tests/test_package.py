@@ -78,14 +78,24 @@ def imported_modules(path):
     return names
 
 
-def test_only_fem_imports_scipy_sparse():
-    # the band and CSR formats stay behind one module
-    importers = [
+def importers(module):
+    """Stems of the package's modules that import `module` or a name from it."""
+    parts = module.split(".")
+    return [
         path.stem
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if any(name.split(".")[:2] == ["scipy", "sparse"] for name in imported_modules(path))
+        if any(name.split(".")[: len(parts)] == parts for name in imported_modules(path))
     ]
-    assert importers == ["fem"]
+
+
+def test_only_fem_imports_scipy_sparse():
+    # the band and CSR formats stay behind one module
+    assert importers("scipy.sparse") == ["fem"]
+
+
+def test_only_inference_imports_json():
+    # the checkpoint format stays behind one module
+    assert importers("json") == ["inference"]
 
 
 NAN = float("nan")

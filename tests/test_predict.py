@@ -25,7 +25,7 @@ BC_A = BoundaryCoeffs(0.0, 0.0, 1.0, 1.0)
 
 def plain_state(d_f=4, d_c=2, seed=0, hidden=(6,)):
     model = GenerativeModel(d_f, d_c, decoder_hidden=hidden, seed=seed)
-    return VariationalState(model, TrainConfig(seed=seed))
+    return VariationalState(model)
 
 
 def encoder_state(seed=11):
