@@ -12,7 +12,7 @@ per layer and returns (B, n_L) outputs with a tape; one input of shape (n_0,)
 is a batch of one and gives an output of shape (n_L,). backward() consumes
 the tape once with a cotangent of the output's shape and returns exact
 gradients of sum_rows cotangent . output: the parameter gradient summed over
-the rows, and the input gradient row by row.
+the rows, into a new array or one it is given, and the input gradient by row.
 
 A network is stored by its widths and its `params`; Approximator(sizes,
 params=...) rebuilds it without drawing an initialization, as
@@ -83,6 +83,8 @@ class Approximator:
 
     def _layers(self, flat):
         """(W, b) views of a parameter-sized vector, layer by layer."""
+        if flat.shape != self.params.shape:
+            raise DimensionMismatch(f"array of shape {flat.shape} for {self.n_params} parameters")
         out, pos = [], 0
         for n_in, n_out in zip(self.sizes, self.sizes[1:]):
             end = pos + n_out * n_in
@@ -124,11 +126,11 @@ class Approximator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, tape: Tape, output_cotangent: np.ndarray, params: bool = True):
+    def backward(self, tape: Tape, output_cotangent: np.ndarray, params=True):
         """Reverse pass; returns (param_gradient, input_gradient).
 
-        The parameter gradient is summed over the tape's rows; with
-        params=False it is skipped and None is returned in its place.
+        The parameter gradient is summed over the tape's rows into `params`, a
+        parameter-sized array, or a new one when True; None or False skips it.
         """
         if tape.consumed:
             raise TapeConsumed("tape was already used for a reverse pass")
@@ -139,14 +141,14 @@ class Approximator:
             raise DimensionMismatch(
                 f"cotangent has shape {cot.shape}, expected {expected} for this tape"
             )
-        tape.consumed = True
-        # every slot of gparams is written below, layer by layer
-        gparams = np.empty_like(self.params) if params else None
+        if params is True:  # every slot of it is written below, layer by layer
+            params = np.empty_like(self.params)
         layers = self._layers(self.params)
-        grads = self._layers(gparams) if params else ()
+        grads = () if params is None or params is False else self._layers(params)
+        tape.consumed = True
         for i in reversed(range(len(layers))):
             x = tape.inputs[i]
-            if params:
+            if grads:
                 gw, gb = grads[i]
                 np.matmul(rows.T, x, out=gw)
                 rows.sum(axis=0, out=gb)
@@ -154,5 +156,5 @@ class Approximator:
             if i > 0:
                 # x = tanh(a), so d tanh / da = 1 - x^2
                 rows *= 1.0 - x**2
-        return gparams, (rows if cot.ndim == 2 else rows[0])
+        return (params if grads else None), (rows if cot.ndim == 2 else rows[0])
 

@@ -47,3 +47,7 @@ class DegenerateValidation(CgsurError):
 
 class NonPositiveVariance(CgsurError):
     pass
+
+
+class InvalidInput(CgsurError, ValueError):
+    """A value from outside the package that it cannot use, such as a NaN."""

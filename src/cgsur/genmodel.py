@@ -123,10 +123,11 @@ class GenerativeModel:
         mean, var = self.decode_x(z)
         return diag_logpdf(x, mean, var)
 
-    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray, weights=1.0):
+    def logp_x_given_z_grads(self, x: np.ndarray, z: np.ndarray, weights=1.0, decoder_grad=True):
         """Returns (logpdf, d/dz, {"decoder": d/dtheta_x}): values per row, and
         gradients of sum_r w_r log p(x_r | z_r) for `weights` w, a scalar or one
-        per row. weights=None gives d/dz unweighted and an empty dict."""
+        per row, d/dtheta_x written into `decoder_grad` (see Approximator.backward).
+        weights=None gives d/dz unweighted and an empty dict."""
         out, tape = self.params.decoder.forward(z)
         mean = out[..., : self.dim_x]
         raw_exp = np.exp(out[..., self.dim_x :])
@@ -136,7 +137,7 @@ class GenerativeModel:
         theta = weights is not None
         if theta:
             cot *= np.expand_dims(weights, -1)
-        gdec, gz = self.params.decoder.backward(tape, cot, params=theta)
+        gdec, gz = self.params.decoder.backward(tape, cot, params=theta and decoder_grad)
         return val, gz, ({"decoder": gdec} if theta else {})
 
     # ----- coarse map p(X | z) -----

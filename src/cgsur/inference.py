@@ -26,10 +26,11 @@ which changes only when q(y) is refreshed; each refresh computes it once and
 draws the coarse inputs of every query in one call.
 
 Every array that gradient steps adapt is a view of one float64 vector owned
-by the VariationalState. The blocks and the parameter prior add their
-gradients into the named views of a second vector of that layout, zeroed by
-the trainer once per iteration, and one Adam steps the whole vector, with
-the unlabeled factors outside a minibatch frozen by their flat indices.
+by the VariationalState. The ELBO body writes the decoder's gradient into the
+views of a second vector of that layout and adds the others into the rest,
+zeroed by the trainer once per iteration. One Adam steps the whole vector,
+adds the parameter prior's gradient to the model's arrays, which lead it,
+and freezes the unlabeled factors outside a minibatch by their flat indices.
 
 save_state and load_state write and read the one checkpoint format: <stem>.json
 holds a versioned header with the networks' sizes and the layout of the
@@ -462,12 +463,13 @@ def _q_terms(mu, rho, g, eps, prior: bool, weights=1.0):
 def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
     """One Monte Carlo pass over the ELBO blocks it is given: `unlabeled` =
     (lambdas, indices, scale), `labeled` = (lambdas, bcs, ys) and `virtual` =
-    (lambdas, bcs, None). Adds the gradients into `grads`, the named views of a
-    theta-sized vector, and returns (F_u, F_l, F_O), 0.0 for a block not given;
-    F_u is times `scale` and F_O includes state.qy_terms."""
+    (lambdas, bcs, None), bcs one BoundaryCoeffs per row. Writes the decoder's
+    gradient into `grads`, named views of a theta-sized vector, adds the others,
+    and returns (F_u, F_l, F_O), 0.0 for a block not given; F_u is times
+    `scale` and F_O includes state.qy_terms."""
     model = state.model
     dz, dX = model.dim_z, model.dim_X
-    z_rows, X_rows, blocks = [], [], []  # blocks: (slot in F, factor keys, factor rows, scale)
+    z_rows, X_rows, bcs, blocks = [], [], [], []  # blocks: (slot in F, keys, rows, scale)
     if unlabeled is not None:
         x_u, indices, scale = unlabeled
         idx = np.arange(len(x_u)) if indices is None else np.asarray(indices)
@@ -480,7 +482,7 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
     for slot, suffix, data in ((1, "l", labeled), (2, "o", virtual)):
         if data is None:
             continue
-        lambdas, bcs, ys = data
+        lambdas, row_bcs, ys = data
         n = lambdas.shape[0]
         keys = [f"{name}_{suffix}" for name in ("mu_z", "rho_z", "mu_X", "rho_X")]
         mu_z, rho_z, mu_X, rho_X = (state.factors[key] for key in keys)
@@ -490,7 +492,8 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
         if ys is None:
             ys = np.array([qy.sample(eps) for qy, eps in zip(state.qy, noise[:, dz + dX :])])
         z_rows.append((lambdas, mu_z, rho_z, noise[:, :dz], np.ones(n)))
-        X_rows.append((mu_X, rho_X, noise[:, dz : dz + dX], bcs, ys))
+        X_rows.append((mu_X, rho_X, noise[:, dz : dz + dX], ys))
+        bcs += row_bcs
         blocks.append((slot, keys, np.arange(n), 1.0))
     # The unlabeled rows go last, so that the X rows are the first rows of z.
     n_c = sum(len(rows) for _, _, rows, _ in blocks)
@@ -500,18 +503,18 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
 
     x, mu_z, rho_z, eps_z, w = (np.concatenate(a) for a in zip(*z_rows))
     z = _q_draw(mu_z, rho_z, eps_z)
-    value, gz, gdec = model.logp_x_given_z_grads(x, z, weights=w)
+    value, gz, _ = model.logp_x_given_z_grads(x, z, weights=w, decoder_grad=grads["decoder"])
     g_X, gy, gcm = [], {}, {}
     if X_rows:
-        mu_X, rho_X, eps_X, bcs, ys = (np.concatenate(a) for a in zip(*X_rows))
+        mu_X, rho_X, eps_X, ys = (np.concatenate(a) for a in zip(*X_rows))
         X = _q_draw(mu_X, rho_X, eps_X)
-        lp_y, gX, gy = model.logp_y_given_X_grads(ys, X, _row_bcs(bcs))
+        lp_y, gX, gy = model.logp_y_given_X_grads(ys, X, bcs)
         lp_X, gX_X, gz_X, gcm = model.logp_X_given_z_grads(X, z[:n_c])
         gz[:n_c] += gz_X
         gX += gX_X
         value_X, *g_X = _q_terms(mu_X, rho_X, gX, eps_X, prior=False)
         value[:n_c] += lp_y + lp_X + value_X
-    for key, g in (*gdec.items(), *gy.items(), *gcm.items()):
+    for key, g in (*gy.items(), *gcm.items()):
         grads[key] += g
     value_z, *g_z = _q_terms(mu_z, rho_z, gz, eps_z, prior=True, weights=w[:, None])
     value += value_z
@@ -540,7 +543,7 @@ def elbo_unlabeled(
 ) -> float:
     """Unlabeled ELBO block alone, times `scale`: q(z) comes from the encoders
     or from the rows `indices` of the unlabeled factors (the first n when
-    None). Adds its gradients into `grads`; see _elbo."""
+    None). Puts its gradients into `grads`; see _elbo."""
     return _elbo(state, rng, grads, unlabeled=(lambdas, indices, scale))[0]
 
 
@@ -553,8 +556,8 @@ def elbo_labeled(
     grads: dict,
 ) -> float:
     """Labeled ELBO block alone: the coarse solve sits inside log p(y | X).
-    Adds its gradients into `grads`; see _elbo."""
-    return _elbo(state, rng, grads, labeled=(lambdas, bcs, ys))[1]
+    Puts its gradients into `grads`; see _elbo."""
+    return _elbo(state, rng, grads, labeled=(lambdas, _row_bcs(bcs), ys))[1]
 
 
 def expected_constraint_loglik(
@@ -587,19 +590,20 @@ def elbo_virtual(
     """Virtual-observable ELBO block alone: q(y) is sampled, never
     reparametrized, so gradients flow only to theta and the (z, X) factors,
     and each query's term of the latest refresh (state.qy_terms) is added."""
-    return _elbo(state, rng, grads, virtual=(lambdas, bcs, None))[2]
+    return _elbo(state, rng, grads, virtual=(lambdas, _row_bcs(bcs), None))[2]
 
 
-def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
+def prior_logpdf_theta(arrays: dict, grads: dict | None, prior_scale: float) -> float:
     """Isotropic Gaussian prior over all unconstrained parameters.
 
-    Adds its gradient into the arrays of `grads` under the same keys, in
-    place, and returns its value up to an additive constant."""
+    Adds its gradient into the arrays of `grads` under the same keys, in place,
+    unless grads is None, and returns its value up to an additive constant."""
     inv_var = 1.0 / (prior_scale * prior_scale)
     value = 0.0
     for key, arr in arrays.items():
         value += -0.5 * inv_var * float(np.vdot(arr, arr))
-        grads[key] -= inv_var * arr
+        if grads is not None:
+            grads[key] -= inv_var * arr
     return value
 
 
@@ -610,11 +614,15 @@ def prior_logpdf_theta(arrays: dict, grads: dict, prior_scale: float) -> float:
 
 class Adam:
     """Ascent Adam over one flat float64 vector; the entries at the flat
-    indices `frozen` of a step keep their values and moments.
+    indices `frozen` of a step keep their values and moments, and the first
+    `prior_end` ascend g - prior_inv_var * theta, adding the Gaussian prior's
+    gradient as prior_logpdf_theta does; `grad` is only read. A step is
+    alpha_t m / (sqrt(v) + eps_hat), with Kingma & Ba's alpha_t = lr sqrt(1 -
+    beta2^t) / (1 - beta1^t) and eps_hat = eps sqrt(1 - beta2^t) (arXiv:1412.6980).
 
     m, v and two block-sized work buffers are allocated at the first step,
-    and the update runs block by block, so a step makes no vector-sized
-    temporary.
+    and the update runs block by block, cut at `prior_end`, so a step makes
+    no vector-sized temporary.
     """
 
     # Kingma & Ba's defaults; no caller needs other moment decays.
@@ -627,39 +635,44 @@ class Adam:
         self.m = self.v = None
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray, frozen=None):
+    def step(self, theta: np.ndarray, grad: np.ndarray, frozen=None, prior_end=0,
+             prior_inv_var=0.0):
         if self.m is None:
             self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
             self._den, self._step = np.empty((2, min(theta.size, self.BLOCK)))
             # numpy takes 0-d arrays as ufunc operands faster than floats
-            c = (self.beta1, 1 - self.beta1, self.beta2, 1 - self.beta2, self.eps, self.lr)
+            c = (self.beta1, 1 - self.beta1, self.beta2, 1 - self.beta2)
             self._consts = [np.array(x) for x in c]
         self.t += 1
         # all entries are stepped, then the frozen ones get their bits back
         kept = [] if frozen is None else [(a, a[frozen]) for a in (theta, self.m, self.v)]
         # The order of the operations fixes the bits of the result; each is one
         # ufunc call with its output given positionally.
-        b1, c1, b2, c2, eps, lr = self._consts
-        b1c, b2c = np.array(1.0 - self.beta1**self.t), np.array(1.0 - self.beta2**self.t)
-        mul, add, div = np.multiply, np.add, np.divide
-        for lo in range(0, theta.size, self.BLOCK):
-            hi = lo + self.BLOCK
-            th, g, mb, vb = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            den, step = self._den[: th.size], self._step[: th.size]
-            mul(mb, b1, mb)
-            mul(g, c1, step)
-            add(mb, step, mb)
-            mul(vb, b2, vb)
-            mul(g, g, step)
-            mul(step, c2, step)
-            add(vb, step, vb)
-            div(vb, b2c, den)
-            np.sqrt(den, den)
-            add(den, eps, den)
-            div(mb, b1c, step)
-            mul(step, lr, step)
-            div(step, den, step)
-            add(th, step, th)
+        b1, c1, b2, c2 = self._consts
+        root = (1.0 - self.beta2**self.t) ** 0.5
+        alpha = np.array(self.lr * root / (1.0 - self.beta1**self.t))
+        eps = np.array(self.eps * root)
+        mul, add, block = np.multiply, np.add, self.BLOCK
+        for start, stop in ((0, prior_end), (prior_end, theta.size)):
+            for lo in range(start, stop, block):
+                hi = lo + block if lo + block < stop else stop
+                th, g, mb, vb = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+                den, step = self._den[: th.size], self._step[: th.size]
+                if start < prior_end:
+                    mul(th, prior_inv_var, den)
+                    g = np.subtract(g, den, den)
+                mul(mb, b1, mb)
+                mul(g, c1, step)
+                add(mb, step, mb)
+                mul(vb, b2, vb)
+                mul(g, g, step)
+                mul(step, c2, step)
+                add(vb, step, vb)
+                np.sqrt(vb, den)
+                add(den, eps, den)
+                mul(mb, alpha, step)
+                np.divide(step, den, step)
+                add(th, step, th)
         for a, bits in kept:
             a[frozen] = bits
 
@@ -754,11 +767,12 @@ def train(
 ):
     """Run the SVI loop on `model` (that of `state`, if given); returns (state, log).
 
-    Each iteration zeroes state.grad, and one pass of the ELBO body over the
-    unlabeled minibatch, the labeled and the virtual data, with fresh noise,
-    and then the parameter prior add their gradients into its views. A
-    fresh Adam takes one ascent step over state.theta, the unlabeled
-    factors' rows outside the minibatch frozen. Every `cadence` iterations
+    Each iteration, one pass of the ELBO body over the unlabeled minibatch,
+    the labeled and the virtual data, with fresh noise, writes the decoder's
+    gradient into state.grad and adds the others into the rest, zeroed first.
+    A fresh Adam takes one ascent step over state.theta, adding the parameter
+    prior's gradient to the model's arrays, the unlabeled factors' rows
+    outside the minibatch frozen. Every `cadence` iterations
     the q(y) factors and learned precisions are refreshed in closed form,
     energy observables tempered on the schedule of this call's `config`.
     Stops on the iteration budget or when the moving average of the
@@ -787,8 +801,9 @@ def train(
         # datum; a minibatch freezes the rows outside it
         at = state.views(np.arange(state.theta.size))
         at = np.hstack([at["mu_z_u"], at["rho_z_u"]])
-    labeled_rows = (labeled.lambdas, labeled.bcs, labeled.ys) if n_l else None
-    virtual_rows = (virtual.lambdas, virtual.bcs, None) if virtual is not None else None
+    labeled_rows = (labeled.lambdas, _row_bcs(labeled.bcs), labeled.ys) if n_l else None
+    virtual_rows = None if virtual is None else (virtual.lambdas, _row_bcs(virtual.bcs), None)
+    prior_end = sum(a.size for a in state.model.params.arrays().values())
 
     first_iteration = state.iteration
     stop_iteration = first_iteration + config.iterations
@@ -800,7 +815,7 @@ def train(
     while state.iteration < stop_iteration:
         state.iteration += 1
         frozen = unlabeled_rows = None
-        state.grad.fill(0.0)
+        state.grad[grads["decoder"].size :].fill(0.0)  # the decoder's slice leads it
 
         if n_u:
             if n_u > config.unlabeled_batch:
@@ -811,7 +826,7 @@ def train(
             if "mu_z_u" in state.factors and batch.size < n_u:
                 frozen = at[np.setdiff1d(np.arange(n_u), batch)].ravel()
         f_u, f_l, f_o = _elbo(state, rng, grads, unlabeled_rows, labeled_rows, virtual_rows)
-        f_prior = prior_logpdf_theta(state.model.params.arrays(), grads, THETA_PRIOR_SCALE)
+        f_prior = prior_logpdf_theta(state.model.params.arrays(), None, THETA_PRIOR_SCALE)
         total = f_u + f_l + f_o + f_prior
         if not np.isfinite(total):
             raise NonFiniteLoss(
@@ -819,7 +834,7 @@ def train(
                 f"F_u={f_u:.3e} F_l={f_l:.3e} F_O={f_o:.3e} prior={f_prior:.3e}"
             )
 
-        adam.step(state.theta, state.grad, frozen)
+        adam.step(state.theta, state.grad, frozen, prior_end, 1.0 / THETA_PRIOR_SCALE**2)
 
         if virtual is not None and state.iteration % config.cadence == 0:
             tau = _temper_tau(config, state.iteration - first_iteration)

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.stats import gaussian_kde
 
 from . import fem
-from .errors import DegenerateValidation, InvalidSize, NonPositiveVariance
+from .errors import DegenerateValidation, DimensionMismatch, InvalidInput, InvalidSize
+from .errors import NonPositiveVariance
 from .field import BoundaryCoeffs
 from .gaussians import diag_logpdf, kl_diag_standard
 from .inference import Adam, DiagGaussian, VariationalState
@@ -56,6 +57,10 @@ def infer_z(
     available and at the prior otherwise.
     """
     model = state.model
+    if np.shape(x) != (model.dim_x,):
+        raise DimensionMismatch(f"x has shape {np.shape(x)}, expected ({model.dim_x},)")
+    if not np.isfinite(x).all():
+        raise InvalidInput("x has a non-finite entry")
     if mode == "amortized":
         if state.enc_mu is None:
             raise ValueError("no amortized encoder in this state")

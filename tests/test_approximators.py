@@ -220,6 +220,29 @@ class TestBatch:
         assert np.array_equal(out2[0], out) and np.array_equal(gx2[0], gx)
         assert np.array_equal(gp2, gp)
 
+    def test_gradient_written_into_a_given_array(self):
+        net = ap.Approximator(self.SHAPES["decoder"], seed=6)
+        rng = np.random.default_rng(6)
+        xs = rng.standard_normal((5, net.input_dim))
+        cots = rng.standard_normal((5, net.output_dim))
+        _, tape = net.forward(xs)
+        gp, gx = net.backward(tape, cots)
+        given = np.full(net.n_params, np.nan)
+        _, tape = net.forward(xs)
+        written, gx_written = net.backward(tape, cots, params=given)
+        assert written is given and given.tobytes() == gp.tobytes()
+        assert np.array_equal(gx_written, gx)
+
+    def test_gradient_array_of_another_size_rejected(self):
+        net = ap.Approximator((3, 5, 2), seed=7)
+        _, tape = net.forward(np.ones((2, 3)))
+        for size in (net.n_params - 1, net.n_params + 1):
+            with pytest.raises(DimensionMismatch, match="parameters"):
+                net.backward(tape, np.ones((2, 2)), params=np.zeros(size))
+        # a rejected array leaves the tape usable
+        gp, _ = net.backward(tape, np.ones((2, 2)))
+        assert gp.shape == (net.n_params,)
+
     def test_input_gradient_alone(self):
         net = ap.Approximator((3, 5, 2), seed=3)
         xs = np.random.default_rng(4).standard_normal((4, 3))

@@ -477,11 +477,13 @@ class TestElboUnlabeled:
         xs = d.unlabeled.lambdas[[0, 0]]
         rng_a, rng_b = crn(), crn()
         value, grads = run_block(elbo_unlabeled, state, xs, rng_a, indices=[0, 0])
-        # the same two rows' noise, one row per call
-        ref = state.views(np.zeros(state.theta.size))
+        # the same two rows' noise, one row per call, each into a zeroed vector of
+        # its own: a call writes the decoder's gradient
+        flats = [np.zeros(state.theta.size) for _ in range(2)]
         ref_value = sum(
-            elbo_unlabeled(state, xs[:1], rng_b, ref, indices=[0]) for _ in range(2)
+            elbo_unlabeled(state, xs[:1], rng_b, state.views(f), indices=[0]) for f in flats
         )
+        ref = state.views(sum(flats))
         assert value == pytest.approx(ref_value, rel=1e-12)
         for key in ("decoder", "mu_z_u", "rho_z_u"):
             assert np.max(np.abs(grads[key] - ref[key])) <= 1e-12 * np.max(np.abs(ref[key]))
@@ -812,14 +814,17 @@ class TestOnePass:
         grads = state.views(np.zeros(state.theta.size))
         values = inference._elbo(
             state, rng_a, grads, (xs, batch, 1.9),
-            (lab.lambdas, lab.bcs, lab.ys), (vir.lambdas, vir.bcs, None),
+            (lab.lambdas, inference._row_bcs(lab.bcs), lab.ys),
+            (vir.lambdas, inference._row_bcs(vir.bcs), None),
         )
-        ref = state.views(np.zeros(state.theta.size))
+        # each block writes the decoder's gradient: one zeroed vector per call
+        flats = [np.zeros(state.theta.size) for _ in range(3)]
         singles = (
-            elbo_unlabeled(state, xs, rng_b, ref, indices=batch, scale=1.9),
-            elbo_labeled(state, lab.lambdas, lab.ys, lab.bcs, rng_b, ref),
-            elbo_virtual(state, vir.lambdas, vir.bcs, rng_b, ref),
+            elbo_unlabeled(state, xs, rng_b, state.views(flats[0]), indices=batch, scale=1.9),
+            elbo_labeled(state, lab.lambdas, lab.ys, lab.bcs, rng_b, state.views(flats[1])),
+            elbo_virtual(state, vir.lambdas, vir.bcs, rng_b, state.views(flats[2])),
         )
+        ref = state.views(sum(flats))
         assert values == pytest.approx(singles, rel=1e-12)
         for key, got in grads.items():
             assert ref[key].any(), key
@@ -1093,15 +1098,15 @@ class TestTrain:
         v_p2 = prior_logpdf_theta(arrays, zero_grads(arrays), inference.THETA_PRIOR_SCALE)
         assert total_once == pytest.approx(v_l2 + v_o2 + v_p2, abs=1e-10)
 
-    def test_grad_is_the_sum_of_the_blocks_and_the_prior(self):
+    def test_grad_holds_the_blocks_and_theta_takes_the_reference_step(self):
         # one iteration on a minibatch of two of the five unlabeled data
         state, d = semi_supervised_state(seed=22, amortized=False)
         twin = copy.deepcopy(state)
         cfg = TrainConfig(iterations=1, unlabeled_batch=2, seed=3, plateau_window=10**9)
         train(state.model, cfg, d.labeled, d.unlabeled, d.virtual, state=state)
-        # one pass of the ELBO body over the three blocks, then the prior, on a
-        # zeroed vector, the generator drawn as train() draws it: the q(y)
-        # refresh, the minibatch, then the body
+        # one pass of the ELBO body over the three blocks on a zeroed vector, the
+        # generator drawn as train() draws it: the q(y) refresh, the minibatch, then
+        # the body; state.grad holds these blocks alone, the prior acting in Adam
         rng = derive_rng(cfg.seed, "train")
         refresh_qy(twin, d.virtual, rng, cfg.tau_start)
         batch = rng.choice(5, size=2, replace=False)
@@ -1110,14 +1115,21 @@ class TestTrain:
         lab, vir, n_l = d.labeled, d.virtual, len(d.labeled)
         inference._elbo(
             twin, rng, grads, (d.unlabeled.lambdas[batch], batch, n_l / 5 * 5 / 2),
-            (lab.lambdas, lab.bcs, lab.ys), (vir.lambdas, vir.bcs, None),
+            (lab.lambdas, inference._row_bcs(lab.bcs), lab.ys),
+            (vir.lambdas, inference._row_bcs(vir.bcs), None),
         )
-        prior_logpdf_theta(twin.model.params.arrays(), grads, inference.THETA_PRIOR_SCALE)
         assert state.grad.tobytes() == reference.tobytes()
         outside = np.setdiff1d(np.arange(5), batch)
         for key in ("mu_z_u", "rho_z_u"):
             rows = state.views(state.grad)[key][outside]
             assert rows.tobytes() == np.zeros(rows.shape).tobytes()
+        # the reference step: the prior's gradient added, then Adam over all of
+        # theta, the factor rows outside the minibatch frozen
+        prior_logpdf_theta(twin.model.params.arrays(), grads, inference.THETA_PRIOR_SCALE)
+        at = twin.views(np.arange(twin.theta.size))
+        frozen = np.hstack([at["mu_z_u"], at["rho_z_u"]])[outside].ravel()
+        Adam(inference.LEARNING_RATE).step(twin.theta, reference, frozen)
+        assert state.theta.tobytes() == twin.theta.tobytes()
 
     def test_labeled_only_objective_improves(self):
         rng = np.random.default_rng(16)
@@ -1261,8 +1273,10 @@ class DictAdam:
 
     def step(self, params, grads, rows=None):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        # Kingma & Ba's alpha_t and eps_hat, which fold in the bias correction
+        root = (1.0 - self.beta2**self.t) ** 0.5
+        alpha = self.lr * root / (1.0 - self.beta1**self.t)
+        eps = self.eps * root
         for key, gradient in grads.items():
             arr = params[key]
             if key not in self.m:
@@ -1273,16 +1287,15 @@ class DictAdam:
                 sel = rows[key]
                 m[sel] = self.beta1 * m[sel] + (1 - self.beta1) * gradient
                 v[sel] = self.beta2 * v[sel] + (1 - self.beta2) * (gradient * gradient)
-                arr[sel] += self.lr * (m[sel] / b1c) / (np.sqrt(v[sel] / b2c) + self.eps)
+                arr[sel] += alpha * m[sel] / (np.sqrt(v[sel]) + eps)
                 continue
             m *= self.beta1
             m += (1 - self.beta1) * gradient
             v *= self.beta2
             v += (1 - self.beta2) * (gradient * gradient)
-            den = np.sqrt(v / b2c)
-            den += self.eps
-            step = m / b1c
-            step *= self.lr
+            den = np.sqrt(v)
+            den += eps
+            step = m * alpha
             step /= den
             arr += step
 
@@ -1344,6 +1357,48 @@ class TestAdam:
             self.assert_bit_equal(adam, theta, ref, ref_arrays)
             for a, old in frozen:
                 assert a[outside].tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("with_frozen", [False, True])
+    def test_prior_fold_bit_equal_to_prior_then_adam(self, with_frozen, monkeypatch):
+        # the prior's slice, "w" and "a", ends at 22, inside the sixth block of four
+        monkeypatch.setattr(Adam, "BLOCK", 4)
+        rng = np.random.default_rng(6)
+        theta = rng.standard_normal(sum(int(np.prod(s)) for s in self.SHAPES.values()))
+        ref_theta = theta.copy()
+        scale, prior_end = 1.7, 22
+        adam, ref = Adam(lr=0.01), Adam(lr=0.01)
+        for _ in range(5):
+            grad = rng.standard_normal(theta.size)
+            frozen = None
+            if with_frozen:
+                rows = self.views(np.arange(theta.size))["rows"]
+                frozen = rows[rng.choice(6, size=3, replace=False)].ravel()
+            ref_grad, given = grad.copy(), grad.tobytes()
+            arrays = self.views(ref_theta)
+            del arrays["rows"]
+            prior_logpdf_theta(arrays, self.views(ref_grad), scale)
+            ref.step(ref_theta, ref_grad, frozen)
+            adam.step(theta, grad, frozen, prior_end, 1.0 / (scale * scale))
+            for a, b in ((theta, ref_theta), (adam.m, ref.m), (adam.v, ref.v)):
+                assert a.tobytes() == b.tobytes()
+            assert grad.tobytes() == given  # the fold only reads the gradient
+
+    def test_alpha_t_form_within_rounding_of_algorithm_1(self):
+        # Kingma & Ba's Algorithm 1, ascending: bias-corrected moments and eps
+        # added to sqrt(v_hat); gradients from 1e-9 to 1 exercise eps
+        rng = np.random.default_rng(7)
+        n = 40
+        theta = rng.standard_normal(n)
+        ref, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+        adam, b1, b2 = Adam(lr=0.01), Adam.beta1, Adam.beta2
+        for t in range(1, 101):
+            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-9, 0, n)
+            adam.step(theta, grad)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad**2
+            m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+            ref += 0.01 * m_hat / (np.sqrt(v_hat) + Adam.eps)
+            assert np.max(np.abs(theta - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestInitState:

@@ -5,7 +5,13 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cgsur import fem, field, genmodel, predict
-from cgsur.errors import DegenerateValidation, InvalidSize, NonPositiveVariance
+from cgsur.errors import (
+    DegenerateValidation,
+    DimensionMismatch,
+    InvalidInput,
+    InvalidSize,
+    NonPositiveVariance,
+)
 from cgsur.field import BoundaryCoeffs, GrfSampler, GrfSpec
 from cgsur.genmodel import GenerativeModel
 from cgsur.inference import (
@@ -138,6 +144,36 @@ class TestInferZ:
         # per-input optimization can only improve on the shared encoder
         assert e_opt >= e_am - 0.75
         assert abs(e_opt - e_am) < 0.25 * max(abs(e_opt), 1.0)
+
+
+class TestInputChecks:
+    """A bad input is rejected before any decoder call, by infer_z and by
+    predictive_posterior, which calls it."""
+
+    @staticmethod
+    def call(name, x, state, monkeypatch):
+        def decoder_called(*args):
+            raise AssertionError("the decoder ran on a rejected input")
+
+        monkeypatch.setattr(state.model.params.decoder, "forward", decoder_called)
+        if name == "infer_z":
+            return predict.infer_z(x, state, steps=5)
+        return predict.predictive_posterior(x, BC_A, state, k=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["infer_z", "predictive_posterior"])
+    def test_a_nan_pixel_rejected(self, name, monkeypatch):
+        state = plain_state(seed=16)
+        x = np.random.default_rng(16).normal(0.4, 0.8, state.model.dim_x)
+        x[3] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            self.call(name, x, state, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["infer_z", "predictive_posterior"])
+    def test_a_short_input_rejected(self, name, monkeypatch):
+        state = plain_state(seed=17)
+        x = np.random.default_rng(17).normal(0.4, 0.8, state.model.dim_x - 1)
+        with pytest.raises(DimensionMismatch, match="shape"):
+            self.call(name, x, state, monkeypatch)
 
 
 class TestPredictivePosterior:
