@@ -48,6 +48,12 @@ def clamp_gate(raw_exp: np.ndarray) -> np.ndarray:
     return ((raw_exp > VAR_MIN) & (raw_exp < VAR_MAX)).astype(np.float64)
 
 
+def _variance(log_var: np.ndarray):
+    """The clamped variance exp(log_var) and its derivative in log_var, from one exp."""
+    raw_exp = np.exp(log_var)
+    return clamp_var(raw_exp), clamp_gate(raw_exp) * raw_exp
+
+
 @dataclass
 class ModelParams:
     """All trainable generative-model parameters."""
@@ -117,7 +123,7 @@ class GenerativeModel:
     def decode_x(self, z: np.ndarray):
         """Mean and clamped diagonal variance of x given z."""
         out, _ = self.params.decoder.forward(z)
-        return out[..., : self.dim_x], clamp_var(np.exp(out[..., self.dim_x :]))
+        return out[..., : self.dim_x], _variance(out[..., self.dim_x :])[0]
 
     def logp_x_given_z(self, x: np.ndarray, z: np.ndarray) -> float:
         mean, var = self.decode_x(z)
@@ -129,11 +135,9 @@ class GenerativeModel:
         per row, d/dtheta_x written into `decoder_grad` (see Approximator.backward).
         weights=None gives d/dz unweighted and an empty dict."""
         out, tape = self.params.decoder.forward(z)
-        mean = out[..., : self.dim_x]
-        raw_exp = np.exp(out[..., self.dim_x :])
-        var = clamp_var(raw_exp)
-        val, g_mean, g_var = diag_logpdf_grads(x, mean, var)
-        cot = np.concatenate([g_mean, g_var * clamp_gate(raw_exp) * raw_exp], axis=-1)
+        var, chain = _variance(out[..., self.dim_x :])
+        val, g_mean, g_var = diag_logpdf_grads(x, out[..., : self.dim_x], var)
+        cot = np.concatenate([g_mean, g_var * chain], axis=-1)
         theta = weights is not None
         if theta:
             cot *= np.expand_dims(weights, -1)
@@ -143,23 +147,18 @@ class GenerativeModel:
     # ----- coarse map p(X | z) -----
 
     def coarse_map(self, z: np.ndarray):
-        mean = z @ self.params.W_g.T + self.params.b_g
-        var = clamp_var(np.exp(self.params.log_S_X))
-        return mean, var
+        return z @ self.params.W_g.T + self.params.b_g, _variance(self.params.log_S_X)[0]
 
     def logp_X_given_z_grads(self, X: np.ndarray, z: np.ndarray):
         """Returns (logpdf, d/dX, d/dz, theta grads for W_g, b_g, log_S_X)."""
         p = self.params
-        mean, var = self.coarse_map(z)
-        raw_exp = np.exp(p.log_S_X)
-        val, g_mean, g_var = diag_logpdf_grads(X, mean, var)
+        var, chain = _variance(p.log_S_X)
+        val, g_mean, g_var = diag_logpdf_grads(X, z @ p.W_g.T + p.b_g, var)
         g_rows = g_mean.reshape(-1, self.dim_X)
         grads = {
             "W_g": g_rows.T @ np.reshape(z, (-1, self.dim_z)),
             "b_g": g_rows.sum(axis=0),
-            "log_S_X": g_var.reshape(-1, self.dim_X).sum(axis=0)
-            * clamp_gate(raw_exp)
-            * raw_exp,
+            "log_S_X": g_var.reshape(-1, self.dim_X).sum(axis=0) * chain,
         }
         return val, -g_mean, g_mean @ p.W_g, grads
 
@@ -196,13 +195,10 @@ class GenerativeModel:
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim > 2 or Y.shape[-1:] != (self.dim_Y,):
             raise DimensionMismatch(f"Y has shape {Y.shape}, expected (B, {self.dim_Y})")
-        p = self.params
-        mean = p.w_h * (self.prolongation @ Y.T).T + p.b_h
-        var = clamp_var(np.exp(p.log_S_y))
-        return mean, var
+        return self.params.w_h * (self.prolongation @ Y.T).T + self.params.b_h, self.var_y()
 
     def var_y(self) -> np.ndarray:
-        return clamp_var(np.exp(self.params.log_S_y))
+        return _variance(self.params.log_S_y)[0]
 
     def logp_y_given_X_grads(self, y: np.ndarray, X: np.ndarray, bcs):
         """Returns (logpdf, d/dX, theta grads for w_h, b_h, log_S_y) for rows
@@ -215,14 +211,12 @@ class GenerativeModel:
         p = self.params
         Y, pullback = self._coarse_solves(X, bcs)
         PY = (self.prolongation @ Y.T).T
-        raw_exp = np.exp(p.log_S_y)
-        var = clamp_var(raw_exp)
-        mean = p.w_h * PY + p.b_h
-        val, g_mean, g_var = diag_logpdf_grads(y, mean, var)
+        var, chain = _variance(p.log_S_y)
+        val, g_mean, g_var = diag_logpdf_grads(y, p.w_h * PY + p.b_h, var)
         grads = {
             "w_h": (g_mean * PY).sum(axis=0),
             "b_h": g_mean.sum(axis=0),
-            "log_S_y": (g_var * clamp_gate(raw_exp) * raw_exp).sum(axis=0),
+            "log_S_y": (g_var * chain).sum(axis=0),
         }
         cot_Y = (self._prolongation_T @ (g_mean * p.w_h).T).T
         return val, pullback(cot_Y), grads

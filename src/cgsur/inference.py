@@ -8,7 +8,8 @@ a low-rank (Woodbury) update, whose one Cholesky factor serves the mean, the
 variances, the draws and the entropy; energy observables give one SPD linear
 system, solved exactly with a direct factorization; learned constraint
 precisions get conjugate Gamma updates. Everything else follows the
-reparametrized Monte Carlo ELBO with Adam.
+reparametrized Monte Carlo ELBO with Adam. An amortized q(z | x) takes its
+mean and then its log-variance from one encoder's outputs, as the decoder does.
 
 Gradients of the Monte Carlo objective are chained by hand through the
 model's *_grads methods; the coarse solve contributes through its adjoint.
@@ -26,11 +27,11 @@ which changes only when q(y) is refreshed; each refresh computes it once and
 draws the coarse inputs of every query in one call.
 
 Every array that gradient steps adapt is a view of one float64 vector owned
-by the VariationalState. The ELBO body writes the decoder's gradient into the
-views of a second vector of that layout and adds the others into the rest,
-zeroed by the trainer once per iteration. One Adam steps the whole vector,
-adds the parameter prior's gradient to the model's arrays, which lead it,
-and freezes the unlabeled factors outside a minibatch by their flat indices.
+by the VariationalState. The ELBO body writes the networks' gradients into
+the views of a second vector of that layout and adds the others into the
+rest, zeroed by the trainer once per iteration. One Adam steps the whole
+vector, adds the parameter prior's gradient to the model's arrays, which lead
+it, and freezes the unlabeled factors outside a minibatch by their flat indices.
 
 save_state and load_state write and read the one checkpoint format: <stem>.json
 holds a versioned header with the networks' sizes and the layout of the
@@ -75,8 +76,8 @@ QY_MC = 8
 GAMMA_PRIOR = 1e-6
 # Files of version 1 have a layout per checkpoint kind, and those of version 4
 # describe networks by lists of layer kinds; state files up to version 6 carry
-# TrainConfig fields, where version 7 records the encoders' layer widths.
-CHECKPOINT_VERSION = 7
+# TrainConfig fields, and those of version 7 two encoders, one per half of q(z | x).
+CHECKPOINT_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,8 @@ class VariationalState:
     """Everything the trainer adapts: theta_MAP, factors, q(y), precisions.
 
     init_state and load_state copy the arrays of adam_arrays() -- the model's
-    decoder, W_g ... log_S_y, the encoders and every factor -- into one vector
+    decoder, W_g ... log_S_y, the encoder (x to the mean and log-variance of
+    q(z | x); None unless amortized) and every factor -- into one vector
     `theta`, in that order, and make each a view of its slice; assign into
     them, not over them. `grad` has the same layout, and views() gives the
     named views of either. A deep copy views a vector of its own. No
@@ -314,8 +316,7 @@ class VariationalState:
     def __init__(self, model: GenerativeModel):
         self.model = model
         self.factors: dict[str, np.ndarray] = {}
-        self.enc_mu: Approximator | None = None
-        self.enc_logvar: Approximator | None = None
+        self.encoder: Approximator | None = None
         self.qy: list = []
         # per query, its expected log-likelihood plus q(y) entropy
         self.qy_terms: list = []
@@ -325,9 +326,8 @@ class VariationalState:
 
     def adam_arrays(self) -> dict:
         out = self.model.params.arrays()
-        if self.enc_mu is not None:
-            out["enc_mu"] = self.enc_mu.params
-            out["enc_logvar"] = self.enc_logvar.params
+        if self.encoder is not None:
+            out["encoder"] = self.encoder.params
         return {**out, **self.factors}
 
     def views(self, flat: np.ndarray) -> dict:
@@ -340,6 +340,7 @@ class VariationalState:
         """Copy the arrays of adam_arrays() into a new theta and make each a
         view of it; each original is released as soon as it is copied."""
         arrays = self.adam_arrays()
+        nets = {"decoder": self.model.params.decoder, "encoder": self.encoder}
         self._shapes = {key: arr.shape for key, arr in arrays.items()}
         self.theta = np.empty(sum(arr.size for arr in arrays.values()))
         self.grad = np.zeros(self.theta.size)
@@ -347,10 +348,8 @@ class VariationalState:
             view[...] = arrays.pop(key)
             if key in self.factors:
                 self.factors[key] = view
-            elif key in ("enc_mu", "enc_logvar"):
-                getattr(self, key).params = view
-            elif key == "decoder":
-                self.model.params.decoder.params = view
+            elif key in nets:
+                nets[key].params = view
             else:
                 setattr(self.model.params, key, view)
 
@@ -381,7 +380,8 @@ def init_state(
 
     The coarse-map bias and per-datum q(X) means start at block averages of
     the observed log-conductivity, and the output variance starts at the
-    empirical variance of the labeled solutions.
+    empirical variance of the labeled solutions. An amortized encoder has
+    widths (dim_x, *encoder_hidden, 2 dim_z), log-variance biases log 0.5.
     """
     state = VariationalState(model)
     dz, dX = model.dim_z, model.dim_X
@@ -412,20 +412,17 @@ def init_state(
             state.gamma_posteriors["flux"] = GammaPosterior(GAMMA_PRIOR, GAMMA_PRIOR)
     if unlabeled is not None:
         if config.amortized:
-            sizes = (model.dim_x, *config.encoder_hidden, dz)
-            state.enc_mu = Approximator._undrawn(sizes)
-            state.enc_logvar = Approximator._undrawn(sizes)
+            state.encoder = Approximator._undrawn((model.dim_x, *config.encoder_hidden, 2 * dz))
         else:
             n = len(unlabeled)
             state.factors["mu_z_u"] = np.zeros((n, dz))
             state.factors["rho_z_u"] = np.full((n, dz), np.log(0.1))
     state._bind()
-    if state.enc_mu is not None:
+    if state.encoder is not None:
         # drawn straight into theta: no encoder vector sits beside the decoder's copy
-        state.enc_mu._draw(config.seed + 1)
-        state.enc_logvar._draw(config.seed + 2)
+        state.encoder._draw(config.seed + 1)
         # start near the prior: zero mean head, moderate variance
-        state.enc_logvar.params[-dz:] = np.log(0.5)
+        state.encoder.params[-dz:] = np.log(0.5)
     return state
 
 
@@ -463,8 +460,8 @@ def _q_terms(mu, rho, g, eps, prior: bool, weights=1.0):
 def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
     """One Monte Carlo pass over the ELBO blocks it is given: `unlabeled` =
     (lambdas, indices, scale), `labeled` = (lambdas, bcs, ys) and `virtual` =
-    (lambdas, bcs, None), bcs one BoundaryCoeffs per row. Writes the decoder's
-    gradient into `grads`, named views of a theta-sized vector, adds the others,
+    (lambdas, bcs, None), bcs one BoundaryCoeffs per row. Writes the networks'
+    gradients into `grads`, named views of a theta-sized vector, adds the others,
     and returns (F_u, F_l, F_O), 0.0 for a block not given; F_u is times
     `scale` and F_O includes state.qy_terms."""
     model = state.model
@@ -473,9 +470,9 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
     if unlabeled is not None:
         x_u, indices, scale = unlabeled
         idx = np.arange(len(x_u)) if indices is None else np.asarray(indices)
-        if state.enc_mu is not None:
-            mu, tape_mu = state.enc_mu.forward(x_u)
-            rho, tape_rho = state.enc_logvar.forward(x_u)
+        if state.encoder is not None:
+            out, tape = state.encoder.forward(x_u)
+            mu, rho = out[:, :dz], out[:, dz:]
         else:
             mu, rho = state.factors["mu_z_u"][idx], state.factors["rho_z_u"][idx]
         eps_u = rng.standard_normal((len(x_u), dz))
@@ -499,7 +496,7 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
     n_c = sum(len(rows) for _, _, rows, _ in blocks)
     if unlabeled is not None:
         z_rows.append((x_u, mu, rho, eps_u, np.full(len(x_u), scale)))
-        blocks.append((0, [] if state.enc_mu is not None else ["mu_z_u", "rho_z_u"], idx, scale))
+        blocks.append((0, [] if state.encoder is not None else ["mu_z_u", "rho_z_u"], idx, scale))
 
     x, mu_z, rho_z, eps_z, w = (np.concatenate(a) for a in zip(*z_rows))
     z = _q_draw(mu_z, rho_z, eps_z)
@@ -525,9 +522,8 @@ def _elbo(state, rng, grads, unlabeled=None, labeled=None, virtual=None):
         for key, g in zip(keys, g_z + g_X):
             np.add.at(grads[key], idx, g[rows])  # an index drawn twice gets both rows
         lo += len(idx)
-    if unlabeled is not None and state.enc_mu is not None:
-        grads["enc_mu"] += state.enc_mu.backward(tape_mu, g_z[0][n_c:])[0]
-        grads["enc_logvar"] += state.enc_logvar.backward(tape_rho, g_z[1][n_c:])[0]
+    if unlabeled is not None and state.encoder is not None:
+        state.encoder.backward(tape, np.hstack([g[n_c:] for g in g_z]), params=grads["encoder"])
     if virtual is not None:
         f[2] = sum(state.qy_terms, f[2])
     return tuple(f)
@@ -541,7 +537,7 @@ def elbo_unlabeled(
     indices=None,
     scale: float = 1.0,
 ) -> float:
-    """Unlabeled ELBO block alone, times `scale`: q(z) comes from the encoders
+    """Unlabeled ELBO block alone, times `scale`: q(z) comes from the encoder
     or from the rows `indices` of the unlabeled factors (the first n when
     None). Puts its gradients into `grads`; see _elbo."""
     return _elbo(state, rng, grads, unlabeled=(lambdas, indices, scale))[0]
@@ -860,7 +856,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 def save_state(state: VariationalState, stem) -> None:
-    """Write <stem>.json and <stem>.bin: the model, encoders, factors,
+    """Write <stem>.json and <stem>.bin: the model, the one encoder, factors,
     precisions and iteration; q(y) is derived data, rebuilt by refresh_qy."""
     stem = Path(stem)
     arrays = state.adam_arrays()
@@ -871,7 +867,7 @@ def save_state(state: VariationalState, stem) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
         "model": state.model.metadata(),
-        "encoder_sizes": None if state.enc_mu is None else list(state.enc_mu.sizes),
+        "encoder_sizes": None if state.encoder is None else list(state.encoder.sizes),
         "factor_keys": sorted(state.factors.keys()),
         "gamma_posteriors": {
             key: dataclasses.asdict(post) for key, post in state.gamma_posteriors.items()
@@ -904,8 +900,7 @@ def load_state(stem) -> VariationalState:
         arrays[key] = blob[info["offset"] : info["offset"] + size].reshape(info["shape"])
     state = VariationalState(model_from_checkpoint(header["model"], arrays))
     if header["encoder_sizes"] is not None:
-        state.enc_mu = Approximator(header["encoder_sizes"], params=arrays["enc_mu"])
-        state.enc_logvar = Approximator(header["encoder_sizes"], params=arrays["enc_logvar"])
+        state.encoder = Approximator(header["encoder_sizes"], params=arrays["encoder"])
     # in the file's order, so that theta is laid out as the file is
     state.factors = {key: a for key, a in arrays.items() if key in header["factor_keys"]}
     state.gamma_posteriors = {

@@ -1,10 +1,11 @@
 """Predictive posterior, evaluation metrics and uncertainty propagation.
 
 Prediction never touches the fine solver: the posterior over the latent code
-is either read off the amortized encoder or found by maximizing the
-unlabeled ELBO for the given input, and samples then flow through the coarse
-solver only. The fine solver is used here solely when an explicit Monte
-Carlo reference is requested for uncertainty propagation.
+is either read off the amortized encoder, whose one output holds the mean
+and then the log-variance, or found by maximizing the unlabeled ELBO for the
+given input, and samples then flow through the coarse solver only.
+The fine solver is used here solely when an explicit Monte Carlo reference
+is requested for uncertainty propagation.
 
 predictive_posterior takes the noise of its K samples from one draw, in the
 order a per-sample loop consumes it, and runs every model term, the coarse
@@ -33,6 +34,20 @@ INFER_Z_LEARNING_RATE = 0.05
 UQ_BINS = 64
 
 
+def _finite(name: str, a) -> np.ndarray:
+    """`a` as a float64 array; InvalidInput if an entry is NaN or infinite."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} has a non-finite entry")
+    return a
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """InvalidInput unless `value` is an integer >= `least`."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class PredictiveSamples:
     """Monte Carlo draws from the predictive posterior at one input."""
@@ -51,33 +66,31 @@ def infer_z(
 ) -> DiagGaussian:
     """Posterior over the latent code for a new input; no model solves.
 
-    mode="amortized" evaluates the trained encoder; mode="optimize" runs a
-    fresh reparametrized ascent of E_q[log p(x|z)] - KL(q || prior) over the
-    factor (mu, log-variance), initialized at the encoder output when one is
-    available and at the prior otherwise.
+    mode="amortized" splits one encoder output into mean and log-variance;
+    mode="optimize" runs `steps` (an integer >= 0) of a fresh reparametrized
+    ascent of E_q[log p(x|z)] - KL(q || prior) over the factor (mu, log-variance),
+    which starts at the encoder's output when there is one, else at the prior.
     """
     model = state.model
     if np.shape(x) != (model.dim_x,):
         raise DimensionMismatch(f"x has shape {np.shape(x)}, expected ({model.dim_x},)")
-    if not np.isfinite(x).all():
-        raise InvalidInput("x has a non-finite entry")
+    _finite("x", x)
+    dz = model.dim_z
     if mode == "amortized":
-        if state.enc_mu is None:
+        if state.encoder is None:
             raise ValueError("no amortized encoder in this state")
-        mu = state.enc_mu(x)
-        var = np.exp(state.enc_logvar(x))
-        return DiagGaussian(mean=mu, var=var)
+        out = state.encoder(x)
+        return DiagGaussian(mean=out[:dz], var=np.exp(out[dz:]))
     if mode != "optimize":
         raise ValueError(f"unknown mode {mode!r}")
-
-    dz = model.dim_z
+    _check_count("steps", steps, 0)
     noise = derive_rng(seed, "infer_z").standard_normal((steps, dz))
     # Adam ascends one flat factor; mu and rho (and their gradients) are views.
     factor, grad = np.empty(2 * dz), np.empty(2 * dz)
     mu, rho = factor[:dz], factor[dz:]
     g_mu, g_rho = grad[:dz], grad[dz:]
-    if state.enc_mu is not None:
-        mu[:], rho[:] = state.enc_mu(x), state.enc_logvar(x)
+    if state.encoder is not None:
+        factor[:] = state.encoder(x)
     else:
         mu[:], rho[:] = 0.0, np.log(0.5)
     adam = Adam(INFER_Z_LEARNING_RATE)
@@ -123,8 +136,7 @@ def predictive_posterior(
     calls sharing the generator. Every model term runs once over all K rows;
     the coarse model solves once per sample.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     rng = rng or np.random.default_rng()
     model = state.model
     if qz is None:
@@ -148,8 +160,7 @@ def r2_score(y_true: np.ndarray, y_pred_mean: np.ndarray) -> float:
     1 - sum ||y_i - mu_i||^2 / sum ||y_i - ybar||^2 with ybar the validation
     average.
     """
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred_mean = np.asarray(y_pred_mean, dtype=np.float64)
+    y_true, y_pred_mean = _finite("y_true", y_true), _finite("y_pred_mean", y_pred_mean)
     if y_true.ndim != 2 or y_true.shape[0] < 2:
         raise DegenerateValidation("need at least two validation pairs")
     ybar = y_true.mean(axis=0)
@@ -162,8 +173,7 @@ def r2_score(y_true: np.ndarray, y_pred_mean: np.ndarray) -> float:
 def logscore(y_true: np.ndarray, mean: np.ndarray, var: np.ndarray) -> float:
     """Average Gaussian log-density of validation outputs under predictive
     moments."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
+    y_true, mean = _finite("y_true", y_true), _finite("mean", mean)
     var = np.asarray(var, dtype=np.float64)
     if not np.all(var > 0.0):
         raise NonPositiveVariance("predictive variances must be positive")
@@ -209,7 +219,7 @@ def propagate_uq(
         raise InvalidSize(f"propagate_uq needs n >= 2 inputs, got {n}")
     model = state.model
     node = center_node_index(model.d_f)
-    mode = mode if (state.enc_mu is not None or mode != "amortized") else "optimize"
+    mode = mode if (state.encoder is not None or mode != "amortized") else "optimize"
     qoi_surrogate = np.empty(n)
     fields = []
     for i in range(n):

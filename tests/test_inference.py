@@ -497,17 +497,20 @@ class TestElboUnlabeled:
         rng = np.random.default_rng(3)
         _, grads = run_block(elbo_unlabeled, state, unl.lambdas, crn())
         h = 1e-6
-        for key, net in (("enc_mu", state.enc_mu), ("enc_logvar", state.enc_logvar)):
-            idx = rng.choice(net.n_params, size=5, replace=False)
-            for i in idx:
-                old = net.params[i]
-                net.params[i] = old + h
-                vp, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
-                net.params[i] = old - h
-                vm, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
-                net.params[i] = old
-                fd = (vp - vm) / (2 * h)
-                assert grads[key][i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+        net, dz = state.encoder, model.dim_z
+        # ten random entries, plus one bias of the mean head and one of the
+        # log-variance head, the last 2 dim_z entries
+        idx = [*rng.choice(net.n_params, size=10, replace=False), net.n_params - 2 * dz,
+               net.n_params - 1]
+        for i in idx:
+            old = net.params[i]
+            net.params[i] = old + h
+            vp, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
+            net.params[i] = old - h
+            vm, _ = run_block(elbo_unlabeled, state, unl.lambdas, crn())
+            net.params[i] = old
+            fd = (vp - vm) / (2 * h)
+            assert grads["encoder"][i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
 class TestElboLabeled:
@@ -713,13 +716,13 @@ def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
     model = state.model
     n, dz = lambdas.shape[0], model.dim_z
     idx = np.arange(n) if indices is None else np.asarray(indices)
-    amortized = state.enc_mu is not None
+    amortized = state.encoder is not None
     value, theta = 0.0, {}
     factors = {"mu_z_u": np.zeros((n, dz)), "rho_z_u": np.zeros((n, dz))}
     for i, x in enumerate(lambdas):
         if amortized:
-            mu, tape_mu = state.enc_mu.forward(x)
-            rho, tape_rho = state.enc_logvar.forward(x)
+            out, tape = state.encoder.forward(x)
+            mu, rho = out[:dz], out[dz:]
         else:
             mu, rho = state.factors["mu_z_u"][idx[i]], state.factors["rho_z_u"][idx[i]]
         var, std = np.exp(rho), np.exp(0.5 * rho)
@@ -731,8 +734,8 @@ def looped_unlabeled(state, lambdas, rng, indices=None, scale=1.0):
         d_mu = gz - mu
         d_rho = 0.5 * std * gz * eps - 0.5 * var + 0.5
         if amortized:
-            _add(theta, "enc_mu", scale * state.enc_mu.backward(tape_mu, d_mu)[0])
-            _add(theta, "enc_logvar", scale * state.enc_logvar.backward(tape_rho, d_rho)[0])
+            cot = np.concatenate([d_mu, d_rho])
+            _add(theta, "encoder", scale * state.encoder.backward(tape, cot)[0])
         else:
             factors["mu_z_u"][i] = scale * d_mu
             factors["rho_z_u"][i] = scale * d_rho
@@ -1060,7 +1063,7 @@ class TestBlocksWriteOnlyIntoTheirGrads:
         state, d = semi_supervised_state(seed=6)
         self.check(
             state, elbo_unlabeled, d.unlabeled.lambdas, crn(),
-            reached={"decoder", "enc_mu", "enc_logvar"},
+            reached={"decoder", "encoder"},
         )
 
 
@@ -1240,8 +1243,7 @@ class TestTrain:
         state, _ = train(state.model, cfg, d.labeled, d.unlabeled, d.virtual, state=state)
         assert state.iteration == 2 and "mu_z_u" not in state.factors
         assert np.isfinite(state.theta).all()
-        for key in ("enc_mu", "enc_logvar"):
-            assert not np.array_equal(state.views(state.theta)[key], before[key]), key
+        assert not np.array_equal(state.views(state.theta)["encoder"], before["encoder"])
 
     def test_unlabeled_minibatch_updates_only_its_rows(self):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=3)
@@ -1414,13 +1416,17 @@ class TestInitState:
         # the state's config has seed 23 and encoder_hidden (5,)
         state, _ = semi_supervised_state(seed=23)
         dz = state.model.dim_z
-        sizes = (state.model.dim_x, 5, dz)
-        ref_mu = Approximator(sizes, seed=23 + 1).params
-        ref_logvar = Approximator(sizes, seed=23 + 2).params
-        ref_logvar[-dz:] = np.log(0.5)
-        for net, ref in ((state.enc_mu, ref_mu), (state.enc_logvar, ref_logvar)):
-            assert np.shares_memory(net.params, state.theta)
-            assert net.params.tobytes() == ref.tobytes()
+        ref = Approximator((state.model.dim_x, 5, 2 * dz), seed=23 + 1).params
+        ref[-dz:] = np.log(0.5)
+        assert np.shares_memory(state.encoder.params, state.theta)
+        assert state.encoder.params.tobytes() == ref.tobytes()
+
+    def test_amortized_state_holds_one_encoder_of_mean_and_log_variance(self):
+        state, _ = semi_supervised_state(seed=23)
+        model = state.model
+        assert state.encoder.sizes == (model.dim_x, 5, 2 * model.dim_z)
+        keys = set(state.adam_arrays())
+        assert "encoder" in keys and not any(key.startswith("enc_") for key in keys)
 
 
 class TestStateCopy:
@@ -1435,13 +1441,13 @@ class TestStateCopy:
         z, x = rng.standard_normal(model.dim_z), rng.standard_normal(model.dim_x)
 
         def outputs(s):
-            return s.model.decode_x(z)[0], s.enc_mu(x), s.enc_logvar(x)
+            return s.model.decode_x(z)[0], s.encoder(x)
 
         before = outputs(state)
         twin = copy.deepcopy(state)
         for a, b in zip(outputs(twin), before):
             assert np.array_equal(a, b)
-        for net in (twin.model.params.decoder, twin.enc_mu, twin.enc_logvar):
+        for net in (twin.model.params.decoder, twin.encoder):
             net.params += 0.1
         for a, b in zip(outputs(twin), before):
             assert not np.array_equal(a, b)
@@ -1460,7 +1466,7 @@ class TestStateCopy:
 
 
 def semi_supervised_state(seed, amortized=True):
-    """A state over labeled, virtual and five unlabeled data, with encoders
+    """A state over labeled, virtual and five unlabeled data, with an encoder
     when `amortized` and unlabeled factors otherwise; returns it and the data."""
     model, _, labeled, virtual, _, _ = make_problem(seed=seed)
     cfg = TrainConfig(amortized=amortized, encoder_hidden=(5,), seed=seed)
@@ -1470,7 +1476,7 @@ def semi_supervised_state(seed, amortized=True):
 
 
 class TestCheckpoint:
-    """The file format, on states that hold a model alone or with encoders."""
+    """The file format, on states that hold a model alone or with an encoder."""
 
     def test_roundtrip(self, tmp_path):
         model = GenerativeModel(4, 2, decoder_hidden=(6,), seed=23)
@@ -1511,8 +1517,7 @@ class TestCheckpoint:
         arrays = loaded.model.params.arrays()
         for key, arr in model.params.arrays().items():
             assert np.array_equal(arrays[key], arr)
-        assert np.array_equal(loaded.enc_mu.params, state.enc_mu.params)
-        assert np.array_equal(loaded.enc_logvar.params, state.enc_logvar.params)
+        assert np.array_equal(loaded.encoder.params, state.encoder.params)
 
     @pytest.mark.parametrize("extra", [8, -8, 3], ids=["padded", "truncated", "partial"])
     def test_blob_of_wrong_size_rejected(self, tmp_path, extra):
@@ -1548,7 +1553,7 @@ class TestStateCheckpoint:
         save_state(state, tmp_path / "ckpt")
         loaded = load_state(tmp_path / "ckpt")
         x = np.random.default_rng(0).normal(size=model.dim_x)
-        assert np.array_equal(loaded.enc_mu(x), state.enc_mu(x))
+        assert np.array_equal(loaded.encoder(x), state.encoder(x))
 
     @pytest.mark.parametrize("amortized", [True, False])
     def test_files_hold_adam_arrays_in_key_order(self, tmp_path, amortized):

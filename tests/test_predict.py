@@ -45,8 +45,8 @@ def looped_infer_z(x, state, steps, seed):
     over {mu, rho}."""
     model = state.model
     rng = derive_rng(seed, "infer_z")
-    if state.enc_mu is not None:
-        mu, rho = state.enc_mu(x), state.enc_logvar(x).copy()
+    if state.encoder is not None:
+        mu, rho = np.split(state.encoder(x), 2)
     else:
         mu, rho = np.zeros(model.dim_z), np.full(model.dim_z, np.log(0.5))
     params = {"mu": mu, "rho": rho}
@@ -112,6 +112,14 @@ class TestInferZ:
         with pytest.raises(ValueError):
             predict.infer_z(np.zeros(state.model.dim_x), state, mode="amortized")
 
+    def test_amortized_is_the_two_halves_of_one_encoder_call(self):
+        state = encoder_state(seed=12)
+        x = np.random.default_rng(12).normal(0.4, 0.8, state.model.dim_x)
+        out, dz = state.encoder(x), state.model.dim_z
+        q = predict.infer_z(x, state, mode="amortized")
+        assert q.mean.tobytes() == out[:dz].tobytes()
+        assert q.var.tobytes() == np.exp(out[dz:]).tobytes()
+
     def test_amortized_and_optimized_agree_after_training(self):
         rng = np.random.default_rng(3)
         model = GenerativeModel(4, 2, decoder_hidden=(16,), seed=3)
@@ -174,6 +182,49 @@ class TestInputChecks:
         x = np.random.default_rng(17).normal(0.4, 0.8, state.model.dim_x - 1)
         with pytest.raises(DimensionMismatch, match="shape"):
             self.call(name, x, state, monkeypatch)
+
+
+class TestCountsAndMetricInputs:
+    """Sample counts, step budgets and metric inputs that cannot be used raise
+    InvalidInput at the boundary, not a TypeError, a numpy error or a NaN."""
+
+    @pytest.mark.parametrize("k", [0, 2.5])
+    def test_sample_count_not_a_positive_integer(self, k):
+        state = plain_state(seed=18)
+        qz = DiagGaussian(np.zeros(state.model.dim_z), np.ones(state.model.dim_z))
+        x = np.zeros(state.model.dim_x)
+        with pytest.raises(InvalidInput, match="k must be an integer >= 1"):
+            predict.predictive_posterior(x, BC_A, state, k=k, qz=qz)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5])
+    def test_step_budget_not_a_nonnegative_integer(self, steps):
+        state = plain_state(seed=19)
+        with pytest.raises(InvalidInput, match="steps must be an integer >= 0"):
+            predict.infer_z(np.zeros(state.model.dim_x), state, steps=steps)
+
+    def test_zero_steps_return_the_starting_factor(self):
+        state = plain_state(seed=19)
+        q = predict.infer_z(np.zeros(state.model.dim_x), state, steps=0)
+        assert np.array_equal(q.mean, np.zeros(state.model.dim_z))
+        assert np.array_equal(q.var, np.full(state.model.dim_z, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["truth", "mean"])
+    def test_r2_non_finite_rejected(self, bad, where):
+        y = np.random.default_rng(20).standard_normal((4, 3))
+        mu = y + 0.1
+        (y if where == "truth" else mu)[1, 2] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            predict.r2_score(y, mu)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["truth", "mean"])
+    def test_logscore_non_finite_rejected(self, bad, where):
+        y = np.random.default_rng(21).standard_normal((4, 3))
+        mu = y + 0.1
+        (y if where == "truth" else mu)[0, 1] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            predict.logscore(y, mu, np.ones((4, 3)))
 
 
 class TestPredictivePosterior:
